@@ -47,7 +47,7 @@ print(
 print("\n== moving frame along the striction curve ==")
 sample = frenet_frame_at(helicoid, 0.5)
 print("k1 =", round(sample.k1, 12), ", k2 =", round(sample.k2, 12))
-print("theta =", sample.theta, " (None: the striction tangent is spacelike here)")
+print("theta =", sample.theta, " (nan: the striction tangent is spacelike here)")
 
 print("\n== classification ==")
 cls = classify(helicoid, samples=101)

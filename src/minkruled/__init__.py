@@ -26,7 +26,7 @@ from .errors import (
     TrivialRulingError,
 )
 from .expressions import Expr, differentiate, evaluate, parse, to_string
-from .frame import FrameSample, canonical_frame
+from .frame import canonical_frame
 from .lorentz import (
     DEFAULT_TOLERANCES,
     AngleKind,
@@ -81,7 +81,6 @@ from .transversal import (
     developability_condition,
     distribution_closed,
     distribution_via_base_drall,
-    make_ruling,
     relation_via_d,
     strictional_distance_closed,
     strictional_distance_printed,

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .ruled import (
     striction,
     striction_predicates,
 )
-from .synthesis import IntrinsicData, synthesize_surface, to_explicit_grid
+from .synthesis import IntrinsicData, SampledSurface, synthesize_surface, to_explicit_grid
 from .transversal import (
     TransversalSpec,
     analyze as analyze_transversal,
@@ -108,13 +108,21 @@ def _parse_expr(text, context: str) -> ex.Expr:
         raise ConfigError(f"{context}: {err.message} at offset {err.position}") from err
 
 
+def _finite(value) -> bool:
+    """True for a JSON number (int or float) that is a finite float."""
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _pair(value, context: str) -> tuple:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(x, (int, float)) for x in value)
+        or not all(_finite(x) for x in value)
     ):
-        raise ConfigError(f"{context}: expected a numeric pair [lo, hi]")
+        raise ConfigError(f"{context}: expected a pair [lo, hi] of finite numbers")
     if not value[1] > value[0]:
         raise ConfigError(f"{context}: range must be increasing")
     return (float(value[0]), float(value[1]))
@@ -183,8 +191,8 @@ def parse_config(path: str) -> Config:
             setattr(cfg, name, _parse_expr(_require(raw, name, "config"), f"config.{name}"))
         cfg.s_range = _pair(_require(raw, "s_range", "config"), "config.s_range")
         step = _require(raw, "step", "config")
-        if not isinstance(step, (int, float)) or not step > 0:
-            raise ConfigError("config.step: expected a positive number")
+        if not _finite(step) or not step > 0:
+            raise ConfigError("config.step: expected a positive finite number")
         cfg.step = float(step)
         epsilon = raw.get("epsilon", -1)
         if epsilon not in (-1, 1):
@@ -195,9 +203,14 @@ def parse_config(path: str) -> Config:
             if (
                 not isinstance(frame, list)
                 or len(frame) != 3
-                or not all(isinstance(v, list) and len(v) == 3 for v in frame)
+                or not all(
+                    isinstance(v, list) and len(v) == 3 and all(_finite(x) for x in v)
+                    for v in frame
+                )
             ):
-                raise ConfigError("config.initial_frame: expected three 3-vectors")
+                raise ConfigError(
+                    "config.initial_frame: expected three 3-vectors of finite numbers"
+                )
             cfg.initial_frame = tuple(np.array(v, dtype=float) for v in frame)
 
     if "transversal" in raw:
@@ -252,8 +265,8 @@ def parse_config(path: str) -> Config:
             "general_eps": DEFAULT_TOLERANCES.general_eps,
         }
         for key in block:
-            if not isinstance(block[key], (int, float)) or not block[key] > 0:
-                raise ConfigError(f"config.tolerances.{key}: expected a positive number")
+            if not _finite(block[key]) or not block[key] > 0:
+                raise ConfigError(f"config.tolerances.{key}: expected a positive finite number")
             values[key] = float(block[key])
         cfg.tolerances = Tolerances(**values)
 
@@ -265,20 +278,26 @@ def parse_config(path: str) -> Config:
         kwargs = {}
         for key in ("k1_values", "k2_values", "theta_values", "angle_values"):
             if key in block:
-                if not isinstance(block[key], list) or not block[key]:
-                    raise ConfigError(f"config.suite.{key}: expected a non-empty list")
-                kwargs[key] = tuple(float(x) for x in block[key])
+                values = block[key]
+                if not isinstance(values, list) or not values or not all(map(_finite, values)):
+                    raise ConfigError(
+                        f"config.suite.{key}: expected a non-empty list of finite numbers"
+                    )
+                kwargs[key] = tuple(float(x) for x in values)
         if "families" in block:
+            if not isinstance(block["families"], list):
+                raise ConfigError("config.suite.families: expected a list of family names")
             try:
                 kwargs["families"] = tuple(Family(f) for f in block["families"])
             except ValueError as err:
                 raise ConfigError(f"config.suite.families: {err}") from err
-        if "tolerance" in block:
-            kwargs["tolerance"] = float(block["tolerance"])
+        for key in ("tolerance", "step"):
+            if key in block:
+                if not _finite(block[key]):
+                    raise ConfigError(f"config.suite.{key}: expected a finite number")
+                kwargs[key] = float(block[key])
         if "s_range" in block:
             kwargs["s_range"] = _pair(block["s_range"], "config.suite.s_range")
-        if "step" in block:
-            kwargs["step"] = float(block["step"])
         try:
             cfg.suite = SuiteConfig(**kwargs)
         except ValueError as err:
@@ -380,7 +399,7 @@ def _condition_dict(report) -> dict:
     }
 
 
-def _cmd_analyze(cfg: Config) -> dict:
+def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
     if cfg.mode != "explicit":
         raise ConfigError("analyze requires mode = 'explicit'")
     surface = _explicit_surface(cfg)
@@ -399,17 +418,18 @@ def _cmd_analyze(cfg: Config) -> dict:
     u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
     drall = [distribution_parameter(surface, float(ui), cfg.tolerances) for ui in u]
     v0 = [striction(surface, float(ui), cfg.tolerances)[0] for ui in u]
-    frames = sample_frames(surface, cfg.samples, cfg.tolerances)
+    track = sample_frames(surface, cfg.samples, cfg.tolerances)
     report["samples"] = {
         "u": u.tolist(),
         "drall": drall,
         "strictional_distance": v0,
-        "arc_length": [f.s for f in frames],
-        "k1": [f.k1 for f in frames],
-        "k2": [f.k2 for f in frames],
-        "theta": [f.theta for f in frames],
+        "arc_length": track.s.tolist(),
+        "k1": track.k1.tolist(),
+        "k2": track.k2.tolist(),
+        # NaN theta (striction tangent not timelike) is reported as null
+        "theta": [None if math.isnan(x) else x for x in track.theta.tolist()],
     }
-    if all(f.theta is not None for f in frames):
+    if not np.any(np.isnan(track.theta)):
         report["striction_predicates"] = {
             r.name: {
                 "geometric_residual": r.geometric_residual,
@@ -419,16 +439,16 @@ def _cmd_analyze(cfg: Config) -> dict:
                 "satisfiable": r.satisfiable,
                 "agree": r.agree,
             }
-            for r in striction_predicates(frames, cfg.tolerances.general_eps * 100).results()
+            for r in striction_predicates(track, cfg.tolerances.general_eps * 100).results()
         }
     else:
         report["striction_predicates"] = None
         warnings.append("striction tangent is not timelike; predicates skipped")
     report["warnings"] = warnings
-    return report
+    return report, None
 
 
-def _cmd_synthesize(cfg: Config) -> dict:
+def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
     if cfg.mode != "intrinsic":
         raise ConfigError("synthesize requires mode = 'intrinsic'")
     surf = synthesize_surface(_intrinsic_data(cfg), cfg.tolerances)
@@ -463,10 +483,10 @@ def _cmd_synthesize(cfg: Config) -> dict:
         "striction_curve": surf.c.tolist(),
     }
     report["warnings"] = []
-    return report
+    return report, surf
 
 
-def _cmd_transversal(cfg: Config) -> dict:
+def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
     if cfg.mode != "intrinsic":
         raise ConfigError("transversal requires mode = 'intrinsic'")
     if cfg.transversal_spec is None:
@@ -514,19 +534,20 @@ def _cmd_transversal(cfg: Config) -> dict:
         report["corollaries"] = None
         warnings.append(f"corollary checks skipped: {err}")
     report["warnings"] = warnings
-    return report
+    return report, surf
 
 
-def _cmd_verify(cfg: Config) -> dict:
+def _cmd_verify(cfg: Config) -> tuple[dict, None]:
     report = _envelope("verify", cfg)
     combined = run_all(cfg.suite or SuiteConfig())
     report["suites"] = combined["suites"]
     report["summary"] = combined["summary"]
     report["warnings"] = combined["warnings"]
-    return report
+    return report, None
 
 
-def _mesh_grid(cfg: Config) -> np.ndarray:
+def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
+    """Vertex grid of the configured surface; reuses ``surf`` when given."""
     if cfg.mode == "explicit":
         surface = _explicit_surface(cfg)
         u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
@@ -536,7 +557,8 @@ def _mesh_grid(cfg: Config) -> np.ndarray:
         f = eval_triple(surface._d.f, u)
         q = eval_triple(surface._d.q, u)
         return f[:, None, :] + v[None, :, None] * q[:, None, :]
-    surf = synthesize_surface(_intrinsic_data(cfg), cfg.tolerances)
+    if surf is None:
+        surf = synthesize_surface(_intrinsic_data(cfg), cfg.tolerances)
     if cfg.transversal_spec is not None:
         grid, _ = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
         return grid
@@ -550,22 +572,8 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
     if tolerance is not None:
         if not tolerance > 0:
             raise ConfigError("--tolerance must be positive")
-        cfg.tolerances = Tolerances(
-            causal_eps=cfg.tolerances.causal_eps,
-            frame_eps=cfg.tolerances.frame_eps,
-            general_eps=tolerance,
-        )
-        base = cfg.suite or SuiteConfig()
-        cfg.suite = SuiteConfig(
-            k1_values=base.k1_values,
-            k2_values=base.k2_values,
-            theta_values=base.theta_values,
-            angle_values=base.angle_values,
-            families=base.families,
-            tolerance=tolerance,
-            s_range=base.s_range,
-            step=base.step,
-        )
+        cfg.tolerances = replace(cfg.tolerances, general_eps=tolerance)
+        cfg.suite = replace(cfg.suite or SuiteConfig(), tolerance=tolerance)
 
     def resolve(path: str) -> str:
         if output_dir is not None and not os.path.isabs(path):
@@ -584,10 +592,10 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
             "transversal": _cmd_transversal,
             "verify": _cmd_verify,
         }
-        report = builders[command](cfg)
+        report, surf = builders[command](cfg)
         export_report(report, resolve(cfg.report_path))
-        if cfg.mesh_path is not None and command in ("synthesize", "transversal"):
-            export_obj(_mesh_grid(cfg), resolve(cfg.mesh_path))
+        if cfg.mesh_path is not None and surf is not None:
+            export_obj(_mesh_grid(cfg, surf), resolve(cfg.mesh_path))
         return 0
     except (GeometryError, ExprError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

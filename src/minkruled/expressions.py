@@ -53,8 +53,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Expr:
-    def __call__(self, s):
-        return evaluate(self, s)
+    """Base class of the immutable expression-tree nodes."""
 
 
 @dataclass(frozen=True)

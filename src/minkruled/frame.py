@@ -1,37 +1,66 @@
-"""Frenet frame samples for ruled surfaces and frame re-orthonormalization."""
+"""The sampled frame track along a striction curve, and the canonical frame."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import FrameDegenerateError
-from .lorentz import Vec3, lorentz_dot
+from .lorentz import Vec3
+
+if TYPE_CHECKING:
+    from .synthesis import IntrinsicData
 
 
-@dataclass(frozen=True)
-class FrameSample:
-    """One striction-curve sample: frame vectors, curvatures and angle.
+@dataclass
+class SampledSurface:
+    """Striction curve, frame and curvatures sampled along arc length.
 
-    ``s`` is arc length along the striction curve, ``c`` the striction point.
-    ``theta`` is the hyperbolic angle between striction tangent and ruling;
-    it is None when the striction tangent is not timelike.  ``c2`` and
-    ``hprime`` optionally carry d2c/ds2 and dh/ds computed by the producer
-    (symbolically for expression-backed surfaces).
+    One struct of arrays serves explicit and synthesized surfaces alike:
+    row i holds arc length ``s``, the striction point ``c``, the frame
+    (``q``, ``h``, ``a``), the curvatures ``k1`` and ``k2`` and the hyperbolic
+    angle ``theta`` between striction tangent and ruling.  ``theta`` is NaN
+    where the striction tangent is not timelike.  ``c2`` and ``hprime``
+    optionally carry d2c/ds2 and dh/ds computed symbolically by the producer.
+    A synthesized surface keeps its generating ``data`` so downstream closed
+    forms can evaluate k1, k2, theta (and their derivatives) exactly at any s.
+
+    ``track[i]`` is the single-point view: the same class holding row i.
     """
 
-    s: float
-    c: Vec3
-    q: Vec3
-    h: Vec3
-    a: Vec3
-    k1: float
-    k2: float
-    theta: float | None
+    s: np.ndarray
+    c: np.ndarray
+    q: np.ndarray
+    h: np.ndarray
+    a: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    theta: np.ndarray
     epsilon: int
-    c2: Vec3 | None = None
-    hprime: Vec3 | None = None
+    c2: np.ndarray | None = None
+    hprime: np.ndarray | None = None
+    data: IntrinsicData | None = None
+
+    def __len__(self) -> int:
+        return self.s.shape[0]
+
+    def __getitem__(self, i) -> SampledSurface:
+        def row(x):
+            return None if x is None else x[i]
+
+        return SampledSurface(
+            self.s[i], self.c[i], self.q[i], self.h[i], self.a[i], self.k1[i], self.k2[i],
+            self.theta[i], self.epsilon, row(self.c2), row(self.hprime), self.data,
+        )
+
+    @property
+    def step(self) -> float:
+        return float(self.s[1] - self.s[0])
+
+    def frames(self) -> SampledSurface:
+        """The track itself (``bench/tracing.py`` traces this call by name)."""
+        return self
 
 
 def canonical_frame() -> tuple[Vec3, Vec3, Vec3]:
@@ -41,21 +70,3 @@ def canonical_frame() -> tuple[Vec3, Vec3, Vec3]:
         np.array([0.0, 1.0, 0.0]),
         np.array([0.0, 0.0, -1.0]),
     )
-
-
-def _renormalize(v: np.ndarray, sign: int) -> np.ndarray:
-    vv = float(lorentz_dot(v, v))
-    if sign * vv <= 0.0 or abs(vv) < 1e-300:
-        raise FrameDegenerateError("frame vector became null during re-projection")
-    return v / np.sqrt(abs(vv))
-
-
-def gram_schmidt(frame: np.ndarray, epsilon: int) -> np.ndarray:
-    """Lorentzian Gram-Schmidt on rows (q, h, a) with signatures (eps, 1, -eps)."""
-    q = _renormalize(frame[0], epsilon)
-    h = frame[1] - (float(lorentz_dot(frame[1], q)) / epsilon) * q
-    h = _renormalize(h, 1)
-    a = frame[2] - (float(lorentz_dot(frame[2], q)) / epsilon) * q
-    a = a - float(lorentz_dot(a, h)) * h
-    a = _renormalize(a, -epsilon)
-    return np.stack([q, h, a])

@@ -35,7 +35,7 @@ from .errors import (
     NonTimelikeStrictionError,
     NullDerivativeError,
 )
-from .frame import FrameSample
+from .frame import SampledSurface
 from .lorentz import (
     DEFAULT_TOLERANCES,
     CausalCharacter,
@@ -272,7 +272,7 @@ def arc_length(surface: ExplicitSurface, u: float, tol_quad: float = 1e-10) -> f
 # ---------------------------------------------------------------------------
 
 
-def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> list[FrameSample]:
+def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> SampledSurface:
     d = surface._d
     u = np.atleast_1d(np.asarray(u, dtype=float))
     qdot = eval_triple(d.qdot, u)
@@ -311,40 +311,31 @@ def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> list[F
     sinh_theta = -epsilon * lorentz_dot(t, a)
     cosh_theta = epsilon * lorentz_dot(t, q)
 
-    tdot = eval_triple(d.tdot, u)
-    c2 = tdot / speed[..., None]
-    hprime = hdot / speed[..., None]
-
-    samples = []
-    s_labels = np.atleast_1d(np.asarray(s_labels, dtype=float))
-    for i in range(u.shape[0]):
-        theta = None
-        if cc_unit[i] < -tol.causal_eps and cosh_theta[i] > 0.0:
-            theta = math.asinh(float(sinh_theta[i]))
-        samples.append(
-            FrameSample(
-                s=float(s_labels[i]),
-                c=c[i],
-                q=q[i],
-                h=h[i],
-                a=a[i],
-                k1=float(k1[i]),
-                k2=float(k2[i]),
-                theta=theta,
-                epsilon=epsilon,
-                c2=c2[i],
-                hprime=hprime[i],
-            )
-        )
-    return samples
+    theta = np.full(u.shape[0], np.nan)
+    timelike = (cc_unit < -tol.causal_eps) & (cosh_theta > 0.0)
+    # math.asinh, not np.arcsinh: the two differ in the last ulp
+    theta[timelike] = [math.asinh(x) for x in sinh_theta[timelike].tolist()]
+    return SampledSurface(
+        s=np.atleast_1d(np.asarray(s_labels, dtype=float)),
+        c=c,
+        q=q,
+        h=h,
+        a=a,
+        k1=k1,
+        k2=k2,
+        theta=theta,
+        epsilon=epsilon,
+        c2=eval_triple(d.tdot, u) / speed[..., None],
+        hprime=hdot / speed[..., None],
+    )
 
 
 def frenet_frame_at(
     surface: ExplicitSurface, u: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> FrameSample:
-    """Frame, curvatures and angle at one parameter value.
+) -> SampledSurface:
+    """Frame, curvatures and angle at one parameter value (a one-row view).
 
-    ``theta`` is None when the striction tangent is not timelike (then the
+    ``theta`` is NaN when the striction tangent is not timelike (then the
     hyperbolic angle of the frame decomposition does not exist); all other
     fields are still filled.
     """
@@ -368,7 +359,7 @@ def frame_consistency(surface: ExplicitSurface, u: float, tol: Tolerances = DEFA
 
 def sample_frames(
     surface: ExplicitSurface, n: int, tol: Tolerances = DEFAULT_TOLERANCES
-) -> list[FrameSample]:
+) -> SampledSurface:
     """Frames at n points equally spaced in striction arc length."""
     d = surface._d
 
@@ -427,10 +418,11 @@ def classify(
     conoid = None
     if not cylindrical:
         try:
-            frames = _frames_at(surface, u, np.zeros_like(u), tol)
-            k1 = np.array([f.k1 for f in frames])
-            k2 = np.array([f.k2 for f in frames])
-            conoid = bool(np.min(np.abs(k1)) > tol.general_eps and np.max(np.abs(k2)) <= tol.general_eps)
+            track = _frames_at(surface, u, np.zeros_like(u), tol)
+            conoid = bool(
+                np.min(np.abs(track.k1)) > tol.general_eps
+                and np.max(np.abs(track.k2)) <= tol.general_eps
+            )
         except (CylindricalRulingError, NullDerivativeError, ValueError):
             pass
 
@@ -489,39 +481,31 @@ def _agreement(geo_res, geo_pass, cur_res, cur_pass, tol):
     return False
 
 
-def striction_predicates(frames, tol: float = 1e-6) -> PredicateReport:
+def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> PredicateReport:
     """Test asymptotic / geodesic / line-of-curvature along the striction curve.
 
-    ``frames`` must be uniformly spaced in arc length with a timelike
-    striction tangent (theta present).  Second derivatives use attached
-    symbolic values when every sample carries them, otherwise 4th-order
-    central differences; either way residuals are evaluated on the interior
-    samples the stencil supports.
+    The track ``frames`` must be uniformly spaced in arc length with a
+    timelike striction tangent (theta finite).  Second derivatives use the
+    track's symbolic ``c2``/``hprime`` when it carries them, otherwise
+    4th-order central differences; either way residuals are evaluated on the
+    interior samples the stencil supports.
     """
-    frames = list(frames)
     if len(frames) < 7:
         raise ValueError("need at least 7 frames")
-    if any(f.theta is None for f in frames):
+    if np.any(np.isnan(frames.theta)):
         raise NonTimelikeStrictionError("striction tangent must be timelike for predicates")
-    s = np.array([f.s for f in frames])
+    s, c, h, k1, k2, theta = frames.s, frames.c, frames.h, frames.k1, frames.k2, frames.theta
     step = float(s[1] - s[0])
     if np.max(np.abs(np.diff(s) - step)) > 1e-9 * (1.0 + abs(step)):
         raise ValueError("frames must be uniformly spaced in arc length")
-    c = np.stack([f.c for f in frames])
-    h = np.stack([f.h for f in frames])
-    q = np.stack([f.q for f in frames])
-    a = np.stack([f.a for f in frames])
-    k1 = np.array([f.k1 for f in frames])
-    k2 = np.array([f.k2 for f in frames])
-    theta = np.array([f.theta for f in frames])
 
     cprime, sl = central_diff1(c, step)
-    if all(f.c2 is not None for f in frames):
-        c2 = np.stack([f.c2 for f in frames])[sl]
+    if frames.c2 is not None:
+        c2 = frames.c2[sl]
     else:
         c2, _ = central_diff2(c, step)
-    if all(f.hprime is not None for f in frames):
-        hprime = np.stack([f.hprime for f in frames])[sl]
+    if frames.hprime is not None:
+        hprime = frames.hprime[sl]
     else:
         hprime, _ = central_diff1(h, step)
     theta_prime, _ = central_diff1(theta, step)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import FrameDegenerateError, NonTimelikeStrictionError
-from .frame import FrameSample, canonical_frame
+from .frame import SampledSurface, canonical_frame
 from .lorentz import DEFAULT_TOLERANCES, Tolerances, Vec3, frame_check
 
 
@@ -207,6 +207,45 @@ def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, chn, shn, chh, shh, frame0, with_c
     return frames, np.array(rows_c)
 
 
+def _integrate(data: IntrinsicData, with_curve: bool):
+    """One RK4 run on the grid of ``data``.
+
+    Returns ``(s, k1, k2, theta, frames, curve)``: node arc lengths, the
+    node values of k1 and k2 as lists, and the ``_rk4_core`` output.  theta
+    (node values) and the striction curve are computed only with
+    ``with_curve``; otherwise theta is None and the curve stays at 0.
+    """
+    s0, _ = data.s_range
+    n = data.n_steps
+    dt = data.actual_step
+    s_nodes = s0 + dt * np.arange(n + 1)
+    s_half = s0 + dt * (np.arange(n) + 0.5)
+    k1n = _eval_on(data.k1, s_nodes)
+    k2n = _eval_on(data.k2, s_nodes)
+    thn = None
+    trig = (None, None, None, None)
+    if with_curve:
+        thn = np.asarray(ex.evaluate(data.theta, s_nodes), dtype=float)
+        thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
+        trig = (
+            np.cosh(thn).tolist(), np.sinh(thn).tolist(),
+            np.cosh(thh).tolist(), np.sinh(thh).tolist(),
+        )
+    frames, curve = _rk4_core(
+        n,
+        dt,
+        data.epsilon,
+        k1n,
+        k2n,
+        _eval_on(data.k1, s_half),
+        _eval_on(data.k2, s_half),
+        *trig,
+        data.initial_frame,
+        with_curve=with_curve,
+    )
+    return s_nodes, k1n, k2n, thn, frames, curve
+
+
 def integrate_frame(data: IntrinsicData):
     """Integrate the frame equations; returns ``(s, Q, H, A)`` arrays.
 
@@ -214,70 +253,8 @@ def integrate_frame(data: IntrinsicData):
     re-orthonormalized after every step, so residuals stay below ~1e-12
     for the ranges used here.
     """
-    s0, _ = data.s_range
-    n = data.n_steps
-    dt = data.actual_step
-    s_nodes = s0 + dt * np.arange(n + 1)
-    s_half = s0 + dt * (np.arange(n) + 0.5)
-    frames, _ = _rk4_core(
-        n,
-        dt,
-        data.epsilon,
-        _eval_on(data.k1, s_nodes),
-        _eval_on(data.k2, s_nodes),
-        _eval_on(data.k1, s_half),
-        _eval_on(data.k2, s_half),
-        None,
-        None,
-        None,
-        None,
-        data.initial_frame,
-        with_curve=False,
-    )
-    return s_nodes, frames[:, 0, :], frames[:, 1, :], frames[:, 2, :]
-
-
-@dataclass
-class SampledSurface:
-    """A synthesized surface: striction curve, frames and curvature samples.
-
-    The generating ``data`` is kept so downstream closed forms can evaluate
-    k1, k2, theta (and their derivatives) exactly at any s.
-    """
-
-    s: np.ndarray
-    c: np.ndarray
-    q: np.ndarray
-    h: np.ndarray
-    a: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    theta: np.ndarray
-    epsilon: int
-    data: IntrinsicData
-
-    def __len__(self) -> int:
-        return self.s.shape[0]
-
-    @property
-    def step(self) -> float:
-        return float(self.s[1] - self.s[0])
-
-    def frame(self, i: int) -> FrameSample:
-        return FrameSample(
-            s=float(self.s[i]),
-            c=self.c[i],
-            q=self.q[i],
-            h=self.h[i],
-            a=self.a[i],
-            k1=float(self.k1[i]),
-            k2=float(self.k2[i]),
-            theta=float(self.theta[i]),
-            epsilon=self.epsilon,
-        )
-
-    def frames(self) -> list[FrameSample]:
-        return [self.frame(i) for i in range(len(self))]
+    s, _, _, _, frames, _ = _integrate(data, with_curve=False)
+    return s, frames[:, 0, :], frames[:, 1, :], frames[:, 2, :]
 
 
 def synthesize_surface(data: IntrinsicData, tol: Tolerances = DEFAULT_TOLERANCES) -> SampledSurface:
@@ -290,32 +267,9 @@ def synthesize_surface(data: IntrinsicData, tol: Tolerances = DEFAULT_TOLERANCES
         raise NonTimelikeStrictionError(
             "surface synthesis requires epsilon = -1 (timelike ruling)"
         )
-    s0, _ = data.s_range
-    n = data.n_steps
-    dt = data.actual_step
-    s_nodes = s0 + dt * np.arange(n + 1)
-    s_half = s0 + dt * (np.arange(n) + 0.5)
-    k1n = _eval_on(data.k1, s_nodes)
-    k2n = _eval_on(data.k2, s_nodes)
-    thn = np.asarray(ex.evaluate(data.theta, s_nodes), dtype=float)
-    thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
-    frames, curve = _rk4_core(
-        n,
-        dt,
-        data.epsilon,
-        k1n,
-        k2n,
-        _eval_on(data.k1, s_half),
-        _eval_on(data.k2, s_half),
-        np.cosh(thn).tolist(),
-        np.sinh(thn).tolist(),
-        np.cosh(thh).tolist(),
-        np.sinh(thh).tolist(),
-        data.initial_frame,
-        with_curve=True,
-    )
+    s, k1n, k2n, thn, frames, curve = _integrate(data, with_curve=True)
     return SampledSurface(
-        s=s_nodes,
+        s=s,
         c=curve,
         q=frames[:, 0, :],
         h=frames[:, 1, :],

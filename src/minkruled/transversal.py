@@ -42,7 +42,6 @@ from .errors import (
     DegenerateDenominatorError,
     TrivialRulingError,
 )
-from .frame import FrameSample
 from .lorentz import Vec3, lorentz_dot
 from .ruled import SampledInvariants, sampled_ruled_invariants
 from .synthesis import SampledSurface
@@ -128,22 +127,6 @@ def _check_nontrivial(spec: TransversalSpec, angle):
         mu, eta = _mu_eta(spec, angle)
         if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
             raise TrivialRulingError("mu or eta vanishes on the range")
-
-
-def make_ruling(frame: FrameSample, spec: TransversalSpec) -> tuple[Vec3, int]:
-    """Transversal ruling at one frame sample; returns (q_T, <q_T, q_T>)."""
-    angle = ex.evaluate(spec.angle, frame.s)
-    _check_nontrivial(spec, np.asarray(angle))
-    if spec.family is Family.BETA:
-        q_t = math.cos(angle) * frame.h + math.sin(angle) * frame.a
-    else:
-        mu, eta = _mu_eta(spec, angle)
-        other = frame.h if spec.family is Family.ALPHA else frame.a
-        q_t = mu * frame.q + eta * other
-    ell = _ell(spec)
-    if abs(float(lorentz_dot(q_t, q_t)) - ell) > 1e-8:
-        raise ValueError("ruling norm does not match its causal branch label")
-    return q_t, ell
 
 
 def ruling_samples(surf: SampledSurface, spec: TransversalSpec) -> tuple[np.ndarray, int]:
@@ -257,22 +240,12 @@ def distribution_via_base_drall(surf: SampledSurface, spec: TransversalSpec, s: 
     """d_T rewritten through the base drall d = -sinh(theta)/k1."""
     co = coefficients(surf, spec, float(s))
     _check_nontrivial(spec, co.angle)
-    den, scale, ch, sh = _denominator(surf, spec, co)
+    den, scale, _, _ = _denominator(surf, spec, co)
     if abs(float(den)) <= DENOM_EPS * max(1.0, float(scale)):
         raise DegenerateDenominatorError(f"closed-form denominator vanishes at s = {s}")
     if abs(float(co.k1)) <= DENOM_EPS:
         raise DegenerateDenominatorError("base drall undefined where k1 = 0")
-    d_base = -sh / co.k1
-    ell = _ell(spec)
-    if spec.family is Family.ALPHA:
-        _, eta = _mu_eta(spec, co.angle)
-        num = -(ell * d_base * co.k1 * (co.angle_d + co.k1) + eta**2 * co.k2 * ch)
-    elif spec.family is Family.BETA:
-        num = -(d_base * co.k1**2 * np.cos(co.angle) ** 2 + (co.angle_d + co.k2) * ch)
-    else:
-        mu, eta = _mu_eta(spec, co.angle)
-        num = (eta * ch + co.k1 * d_base * mu) * (mu * co.k1 - eta * co.k2)
-    return float(num / den)
+    return float(_via_base_values(surf, spec, co))
 
 
 def relation_via_d(surf: SampledSurface, spec: TransversalSpec, s: float) -> tuple[float, float]:

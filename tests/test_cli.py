@@ -83,6 +83,27 @@ def test_main_exit_code_2_on_config_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+BAD_VALUE_CONFIGS = [
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"k1_values": ["x"]}), id="suite-k1-not-number"),
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"families": 5}), id="suite-families-not-list"),
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"tolerance": "big"}), id="suite-tolerance-not-number"),
+    pytest.param(
+        dict(MINIMAL_INTRINSIC, initial_frame=[[1, 0, 0], [0, "x", 0], [0, 0, -1]]),
+        id="initial-frame-not-number",
+    ),
+    pytest.param(dict(MINIMAL_INTRINSIC, s_range=[0.0, math.inf]), id="s-range-infinite"),
+]
+
+
+@pytest.mark.parametrize("command", ["synthesize", "verify"])
+@pytest.mark.parametrize("payload", BAD_VALUE_CONFIGS)
+def test_bad_config_values_exit_2(tmp_path, capsys, command, payload):
+    # json.dumps writes math.inf as Infinity, which json.load accepts
+    path = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", path, "--output-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_exit_code_1_on_degeneracy(tmp_path, capsys):
     payload = {
         "mode": "explicit",

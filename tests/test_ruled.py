@@ -139,7 +139,7 @@ def test_striction_invariant_under_base_shift_along_ruling():
 
 def test_frenet_frame_helicoid(helicoid):
     f = frenet_frame_at(helicoid, 0.5)
-    assert f.theta is None  # striction tangent (0, 0, 1) is spacelike
+    assert math.isnan(f.theta)  # striction tangent (0, 0, 1) is spacelike
     assert f.epsilon == -1
     assert f.k1 == pytest.approx(1.0, abs=1e-12)
     assert f.k2 == pytest.approx(0.0, abs=1e-12)

@@ -124,7 +124,7 @@ def test_frame_invariants_along_integration():
 def test_frame_check_round_trip_with_integrator():
     surf = synthesize_surface(from_constants(1.5, 0.5, 0.3, (0.0, 2.0), 1e-3))
     for i in (0, len(surf) // 2, len(surf) - 1):
-        f = surf.frame(i)
+        f = surf[i]
         report = frame_check(f.q, f.h, f.a, f.epsilon)
         assert report.canonical
 

@@ -24,7 +24,6 @@ from minkruled.transversal import (
     developability_condition,
     distribution_closed,
     linear_angle,
-    make_ruling,
     relation_via_d,
     ruling_samples,
     strictional_distance_closed,
@@ -47,30 +46,30 @@ def spec_for(family, angle, branch=None):
 # ---------------------------------------------------------------------------
 
 
-def test_make_ruling_alpha_timelike():
+def test_ruling_samples_alpha_timelike():
     surf = surf_const(1.0, 0.0, 0.0)
-    q_t, ell = make_ruling(surf.frame(0), spec_for("alpha", "1", "timelike"))
-    assert np.allclose(q_t, [math.cosh(1), math.sinh(1), 0.0], atol=1e-12)
+    q_t, ell = ruling_samples(surf, spec_for("alpha", "1", "timelike"))
+    assert np.allclose(q_t[0], [math.cosh(1), math.sinh(1), 0.0], atol=1e-12)
     assert ell == -1
-    assert lorentz_dot(q_t, q_t) == pytest.approx(-1.0, abs=1e-12)
+    assert lorentz_dot(q_t[0], q_t[0]) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_make_ruling_beta():
+def test_ruling_samples_beta():
     surf = surf_const(1.0, 0.0, 0.0)
-    q_t, ell = make_ruling(surf.frame(0), spec_for("beta", "pi/4"))
+    q_t, ell = ruling_samples(surf, spec_for("beta", "pi/4"))
     r = math.sqrt(2.0) / 2.0
-    assert np.allclose(q_t, [0.0, r, -r], atol=1e-12)
+    assert np.allclose(q_t[0], [0.0, r, -r], atol=1e-12)
     assert ell == 1
 
 
-def test_make_ruling_trivial():
+def test_ruling_samples_trivial():
     surf = surf_const(1.0, 0.0, 0.0)
     with pytest.raises(TrivialRulingError):
-        make_ruling(surf.frame(0), spec_for("alpha", "0", "timelike"))
+        ruling_samples(surf, spec_for("alpha", "0", "timelike"))
     with pytest.raises(TrivialRulingError):
-        make_ruling(surf.frame(0), spec_for("beta", "pi/2"))
+        ruling_samples(surf, spec_for("beta", "pi/2"))
     with pytest.raises(TrivialRulingError):
-        make_ruling(surf.frame(0), spec_for("beta", "0"))
+        ruling_samples(surf, spec_for("beta", "0"))
 
 
 def test_ruling_plane_containment_and_norm():
