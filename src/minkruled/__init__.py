@@ -73,17 +73,11 @@ from .transversal import (
     ConditionReport,
     Family,
     TransversalAnalysis,
-    TransversalSample,
     TransversalSpec,
     analyze,
     coincidence_condition,
     corollary_checks,
     developability_condition,
-    distribution_closed,
-    distribution_via_base_drall,
-    relation_via_d,
-    strictional_distance_closed,
-    strictional_distance_printed,
     to_explicit,
 )
 from .verify import (

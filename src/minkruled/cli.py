@@ -22,18 +22,28 @@ import numpy as np
 
 from . import expressions as ex
 from ._version import __version__
-from .errors import ConfigError, ExprError, GeometryError, ParseError
-from .lorentz import DEFAULT_TOLERANCES, CausalCharacter, Tolerances
+from .errors import BaseNotDevelopableError, ConfigError, ExprError, GeometryError, ParseError
+from .lorentz import (
+    DEFAULT_TOLERANCES,
+    CausalCharacter,
+    Tolerances,
+    frame_check,
+    lorentz_dot,
+)
 from .ruled import (
     ExplicitSurface,
     classify,
     distribution_parameter,
+    eval_triple,
     sample_frames,
+    sampled_ruled_invariants,
     striction,
     striction_predicates,
 )
 from .synthesis import IntrinsicData, SampledSurface, synthesize_surface, to_explicit_grid
 from .transversal import (
+    Branch,
+    Family,
     TransversalSpec,
     analyze as analyze_transversal,
     coincidence_condition,
@@ -41,10 +51,7 @@ from .transversal import (
     developability_condition,
     to_explicit,
 )
-from .errors import BaseNotDevelopableError
-from .lorentz import lorentz_dot
-from .ruled import sampled_ruled_invariants
-from .verify import Family, SuiteConfig, run_all
+from .verify import SuiteConfig, run_all
 
 COMMANDS = ("analyze", "synthesize", "transversal", "verify", "mesh")
 
@@ -212,6 +219,12 @@ def parse_config(path: str) -> Config:
                     "config.initial_frame: expected three 3-vectors of finite numbers"
                 )
             cfg.initial_frame = tuple(np.array(v, dtype=float) for v in frame)
+            check = frame_check(*cfg.initial_frame, cfg.epsilon)
+            if not check.canonical:
+                raise ConfigError(
+                    "config.initial_frame: expected an orthonormal frame with h = a*q "
+                    f"and det = -1 (residual {check.max_residual:.2e}, det {check.det:+.3f})"
+                )
 
     if "transversal" in raw:
         block = raw["transversal"]
@@ -230,12 +243,8 @@ def parse_config(path: str) -> Config:
                 )
         elif branch is not None:
             raise ConfigError("config.transversal.branch: beta has no causal branch")
-        try:
-            cfg.transversal_spec = TransversalSpec.from_strings(kind, "0", branch)
-        except ValueError as err:
-            raise ConfigError(f"config.transversal: {err}") from err
         cfg.transversal_spec = TransversalSpec(
-            cfg.transversal_spec.family, angle, cfg.transversal_spec.branch
+            Family(kind), angle, Branch(branch) if branch is not None else None
         )
 
     if "output" in raw:
@@ -552,8 +561,6 @@ def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
         surface = _explicit_surface(cfg)
         u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
         v = np.linspace(cfg.v_range[0], cfg.v_range[1], cfg.v_samples)
-        from .ruled import eval_triple
-
         f = eval_triple(surface._d.f, u)
         q = eval_triple(surface._d.q, u)
         return f[:, None, :] + v[None, :, None] * q[:, None, :]
@@ -597,10 +604,7 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
         if cfg.mesh_path is not None and surf is not None:
             export_obj(_mesh_grid(cfg, surf), resolve(cfg.mesh_path))
         return 0
-    except (GeometryError, ExprError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (GeometryError, ExprError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -471,13 +471,12 @@ class PredicateReport:
         return [self.asymptotic, self.geodesic, self.line_of_curvature]
 
 
-def _agreement(geo_res, geo_pass, cur_res, cur_pass, tol):
-    if cur_pass is None:
-        return None
-    if geo_pass and cur_pass:
+def verdicts_agree(holds_a: bool, res_a: float, holds_b: bool, res_b: float, tol: float) -> bool:
+    """Do two readings of one property agree, with a 10x margin when both fail?"""
+    if holds_a and holds_b:
         return True
-    if (not geo_pass) and (not cur_pass):
-        return bool(geo_res >= 10.0 * tol and cur_res >= 10.0 * tol)
+    if (not holds_a) and (not holds_b):
+        return bool(res_a >= 10.0 * tol and res_b >= 10.0 * tol)
     return False
 
 
@@ -544,7 +543,10 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
             curvature_residual=cur_res,
             curvature_pass=cur_pass,
             satisfiable=sat,
-            agree=_agreement(geo, geo_pass, cur_res, cur_pass, tol),
+            agree=(
+                None if cur_pass is None
+                else verdicts_agree(geo_pass, geo, cur_pass, cur_res, tol)
+            ),
         )
     return PredicateReport(
         asymptotic=results["asymptotic"],

@@ -13,16 +13,20 @@ where (mu, eta) = (cosh, sinh) when the new ruling is timelike and
 gamma) or angle away from multiples of pi/2 (beta).
 
 For each family the strictional distance and drall of the transversal
-surface have closed forms in (k1, k2, theta, angle, angle').  Two variants
-are exposed:
+surface have closed forms in (k1, k2, theta, angle, angle').  ``analyze``
+evaluates them on the whole sample grid:
 
-  * ``..._closed``   derived here from v0 = -<c', q_T'>/<q_T', q_T'> and
-                     d = det(c', q_T, q_T')/<q_T', q_T'> using the frame
-                     equations; these match the direct sampled oracle.
-  * ``..._printed``  the commonly stated textbook forms.  For the beta and
-                     gamma strictional distances those differ from the
-                     defining quotient by an overall sign; analyses flag
-                     the discrepancy instead of silently picking a side.
+  * ``v_closed``, ``d_closed``  derived here from v0 = -<c', q_T'>/<q_T', q_T'>
+                                and d = det(c', q_T, q_T')/<q_T', q_T'> using
+                                the frame equations; these match the direct
+                                sampled oracle.
+  * ``v_printed``               the commonly stated textbook form.  For the
+                                beta and gamma strictional distances it
+                                differs from the defining quotient by an
+                                overall sign; analyses flag the discrepancy
+                                instead of silently picking a side.
+  * ``d_via_base``              d_T rewritten through the base drall
+                                d = -sinh(theta)/k1.
 
 The ground truth is always the generic formula applied to the explicitly
 constructed transversal parametrization (the finite-difference oracle).
@@ -42,8 +46,8 @@ from .errors import (
     DegenerateDenominatorError,
     TrivialRulingError,
 )
-from .lorentz import Vec3, lorentz_dot
-from .ruled import SampledInvariants, sampled_ruled_invariants
+from .lorentz import lorentz_dot
+from .ruled import SampledInvariants, sampled_ruled_invariants, verdicts_agree
 from .synthesis import SampledSurface
 
 TRIVIAL_EPS = 1e-9
@@ -72,14 +76,6 @@ class TransversalSpec:
     def __post_init__(self):
         if self.family in (Family.ALPHA, Family.GAMMA) and self.branch is None:
             raise ValueError(f"{self.family.value} family requires a causal branch")
-
-    @classmethod
-    def from_strings(cls, family: str, angle: str, branch: str | None = None):
-        return cls(
-            family=Family(family),
-            angle=ex.parse(angle),
-            branch=Branch(branch) if branch is not None else None,
-        )
 
 
 def _mu_eta(spec: TransversalSpec, angle):
@@ -151,9 +147,8 @@ def ruling_samples(surf: SampledSurface, spec: TransversalSpec) -> tuple[np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _denominator(surf, spec, co: Coefficients):
+def _denominator(spec, co: Coefficients):
     """Common denominator <q_T', q_T'> and the magnitudes of its two terms."""
-    ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     ell = _ell(spec)
     if spec.family is Family.ALPHA:
         _, eta = _mu_eta(spec, co.angle)
@@ -166,18 +161,17 @@ def _denominator(surf, spec, co: Coefficients):
         mu, eta = _mu_eta(spec, co.angle)
         t1 = (mu * co.k1 - eta * co.k2) ** 2
         t2 = ell * co.angle_d**2
-    den = t1 - t2
-    scale = np.abs(t1) + np.abs(t2)
-    return den, scale, ch, sh
+    return t1 - t2, np.abs(t1) + np.abs(t2)
 
 
-def _closed_values(surf, spec, co: Coefficients):
+def _closed_values(spec, co: Coefficients):
     """v_T and d_T closed forms; returns (v, v_printed, d, den, den_scale)."""
-    den, scale, ch, sh = _denominator(surf, spec, co)
+    den, scale = _denominator(spec, co)
+    ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     ell = _ell(spec)
     with np.errstate(all="ignore"):
         if spec.family is Family.ALPHA:
-            mu, eta = _mu_eta(spec, co.angle)
+            _, eta = _mu_eta(spec, co.angle)
             v = eta * (ch * (co.angle_d + co.k1) - sh * co.k2) / den
             v_printed = v
             d = (ell * (co.angle_d + co.k1) * sh - eta**2 * co.k2 * ch) / den
@@ -194,9 +188,9 @@ def _closed_values(surf, spec, co: Coefficients):
     return v, v_printed, d, den, scale
 
 
-def _via_base_values(surf, spec, co: Coefficients):
-    """Vectorized base-drall form of d_T (NaN where k1 vanishes)."""
-    den, scale, ch, sh = _denominator(surf, spec, co)
+def _via_base_values(spec, co: Coefficients, den):
+    """Base-drall form of d_T over the denominator ``den`` (NaN where k1 vanishes)."""
+    ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     ell = _ell(spec)
     with np.errstate(all="ignore"):
         d_base = np.where(np.abs(co.k1) > DENOM_EPS, -sh / co.k1, np.nan)
@@ -211,67 +205,9 @@ def _via_base_values(surf, spec, co: Coefficients):
         return num / den
 
 
-def _scalar_closed(surf, spec, s, index):
-    co = coefficients(surf, spec, float(s))
-    _check_nontrivial(spec, co.angle)
-    values = _closed_values(surf, spec, co)
-    den, scale = values[3], values[4]
-    if abs(float(den)) <= DENOM_EPS * max(1.0, float(scale)):
-        raise DegenerateDenominatorError(f"closed-form denominator vanishes at s = {s}")
-    return float(values[index])
-
-
-def strictional_distance_closed(surf: SampledSurface, spec: TransversalSpec, s: float) -> float:
-    """v_T from the closed form consistent with v0 = -<c', q_T'>/<q_T', q_T'>."""
-    return _scalar_closed(surf, spec, s, 0)
-
-
-def strictional_distance_printed(surf: SampledSurface, spec: TransversalSpec, s: float) -> float:
-    """v_T as commonly printed; differs from the oracle by sign for beta/gamma."""
-    return _scalar_closed(surf, spec, s, 1)
-
-
-def distribution_closed(surf: SampledSurface, spec: TransversalSpec, s: float) -> float:
-    """d_T from the closed form (matches the direct oracle for every family)."""
-    return _scalar_closed(surf, spec, s, 2)
-
-
-def distribution_via_base_drall(surf: SampledSurface, spec: TransversalSpec, s: float) -> float:
-    """d_T rewritten through the base drall d = -sinh(theta)/k1."""
-    co = coefficients(surf, spec, float(s))
-    _check_nontrivial(spec, co.angle)
-    den, scale, _, _ = _denominator(surf, spec, co)
-    if abs(float(den)) <= DENOM_EPS * max(1.0, float(scale)):
-        raise DegenerateDenominatorError(f"closed-form denominator vanishes at s = {s}")
-    if abs(float(co.k1)) <= DENOM_EPS:
-        raise DegenerateDenominatorError("base drall undefined where k1 = 0")
-    return float(_via_base_values(surf, spec, co))
-
-
-def relation_via_d(surf: SampledSurface, spec: TransversalSpec, s: float) -> tuple[float, float]:
-    """Both sides of the drall identity: (direct closed form, base-drall form)."""
-    return (
-        distribution_closed(surf, spec, s),
-        distribution_via_base_drall(surf, spec, s),
-    )
-
-
 # ---------------------------------------------------------------------------
 # whole-surface analysis with the sampled oracle
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransversalSample:
-    """One transversal sample: ruling, closed-form and oracle invariants."""
-
-    s: float
-    q_t: Vec3
-    ell: int
-    v_t: float
-    d_t: float
-    v_t_oracle: float | None
-    d_t_oracle: float | None
 
 
 @dataclass
@@ -283,9 +219,11 @@ class TransversalAnalysis:
     ``suspect`` marks closed forms that disagree with the oracle beyond
     1e-4 relative.  ``printed_sign_flip`` reports that the commonly printed
     strictional distance matches the oracle only after a sign change.
+    ``coefficients`` holds the pointwise data the closed forms were built from.
     """
 
     spec: TransversalSpec
+    coefficients: Coefficients
     s: np.ndarray
     q_t: np.ndarray
     ell: int
@@ -303,25 +241,6 @@ class TransversalAnalysis:
     def sl(self) -> slice:
         return self.oracle.sl
 
-    def sample(self, i: int) -> TransversalSample:
-        sl = self.oracle.sl
-        interior = range(sl.start, self.s.shape[0] - sl.start)
-        v_o = d_o = None
-        if i in interior:
-            j = i - sl.start
-            if self.oracle.valid[j]:
-                v_o = float(self.oracle.v0[j])
-                d_o = float(self.oracle.drall[j])
-        return TransversalSample(
-            s=float(self.s[i]),
-            q_t=self.q_t[i],
-            ell=self.ell,
-            v_t=float(self.v_closed[i]),
-            d_t=float(self.d_closed[i]),
-            v_t_oracle=v_o,
-            d_t_oracle=d_o,
-        )
-
 
 def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> float:
     if not np.any(valid):
@@ -335,7 +254,7 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     """Evaluate closed forms on the grid and cross-check with the oracle."""
     co = coefficients(surf, spec, surf.s)
     _check_nontrivial(spec, co.angle)
-    v, v_printed, d, den, scale = _closed_values(surf, spec, co)
+    v, v_printed, d, den, scale = _closed_values(spec, co)
     if np.any(np.abs(den) <= DENOM_EPS * np.maximum(1.0, scale)):
         raise DegenerateDenominatorError("closed-form denominator vanishes on the range")
     q_t, ell = ruling_samples(surf, spec)
@@ -348,13 +267,14 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     printed_sign_flip = bool(rel_v_printed > 1e-4 and rel_v <= 1e-4)
     return TransversalAnalysis(
         spec=spec,
+        coefficients=co,
         s=surf.s,
         q_t=q_t,
         ell=ell,
         v_closed=v,
         v_printed=v_printed,
         d_closed=d,
-        d_via_base=_via_base_values(surf, spec, co),
+        d_via_base=_via_base_values(spec, co, den),
         oracle=oracle,
         rel_v=rel_v,
         rel_d=rel_d,
@@ -391,14 +311,6 @@ class ConditionReport:
     notes: list
 
 
-def _margin_match(holds_a: bool, res_a: float, holds_b: bool, res_b: float, tol: float):
-    if holds_a and holds_b:
-        return True
-    if (not holds_a) and (not holds_b):
-        return bool(res_a >= 10.0 * tol and res_b >= 10.0 * tol)
-    return False
-
-
 def coincidence_condition(
     surf: SampledSurface, spec: TransversalSpec, tol: float = 1e-7
 ) -> ConditionReport:
@@ -408,7 +320,7 @@ def coincidence_condition(
     together with the direct max |v_T| (closed form and sampled oracle).
     """
     analysis = analyze(surf, spec)
-    co = coefficients(surf, spec, surf.s)
+    co = analysis.coefficients
     ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     residuals = {}
     flags = {}
@@ -442,7 +354,7 @@ def coincidence_condition(
             "condition_holds": holds,
             "coincides_closed": coincides,
             "coincides_oracle": bool(max_v_oracle <= tol) if not math.isnan(max_v_oracle) else False,
-            "agree": _margin_match(holds, condition, coincides, max_v, tol),
+            "agree": verdicts_agree(holds, condition, coincides, max_v, tol),
         }
     )
     return ConditionReport("coincidence", spec.family.value, residuals, flags, notes)
@@ -458,7 +370,7 @@ def developability_condition(
     direct sampled oracle.  Disagreements are flagged; the oracle wins.
     """
     analysis = analyze(surf, spec)
-    co = coefficients(surf, spec, surf.s)
+    co = analysis.coefficients
     ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     tanh_theta = np.tanh(co.theta)
     with np.errstate(all="ignore"):
@@ -489,8 +401,8 @@ def developability_condition(
         "numerator_vanishes": num_holds,
         "stated_condition_holds": stated_holds,
         "oracle_developable": oracle_holds,
-        "numerator_matches_oracle": _margin_match(num_holds, num_res, oracle_holds, oracle_res, tol),
-        "stated_matches_oracle": _margin_match(stated_holds, stated_res, oracle_holds, oracle_res, tol),
+        "numerator_matches_oracle": verdicts_agree(num_holds, num_res, oracle_holds, oracle_res, tol),
+        "stated_matches_oracle": verdicts_agree(stated_holds, stated_res, oracle_holds, oracle_res, tol),
     }
     notes = []
     if flags["numerator_matches_oracle"] and not flags["stated_matches_oracle"]:
@@ -582,7 +494,7 @@ def corollary_checks(
             "condition_holds": holds,
             "transversal_developable": developable,
             "cylindrical": False,
-            "equivalent": _margin_match(holds, condition, developable, oracle_res, tol),
+            "equivalent": verdicts_agree(holds, condition, developable, oracle_res, tol),
         },
         notes,
     )

@@ -33,7 +33,6 @@ from .transversal import (
     Family,
     TransversalSpec,
     analyze,
-    coefficients,
     coincident_angle,
     corollary_checks,
     developability_condition,
@@ -61,6 +60,8 @@ class SuiteConfig:
             raise ValueError("value grids must be non-empty")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
+        if not self.step > 0.0:
+            raise ValueError("step must be positive")
 
     @property
     def coincidence_tolerance(self) -> float:
@@ -211,7 +212,6 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                     )
                 )
                 continue
-            note = ""
             ok = result.agree is True
             try:
                 if name == "geodesic":
@@ -253,7 +253,7 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             report.cases.append(
                 CaseRecord(
                     "striction", name, None, params, residuals,
-                    "pass" if ok else "fail", note,
+                    "pass" if ok else "fail",
                 )
             )
     return report
@@ -314,7 +314,6 @@ def _violated_coincidence(cfg, family, k1, k2, th):
 
 def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes):
     """Constant-angle / parameter-identity specializations of coincidence."""
-    ctol = cfg.coincidence_tolerance
     ok = True
     # asymptotic striction (tanh theta = k1/k2) forces a constant angle
     if abs(k2) > 0.0 and abs(k1 / k2) < 1.0:

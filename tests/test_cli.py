@@ -92,6 +92,17 @@ BAD_VALUE_CONFIGS = [
         id="initial-frame-not-number",
     ),
     pytest.param(dict(MINIMAL_INTRINSIC, s_range=[0.0, math.inf]), id="s-range-infinite"),
+    pytest.param(
+        dict(
+            MINIMAL_INTRINSIC,
+            suite={"k1_values": [1.0], "k2_values": [0.5], "theta_values": [0.5], "step": -0.01},
+        ),
+        id="suite-step-negative",
+    ),
+    pytest.param(
+        dict(MINIMAL_INTRINSIC, initial_frame=[[2, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        id="initial-frame-not-orthonormal",
+    ),
 ]
 
 

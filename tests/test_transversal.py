@@ -22,12 +22,8 @@ from minkruled.transversal import (
     coincident_angle,
     corollary_checks,
     developability_condition,
-    distribution_closed,
     linear_angle,
-    relation_via_d,
     ruling_samples,
-    strictional_distance_closed,
-    strictional_distance_printed,
     to_explicit,
 )
 
@@ -39,6 +35,11 @@ def surf_const(k1, k2, theta, s_range=(0.0, 1.0), step=1e-3):
 def spec_for(family, angle, branch=None):
     return TransversalSpec(Family(family), ex.parse(angle) if isinstance(angle, str) else angle,
                            Branch(branch) if branch else None)
+
+
+def at(analysis, s):
+    """Grid index of the sample nearest to arc length ``s``."""
+    return int(np.argmin(np.abs(analysis.s - s)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +99,8 @@ def test_alpha_strictional_distance_value():
     # k1=1, k2=0, theta=0, constant angle 1, timelike branch: v = sinh(1)
     surf = surf_const(1.0, 0.0, 0.0)
     spec = spec_for("alpha", "1", "timelike")
-    assert strictional_distance_closed(surf, spec, 0.5) == pytest.approx(
-        math.sinh(1.0), abs=1e-12
-    )
     analysis = analyze(surf, spec)
+    assert analysis.v_closed[at(analysis, 0.5)] == pytest.approx(math.sinh(1.0), abs=1e-12)
     assert analysis.rel_v <= 1e-10
     assert np.max(np.abs(analysis.oracle.v0[analysis.oracle.valid] - math.sinh(1.0))) <= 1e-9
     assert not analysis.printed_sign_flip  # alpha printed form matches the quotient
@@ -113,9 +112,10 @@ def test_beta_strictional_distance_sign():
     surf = surf_const(1.0, 0.0, 1.0)
     spec = spec_for("beta", "pi/4")
     expected = -math.sqrt(2.0) * math.cosh(1.0)
-    assert strictional_distance_closed(surf, spec, 0.3) == pytest.approx(expected, abs=1e-12)
-    assert strictional_distance_printed(surf, spec, 0.3) == pytest.approx(-expected, abs=1e-12)
     analysis = analyze(surf, spec)
+    i = at(analysis, 0.3)
+    assert analysis.v_closed[i] == pytest.approx(expected, abs=1e-12)
+    assert analysis.v_printed[i] == pytest.approx(-expected, abs=1e-12)
     assert analysis.rel_v <= 1e-10
     assert analysis.printed_sign_flip
     assert not analysis.suspect
@@ -134,8 +134,8 @@ def test_beta_strictional_distance_sign():
 def test_beta_distribution_value():
     surf = surf_const(1.0, 0.0, 1.0)
     spec = spec_for("beta", "pi/4")
-    assert distribution_closed(surf, spec, 0.2) == pytest.approx(-math.sinh(1.0), abs=1e-12)
     analysis = analyze(surf, spec)
+    assert analysis.d_closed[at(analysis, 0.2)] == pytest.approx(-math.sinh(1.0), abs=1e-12)
     assert analysis.rel_d <= 1e-10
 
 
@@ -143,19 +143,18 @@ def test_gamma_distribution_value():
     # k1=1, k2=0, theta=0, gamma=1 constant, spacelike branch: d = coth(1)
     surf = surf_const(1.0, 0.0, 0.0)
     spec = spec_for("gamma", "1", "spacelike")
-    assert distribution_closed(surf, spec, 0.7) == pytest.approx(
+    analysis = analyze(surf, spec)
+    assert analysis.d_closed[at(analysis, 0.7)] == pytest.approx(
         math.cosh(1.0) / math.sinh(1.0), abs=1e-12
     )
-    analysis = analyze(surf, spec)
     assert analysis.rel_d <= 1e-10
 
 
 def test_gamma_strictional_distance_constant_angle_is_zero():
     surf = surf_const(1.0, 0.5, 0.6)
     spec = spec_for("gamma", "0.9", "timelike")
-    for s in (0.0, 0.3, 0.9):
-        assert strictional_distance_closed(surf, spec, s) == 0.0
     analysis = analyze(surf, spec)
+    assert np.all(analysis.v_closed == 0.0)
     assert np.max(np.abs(analysis.oracle.v0[analysis.oracle.valid])) <= 1e-9
 
 
@@ -166,9 +165,8 @@ def test_gamma_varying_angle_sign():
     analysis = analyze(surf, spec)
     assert analysis.rel_v <= 1e-8
     assert analysis.printed_sign_flip
-    v_closed = strictional_distance_closed(surf, spec, 0.5)
-    v_printed = strictional_distance_printed(surf, spec, 0.5)
-    assert v_closed == pytest.approx(-v_printed, rel=1e-12)
+    i = at(analysis, 0.5)
+    assert analysis.v_closed[i] == pytest.approx(-analysis.v_printed[i], rel=1e-12)
 
 
 def test_closed_vs_oracle_constant_instances_all_families():
@@ -188,11 +186,12 @@ def test_closed_vs_oracle_constant_instances_all_families():
 
 
 def test_degenerate_denominator():
-    # alpha with angle' = -k1 and k2 = 0 freezes the transversal ruling
+    # alpha with angle' = -k1 and k2 = 0 freezes the transversal ruling; the
+    # angle 2 - s stays away from 0 (a trivial ruling) on the whole range
     surf = surf_const(1.0, 0.0, 0.5)
-    spec = spec_for("alpha", linear_angle(1.0, -1.0), "timelike")
+    spec = spec_for("alpha", linear_angle(2.0, -1.0), "timelike")
     with pytest.raises(DegenerateDenominatorError):
-        strictional_distance_closed(surf, spec, 0.5)
+        analyze(surf, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +199,23 @@ def test_degenerate_denominator():
 # ---------------------------------------------------------------------------
 
 
+def relation_at(surf, spec, s):
+    """Both sides of the drall identity at arc length ``s``: (direct, via base drall)."""
+    analysis = analyze(surf, spec)
+    i = at(analysis, s)
+    return analysis.d_closed[i], analysis.d_via_base[i]
+
+
 def test_relation_via_base_drall_beta():
     surf = surf_const(1.0, 0.0, 1.0)
-    lhs, rhs = relation_via_d(surf, spec_for("beta", "pi/4"), 0.5)
+    lhs, rhs = relation_at(surf, spec_for("beta", "pi/4"), 0.5)
     assert lhs == pytest.approx(-math.sinh(1.0), abs=1e-12)
     assert rhs == pytest.approx(lhs, rel=1e-12)
 
 
 def test_relation_via_base_drall_alpha():
     surf = surf_const(1.0, 0.0, 0.0)
-    lhs, rhs = relation_via_d(surf, spec_for("alpha", "1", "timelike"), 0.5)
+    lhs, rhs = relation_at(surf, spec_for("alpha", "1", "timelike"), 0.5)
     assert lhs == pytest.approx(0.0, abs=1e-14)
     assert rhs == pytest.approx(0.0, abs=1e-14)
 
@@ -217,7 +223,7 @@ def test_relation_via_base_drall_alpha():
 def test_relation_via_base_drall_gamma_developable_base():
     surf = surf_const(1.0, 0.0, 0.0)
     spec = spec_for("gamma", "1", "spacelike")
-    lhs, rhs = relation_via_d(surf, spec, 0.25)
+    lhs, rhs = relation_at(surf, spec, 0.25)
     assert lhs == pytest.approx(math.cosh(1.0) / math.sinh(1.0), abs=1e-12)
     assert rhs == pytest.approx(lhs, rel=1e-12)
 
@@ -228,11 +234,9 @@ def test_relation_identity_on_grid():
         ("beta", "0.6", None),
         ("gamma", "0.4 + 0.2*s", "timelike"),
     ):
-        spec = spec_for(family, angle, branch)
-        surf = surf_const(1.2, 0.7, 0.5)
-        for s in np.linspace(0.0, 1.0, 11):
-            lhs, rhs = relation_via_d(surf, spec, float(s))
-            assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs))
+        analysis = analyze(surf_const(1.2, 0.7, 0.5), spec_for(family, angle, branch))
+        lhs, rhs = analysis.d_closed, analysis.d_via_base
+        assert np.all(np.abs(lhs - rhs) <= 1e-8 * (1.0 + np.abs(lhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +416,15 @@ def test_per_sample_accessor():
     surf = surf_const(1.0, 0.0, 1.0)
     analysis = analyze(surf, spec_for("beta", "pi/4"))
     # boundary samples carry no oracle (the stencil needs interior points)
-    first = analysis.sample(0)
-    assert first.v_t_oracle is None and first.d_t_oracle is None
-    mid = analysis.sample(len(surf) // 2)
-    assert mid.ell == 1
-    assert mid.v_t == pytest.approx(-math.sqrt(2.0) * math.cosh(1.0), abs=1e-12)
-    assert mid.v_t_oracle == pytest.approx(mid.v_t, abs=1e-9)
-    assert mid.d_t_oracle == pytest.approx(-math.sinh(1.0), abs=1e-9)
-    assert np.max(np.abs(lorentz_dot(mid.q_t, mid.q_t) - 1.0)) <= 1e-10
+    sl = analysis.sl
+    assert sl.start > 0
+    assert len(analysis.oracle.v0) == len(analysis.oracle.drall) == len(surf) - 2 * sl.start
+    i = len(surf) // 2
+    j = i - sl.start
+    assert analysis.ell == 1
+    assert analysis.oracle.valid[j]
+    assert analysis.v_closed[i] == pytest.approx(-math.sqrt(2.0) * math.cosh(1.0), abs=1e-12)
+    assert analysis.oracle.v0[j] == pytest.approx(analysis.v_closed[i], abs=1e-9)
+    assert analysis.oracle.drall[j] == pytest.approx(-math.sinh(1.0), abs=1e-9)
+    q_t = analysis.q_t[i]
+    assert np.max(np.abs(lorentz_dot(q_t, q_t) - 1.0)) <= 1e-10

@@ -113,5 +113,7 @@ def test_config_validation():
         SuiteConfig(k1_values=())
     with pytest.raises(ValueError):
         SuiteConfig(tolerance=0.0)
+    with pytest.raises(ValueError):
+        SuiteConfig(step=0.0)
     assert SuiteConfig().coincidence_tolerance == pytest.approx(1e-7)
     assert Family.ALPHA in SuiteConfig().families
