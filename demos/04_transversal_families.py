@@ -42,7 +42,7 @@ print("worst closed-vs-oracle gaps: v {:.2e}, d {:.2e}".format(result.rel_v, res
 print("\n== coincidence: tuned alpha instance ==")
 base = synthesize_surface(from_constants(1.0, 2.0, math.atanh(0.5), (0.0, 1.0), 1e-3))
 tuned = TransversalSpec(Family.ALPHA, ex.parse("1"), Branch.TIMELIKE)
-report = coincidence_condition(base, tuned)
+report = coincidence_condition(analyze(base, tuned))
 print("condition residual:", report.residuals["condition"])
 print("max |v| closed:", report.residuals["max_abs_v_closed"], " oracle:", report.residuals["max_abs_v_oracle"])
 print("transversal striction curve coincides with the base one:", report.flags["coincides_oracle"])
@@ -51,7 +51,7 @@ print("\n== developability: the alpha stated condition vs the drall numerator ==
 theta = math.atanh(-math.sinh(1.0) ** 2 * 0.5)  # zeroes the drall numerator
 base = synthesize_surface(from_constants(1.0, 0.5, theta, (0.0, 1.0), 1e-3))
 spec = TransversalSpec(Family.ALPHA, ex.parse("1"), Branch.TIMELIKE)
-report = developability_condition(base, spec)
+report = developability_condition(analyze(base, spec))
 for key in ("numerator", "stated_condition", "oracle_drall"):
     print(f"  max |{key}| = {report.residuals[key]:.3e}")
 print("  notes:", report.notes)

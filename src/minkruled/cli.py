@@ -533,8 +533,8 @@ def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
         )
     if analysis.suspect:
         warnings.append("closed form disagrees with the sampled oracle beyond 1e-4")
-    report["coincidence"] = _condition_dict(coincidence_condition(surf, spec))
-    development = developability_condition(surf, spec)
+    report["coincidence"] = _condition_dict(coincidence_condition(analysis))
+    development = developability_condition(analysis)
     report["developability"] = _condition_dict(development)
     warnings.extend(development.notes)
     try:

@@ -312,15 +312,15 @@ class ConditionReport:
 
 
 def coincidence_condition(
-    surf: SampledSurface, spec: TransversalSpec, tol: float = 1e-7
+    analysis: TransversalAnalysis, tol: float = 1e-7
 ) -> ConditionReport:
     """Does the transversal striction curve coincide with the base one (v_T = 0)?
 
-    Reports the analytic residual whose vanishing is equivalent to v_T = 0
-    together with the direct max |v_T| (closed form and sampled oracle).
+    Reads an ``analyze(surf, spec)`` result: reports the analytic residual
+    whose vanishing is equivalent to v_T = 0 together with the direct
+    max |v_T| (closed form and sampled oracle).
     """
-    analysis = analyze(surf, spec)
-    co = analysis.coefficients
+    spec, co = analysis.spec, analysis.coefficients
     ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     residuals = {}
     flags = {}
@@ -361,16 +361,16 @@ def coincidence_condition(
 
 
 def developability_condition(
-    surf: SampledSurface, spec: TransversalSpec, tol: float = 1e-6
+    analysis: TransversalAnalysis, tol: float = 1e-6
 ) -> ConditionReport:
     """Is the transversal surface developable (d_T = 0)?
 
-    Three independent readings are reported: the numerator of the closed-form
-    drall, the commonly stated angle condition evaluated verbatim, and the
-    direct sampled oracle.  Disagreements are flagged; the oracle wins.
+    Reads an ``analyze(surf, spec)`` result.  Three independent readings are
+    reported: the numerator of the closed-form drall, the commonly stated
+    angle condition evaluated verbatim, and the direct sampled oracle.
+    Disagreements are flagged; the oracle wins.
     """
-    analysis = analyze(surf, spec)
-    co = analysis.coefficients
+    spec, co = analysis.spec, analysis.coefficients
     ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     tanh_theta = np.tanh(co.theta)
     with np.errstate(all="ignore"):

@@ -14,12 +14,17 @@ Unsatisfiable conditions (a tanh can never reach a ratio >= 1 in magnitude)
 are recorded as skips, never failures.  Every residual in a report is
 finite or the case is marked errored with a reason; two runs with the same
 configuration produce identical reports.
+
+Every surface a suite builds has the constant k1 and k2 of one grid pair,
+so ``run_all`` runs the suites one (k1, k2) block at a time and drops the
+block's surfaces when it ends: each distinct surface is synthesized once
+per run, and only one block's surfaces are held at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +32,7 @@ from . import expressions as ex
 from .errors import ExprError, GeometryError
 from .numerics import central_diff1
 from .ruled import striction_predicates
-from .synthesis import IntrinsicData, SampledSurface, from_constants, synthesize_surface
+from .synthesis import SampledSurface, from_constants, synthesize_surface
 from .transversal import (
     Branch,
     Family,
@@ -62,6 +67,8 @@ class SuiteConfig:
             raise ValueError("tolerance must be positive")
         if not self.step > 0.0:
             raise ValueError("step must be positive")
+        if not self.s_range[1] > self.s_range[0]:
+            raise ValueError("s_range must be increasing")
 
     @property
     def coincidence_tolerance(self) -> float:
@@ -140,11 +147,17 @@ class SuiteReport:
         }
 
 
-def _surface(cfg: SuiteConfig, k1, k2, theta, s_range=None) -> SampledSurface:
+def _surface(cfg: SuiteConfig, surfaces, k1, k2, theta, s_range=None) -> SampledSurface:
+    """The synthesized surface, reused from the dict ``surfaces`` unless that is None."""
     data = from_constants(
         k1, k2, theta, s_range=s_range or cfg.s_range, step=cfg.step
     )
-    return synthesize_surface(data)
+    if surfaces is None:
+        return synthesize_surface(data)
+    key = (data.k1, data.k2, data.theta, tuple(data.s_range), data.step)
+    if key not in surfaces:
+        surfaces[key] = synthesize_surface(data)
+    return surfaces[key]
 
 
 def _capped_range(cfg: SuiteConfig, angle0: float, slope: float, lo: float, hi: float):
@@ -170,19 +183,21 @@ def _fd_slope_residual(surf: SampledSurface, angle: ex.Expr, target: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def run_striction_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
+def run_striction_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> SuiteReport:
     """Asymptotic / geodesic / line-of-curvature laws on the (k1,k2,theta) grid.
 
     One record per grid triple and predicate.  Each record carries the
     agreement verdict of the two characterizations on the grid surface plus
     targeted forward (condition tuned) and backward (condition violated by
-    0.1) instances where the condition is satisfiable.
+    0.1) instances where the condition is satisfiable.  A ``surfaces`` dict,
+    as ``run_all`` passes to each suite, keeps every surface synthesized and
+    reuses it on the next request for the same data.
     """
     report = SuiteReport("striction", cfg.to_dict())
     tol = cfg.tolerance
     for k1, k2, th in cfg.grid():
         try:
-            base = _surface(cfg, k1, k2, th)
+            base = _surface(cfg, surfaces, k1, k2, th)
             grid_predicates = striction_predicates(base.frames(), tol)
         except (GeometryError, ExprError, ValueError) as exc:
             for name in ("asymptotic", "geodesic", "line_of_curvature"):
@@ -218,12 +233,8 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                     # forward: the grid surface itself has constant theta
                     forward = result.geometric_residual
                     drift = linear_angle(th, ANGLE_MARGIN)
-                    data = IntrinsicData(
-                        k1=ex.const(k1), k2=ex.const(k2), theta=drift,
-                        s_range=cfg.s_range, step=cfg.step,
-                    )
                     back = striction_predicates(
-                        synthesize_surface(data).frames(), tol
+                        _surface(cfg, surfaces, k1, k2, drift).frames(), tol
                     ).geodesic
                     backward = back.geometric_residual
                     backward_cur = back.curvature_residual
@@ -231,10 +242,10 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                     num, den = ratio
                     theta_star = math.atanh(num / den)
                     tuned = striction_predicates(
-                        _surface(cfg, k1, k2, theta_star).frames(), tol
+                        _surface(cfg, surfaces, k1, k2, theta_star).frames(), tol
                     )
                     violated = striction_predicates(
-                        _surface(cfg, k1, k2, theta_star + ANGLE_MARGIN).frames(), tol
+                        _surface(cfg, surfaces, k1, k2, theta_star + ANGLE_MARGIN).frames(), tol
                     )
                     forward = getattr(tuned, name).geometric_residual
                     backward = getattr(violated, name).geometric_residual
@@ -268,7 +279,7 @@ _BETA_ANGLE0 = 0.7  # mid (0, pi/2); capped ranges stay inside (0.1, pi/2 - 0.1)
 _BETA_BOUNDS = (0.1, math.pi / 2.0 - 0.1)
 
 
-def _tuned_coincidence(cfg, family, k1, k2, th):
+def _tuned_coincidence(cfg, family, k1, k2, th, surfaces):
     """Instance (surface, spec) whose transversal striction curve coincides."""
     if family is Family.ALPHA:
         if k2 == 0.0:
@@ -288,11 +299,11 @@ def _tuned_coincidence(cfg, family, k1, k2, th):
         angle = coincident_angle(k1, k2, th, family, cfg.angle_values[0])
         rng = cfg.s_range
         spec = TransversalSpec(family, angle, Branch.TIMELIKE)
-    surf = _surface(cfg, k1, k2, th, s_range=rng)
+    surf = _surface(cfg, surfaces, k1, k2, th, s_range=rng)
     return (surf, spec), ""
 
 
-def _violated_coincidence(cfg, family, k1, k2, th):
+def _violated_coincidence(cfg, family, k1, k2, th, surfaces):
     """Instance violating the coincidence condition by the standard margin."""
     if family is Family.ALPHA:
         slope = (math.tanh(th) * k2 - k1) + ANGLE_MARGIN
@@ -308,11 +319,11 @@ def _violated_coincidence(cfg, family, k1, k2, th):
         angle = linear_angle(th + 0.2, ANGLE_MARGIN)
         rng = cfg.s_range
         spec = TransversalSpec(family, angle, Branch.TIMELIKE)
-    surf = _surface(cfg, k1, k2, th, s_range=rng)
+    surf = _surface(cfg, surfaces, k1, k2, th, s_range=rng)
     return surf, spec
 
 
-def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes):
+def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes, surfaces):
     """Constant-angle / parameter-identity specializations of coincidence."""
     ok = True
     # asymptotic striction (tanh theta = k1/k2) forces a constant angle
@@ -328,7 +339,7 @@ def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes):
         residuals["asymptotic_spec"] = abs(slope)
         ok = ok and abs(slope) <= 1e-6
     # geodesic striction (constant theta): angle slope is x k2 - k1 etc.
-    surf_spec, reason = _tuned_coincidence(cfg, family, k1, k2, th)
+    surf_spec, reason = _tuned_coincidence(cfg, family, k1, k2, th, surfaces)
     if surf_spec is not None:
         surf, spec = surf_spec
         x = math.tanh(th)
@@ -366,12 +377,13 @@ def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes):
     return ok
 
 
-def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
+def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> SuiteReport:
     """Coincidence of the transversal striction curve with the base one.
 
     One record per (family, grid triple): forward tuned instance (max |v_T|
     small), backward margin-violated instance (min |v_T| bounded away), and
-    the applicable specialization identities.
+    the applicable specialization identities.  ``surfaces`` as in
+    ``run_striction_suite``.
     """
     report = SuiteReport("coincidence", cfg.to_dict())
     ctol = cfg.coincidence_tolerance
@@ -382,7 +394,7 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
             notes: list = []
             verdict = "pass"
             try:
-                tuned, reason = _tuned_coincidence(cfg, family, k1, k2, th)
+                tuned, reason = _tuned_coincidence(cfg, family, k1, k2, th, surfaces)
                 applicable = tuned is not None
                 ok = True
                 if applicable:
@@ -403,7 +415,7 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                     )
                 else:
                     notes.append(f"forward skipped: {reason}")
-                surf, spec = _violated_coincidence(cfg, family, k1, k2, th)
+                surf, spec = _violated_coincidence(cfg, family, k1, k2, th, surfaces)
                 analysis = analyze(surf, spec)
                 valid = analysis.oracle.valid
                 residuals["backward_min_v_closed"] = float(
@@ -416,7 +428,9 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                 )
                 ok = ok and residuals["backward_min_v_closed"] >= 10.0 * ctol
                 ok = ok and residuals["backward_min_v_oracle"] >= 10.0 * ctol
-                ok = _specialization_residuals(cfg, family, k1, k2, th, residuals, notes) and ok
+                ok = _specialization_residuals(
+                    cfg, family, k1, k2, th, residuals, notes, surfaces
+                ) and ok
                 if not applicable and len(residuals) <= 2:
                     verdict = "skip"
                 elif not ok:
@@ -468,14 +482,14 @@ def _tuned_developable(cfg, family, k1, k2, th):
     return (th, TransversalSpec(family, ex.const(th), Branch.TIMELIKE)), ""
 
 
-def run_developability_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
+def run_developability_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> SuiteReport:
     """Developability of transversal surfaces: closed form vs oracle vs
     the stated angle conditions, plus the developable-base corollaries.
 
     One record per (family, grid triple).  On tuned instances the alpha
     family's stated condition is expected to disagree with the (verified)
     drall numerator; that is recorded as a documented discrepancy warning,
-    not a failure.
+    not a failure.  ``surfaces`` as in ``run_striction_suite``.
     """
     report = SuiteReport("developability", cfg.to_dict())
     tol = cfg.tolerance
@@ -493,8 +507,8 @@ def run_developability_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                     notes.append(f"forward skipped: {reason}")
                 else:
                     theta_t, spec = tuned
-                    surf = _surface(cfg, k1, k2, theta_t)
-                    cond = developability_condition(surf, spec, tol)
+                    surf = _surface(cfg, surfaces, k1, k2, theta_t)
+                    cond = developability_condition(analyze(surf, spec), tol)
                     residuals["forward_numerator"] = cond.residuals["numerator"]
                     residuals["forward_oracle"] = cond.residuals["oracle_drall"]
                     residuals["forward_stated"] = cond.residuals["stated_condition"]
@@ -506,14 +520,14 @@ def run_developability_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
                         discrepancy_seen = True
                         notes.append("stated-condition discrepancy (documented)")
                     # backward: shift theta off the tuned value
-                    surf_b = _surface(cfg, k1, k2, theta_t + ANGLE_MARGIN)
-                    cond_b = developability_condition(surf_b, spec, tol)
+                    surf_b = _surface(cfg, surfaces, k1, k2, theta_t + ANGLE_MARGIN)
+                    cond_b = developability_condition(analyze(surf_b, spec), tol)
                     residuals["backward_numerator"] = cond_b.residuals["numerator"]
                     residuals["backward_oracle"] = cond_b.residuals["oracle_drall"]
                     ok = ok and residuals["backward_numerator"] >= 10.0 * tol
                     ok = ok and residuals["backward_oracle"] >= 10.0 * tol
                 if th == 0.0:
-                    ok = _corollary_case(cfg, family, k1, k2, residuals, notes) and ok
+                    ok = _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) and ok
                 if not residuals:
                     verdict = "skip"
                 elif not ok:
@@ -540,20 +554,20 @@ def run_developability_suite(cfg: SuiteConfig = SuiteConfig()) -> SuiteReport:
     return report
 
 
-def _corollary_case(cfg, family, k1, k2, residuals, notes) -> bool:
+def _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) -> bool:
     """Developable-base (theta = 0) corollaries, forward or contrapositive."""
     tol = cfg.tolerance
     ok = True
     if family is Family.ALPHA:
         spec = TransversalSpec(family, ex.const(cfg.angle_values[0]), Branch.TIMELIKE)
-        surf = _surface(cfg, k1, k2, 0.0)
+        surf = _surface(cfg, surfaces, k1, k2, 0.0)
         cond = corollary_checks(surf, spec, tol)
         key = "corollary_forward" if k2 == 0.0 else "corollary_backward"
         residuals[key] = cond.residuals["oracle_drall"]
         ok = cond.flags["equivalent"]
     elif family is Family.BETA:
         surf = _surface(
-            cfg, k1, k2, 0.0,
+            cfg, surfaces, k1, k2, 0.0,
             s_range=_capped_range(cfg, _BETA_ANGLE0, -k2, *_BETA_BOUNDS),
         )
         spec = TransversalSpec(family, linear_angle(_BETA_ANGLE0, -k2))
@@ -562,7 +576,7 @@ def _corollary_case(cfg, family, k1, k2, residuals, notes) -> bool:
         ok = cond.flags["equivalent"]
         slope = -k2 + ANGLE_MARGIN
         surf_b = _surface(
-            cfg, k1, k2, 0.0,
+            cfg, surfaces, k1, k2, 0.0,
             s_range=_capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS),
         )
         cond_b = corollary_checks(
@@ -571,7 +585,7 @@ def _corollary_case(cfg, family, k1, k2, residuals, notes) -> bool:
         residuals["corollary_backward"] = cond_b.residuals["oracle_drall"]
         ok = ok and cond_b.flags["equivalent"]
     else:
-        surf = _surface(cfg, k1, k2, 0.0)
+        surf = _surface(cfg, surfaces, k1, k2, 0.0)
         if k2 != 0.0 and abs(k1 / k2) < 1.0:
             spec = TransversalSpec(family, ex.const(math.atanh(k1 / k2)), Branch.TIMELIKE)
             cond = corollary_checks(surf, spec, tol)
@@ -592,12 +606,28 @@ def _corollary_case(cfg, family, k1, k2, residuals, notes) -> bool:
 
 
 def run_all(cfg: SuiteConfig = SuiteConfig()) -> dict:
-    """Run the three suites; returns a JSON-ready combined report."""
-    reports = [
-        run_striction_suite(cfg),
-        run_coincidence_suite(cfg),
-        run_developability_suite(cfg),
-    ]
+    """Run the three suites one (k1, k2) block at a time, each block with one
+    surface dict; returns a JSON-ready combined report in full-grid order.
+    """
+    suites = (run_striction_suite, run_coincidence_suite, run_developability_suite)
+    blocks = []
+    for k1 in cfg.k1_values:
+        for k2 in cfg.k2_values:
+            block, surfaces = replace(cfg, k1_values=(k1,), k2_values=(k2,)), {}
+            blocks.append([suite(block, surfaces) for suite in suites])
+    reports = []
+    for i, name in enumerate(("striction", "coincidence", "developability")):
+        parts = [block[i] for block in blocks]
+        warnings = dict.fromkeys(w for part in parts for w in part.warnings)
+        report = SuiteReport(name, cfg.to_dict(), warnings=list(warnings))
+        # a block report lists its cases in one equal run per family (striction:
+        # one run); the full grid lists run r of every block before run r + 1
+        runs = len(cfg.families) if i else 1
+        for r in range(runs):
+            for part in parts:
+                size = len(part.cases) // runs
+                report.cases.extend(part.cases[r * size:(r + 1) * size])
+        reports.append(report)
     combined = {
         "suites": [r.to_dict() for r in reports],
         "warnings": [w for r in reports for w in r.warnings],

@@ -169,7 +169,7 @@ def test_criterion_05_closed_vs_oracle():
     theta = math.atanh(-math.sinh(a) ** 2 * k2 / k1)
     surf = synthesize_surface(from_constants(k1, k2, theta, (0.0, 1.0), 1e-3))
     report = developability_condition(
-        surf, TransversalSpec(Family.ALPHA, ex.const(a), Branch.TIMELIKE)
+        analyze(surf, TransversalSpec(Family.ALPHA, ex.const(a), Branch.TIMELIKE))
     )
     assert report.flags["numerator_vanishes"]
     assert report.flags["oracle_developable"]

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from minkruled import cli, transversal
 from minkruled.cli import main, parse_config
 from minkruled.errors import ConfigError
 
@@ -166,6 +167,23 @@ def test_transversal_end_to_end(tmp_path, schema):
     assert report["agreement"]["printed_sign_flip"] is True
     assert not report["agreement"]["closed_form_suspect"]
     assert any("sign" in w for w in report["warnings"])
+
+
+def test_transversal_analyzes_once(tmp_path, monkeypatch):
+    # both condition reports read the command's one analysis; only the
+    # corollary checks may run an analysis of their own
+    calls = []
+    original = transversal.analyze
+
+    def counted(surf, spec):
+        calls.append(spec)
+        return original(surf, spec)
+
+    monkeypatch.setattr(transversal, "analyze", counted)
+    monkeypatch.setattr(cli, "analyze_transversal", counted)
+    config = os.path.join(CONFIG_DIR, "beta_transversal.json")
+    assert main(["transversal", "--config", config, "--output-dir", str(tmp_path)]) == 0
+    assert 1 <= len(calls) <= 2
 
 
 def test_mesh_end_to_end(tmp_path):

@@ -247,7 +247,7 @@ def test_relation_identity_on_grid():
 def test_coincidence_alpha_tuned():
     # tanh(theta) = (angle' + k1)/k2 with constant angle: 0.5 = 1/2
     surf = surf_const(1.0, 2.0, math.atanh(0.5))
-    report = coincidence_condition(surf, spec_for("alpha", "1", "timelike"))
+    report = coincidence_condition(analyze(surf, spec_for("alpha", "1", "timelike")))
     assert report.flags["condition_holds"]
     assert report.residuals["max_abs_v_closed"] <= 1e-8
     assert report.residuals["max_abs_v_oracle"] <= 1e-8
@@ -257,7 +257,7 @@ def test_coincidence_alpha_tuned():
 def test_coincidence_beta_tuned():
     # tanh(theta) = k1/(angle' + k2): 0.5 = 1/2
     surf = surf_const(1.0, 2.0, math.atanh(0.5))
-    report = coincidence_condition(surf, spec_for("beta", "0.7"))
+    report = coincidence_condition(analyze(surf, spec_for("beta", "0.7")))
     assert report.flags["condition_holds"]
     assert report.residuals["max_abs_v_closed"] <= 1e-8
 
@@ -265,7 +265,7 @@ def test_coincidence_beta_tuned():
 def test_coincidence_gamma_constant_angle():
     for theta in (0.0, 0.5, 1.0):
         surf = surf_const(1.0, 0.5, theta)
-        report = coincidence_condition(surf, spec_for("gamma", "0.8", "timelike"))
+        report = coincidence_condition(analyze(surf, spec_for("gamma", "0.8", "timelike")))
         assert report.flags["condition_holds"]
         assert report.flags["angle_constant"]
         assert report.residuals["max_abs_v_closed"] == 0.0
@@ -274,7 +274,7 @@ def test_coincidence_gamma_constant_angle():
 def test_coincidence_violated():
     surf = surf_const(1.0, 2.0, math.atanh(0.5))
     spec = spec_for("alpha", linear_angle(1.0, 0.1), "timelike")
-    report = coincidence_condition(surf, spec)
+    report = coincidence_condition(analyze(surf, spec))
     assert not report.flags["condition_holds"]
     assert not report.flags["coincides_closed"]
     assert report.flags["agree"]
@@ -300,7 +300,7 @@ def test_developability_beta_consistent():
     k1, k2, b = 1.0, 0.5, 0.6
     theta = math.atanh(k2 / (k1 * math.cos(b) ** 2))
     surf = surf_const(k1, k2, theta)
-    report = developability_condition(surf, spec_for("beta", repr(b)))
+    report = developability_condition(analyze(surf, spec_for("beta", repr(b))))
     assert report.flags["numerator_vanishes"]
     assert report.flags["stated_condition_holds"]
     assert report.flags["oracle_developable"]
@@ -312,7 +312,7 @@ def test_developability_beta_consistent():
 def test_developability_gamma_disjunction():
     # angle factor route: gamma = theta constant
     surf = surf_const(1.0, 0.5, 0.8)
-    report = developability_condition(surf, spec_for("gamma", "0.8", "timelike"))
+    report = developability_condition(analyze(surf, spec_for("gamma", "0.8", "timelike")))
     assert report.flags["numerator_vanishes"]
     assert report.flags["stated_condition_holds"]
     assert report.flags["oracle_developable"]
@@ -323,7 +323,7 @@ def test_developability_alpha_stated_condition_discrepant():
     k1, k2, a = 1.0, 0.5, 1.0
     theta = math.atanh(-math.sinh(a) ** 2 * k2 / k1)
     surf = surf_const(k1, k2, theta)
-    report = developability_condition(surf, spec_for("alpha", repr(a), "timelike"))
+    report = developability_condition(analyze(surf, spec_for("alpha", repr(a), "timelike")))
     assert report.flags["numerator_vanishes"]
     assert report.flags["oracle_developable"]
     assert report.flags["numerator_matches_oracle"]
@@ -335,7 +335,7 @@ def test_developability_alpha_stated_condition_discrepant():
 
 def test_developability_violated():
     surf = surf_const(1.0, 0.5, 0.9)
-    report = developability_condition(surf, spec_for("beta", "0.6"))
+    report = developability_condition(analyze(surf, spec_for("beta", "0.6")))
     assert not report.flags["oracle_developable"]
     assert report.flags["numerator_matches_oracle"]
 

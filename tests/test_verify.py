@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from minkruled import verify
 from minkruled.transversal import Family
 from minkruled.verify import (
     SuiteConfig,
@@ -115,5 +116,50 @@ def test_config_validation():
         SuiteConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SuiteConfig(step=0.0)
+    with pytest.raises(ValueError):
+        SuiteConfig(s_range=(1.0, 0.0))
     assert SuiteConfig().coincidence_tolerance == pytest.approx(1e-7)
     assert Family.ALPHA in SuiteConfig().families
+
+
+def test_run_all_merges_blocks_into_suite_order():
+    # run_all runs one (k1, k2) block at a time; its merged report must equal
+    # the three suites run directly over the whole grid
+    cfg = SuiteConfig(
+        k1_values=(1.0, 2.0),
+        k2_values=(0.0, 0.5),
+        theta_values=(0.0, 0.5),
+        step=2e-3,
+    )
+    reports = [
+        run_striction_suite(cfg),
+        run_coincidence_suite(cfg),
+        run_developability_suite(cfg),
+    ]
+    direct = {
+        "suites": [r.to_dict() for r in reports],
+        "warnings": [w for r in reports for w in r.warnings],
+        "summary": {
+            key: sum(r.summary[key] for r in reports)
+            for key in ("pass", "fail", "skip", "error")
+        },
+    }
+    assert json.dumps(run_all(cfg)) == json.dumps(direct)
+
+
+def test_run_all_synthesizes_each_surface_once(monkeypatch):
+    keys = []
+    original = verify.synthesize_surface
+
+    def counted(data, *args, **kwargs):
+        keys.append((data.k1, data.k2, data.theta, tuple(data.s_range), data.step))
+        return original(data, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "synthesize_surface", counted)
+    run_all(SMALL)
+    first = len(keys)
+    assert first > 0
+    assert len(set(keys)) == first
+    # no surface outlives the call: a second run builds them all again
+    run_all(SMALL)
+    assert len(keys) == 2 * first
