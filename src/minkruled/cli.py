@@ -425,8 +425,8 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         "max_abs_drall": cls.max_abs_drall,
     }
     u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
-    drall = [distribution_parameter(surface, float(ui), cfg.tolerances) for ui in u]
-    v0 = [striction(surface, float(ui), cfg.tolerances)[0] for ui in u]
+    drall = distribution_parameter(surface, u, cfg.tolerances).tolist()
+    v0 = striction(surface, u, cfg.tolerances)[0].tolist()
     track = sample_frames(surface, cfg.samples, cfg.tolerances)
     report["samples"] = {
         "u": u.tolist(),
@@ -438,7 +438,13 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         # NaN theta (striction tangent not timelike) is reported as null
         "theta": [None if math.isnan(x) else x for x in track.theta.tolist()],
     }
-    if not np.any(np.isnan(track.theta)):
+    if np.any(np.isnan(track.theta)):
+        report["striction_predicates"] = None
+        warnings.append("striction tangent is not timelike; predicates skipped")
+    elif len(track) < 7:
+        report["striction_predicates"] = None
+        warnings.append("predicates need at least 7 samples; predicates skipped")
+    else:
         report["striction_predicates"] = {
             r.name: {
                 "geometric_residual": r.geometric_residual,
@@ -450,9 +456,6 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
             }
             for r in striction_predicates(track, cfg.tolerances.general_eps * 100).results()
         }
-    else:
-        report["striction_predicates"] = None
-        warnings.append("striction tangent is not timelike; predicates skipped")
     report["warnings"] = warnings
     return report, None
 

@@ -1,4 +1,9 @@
-"""Small numerical kernels: finite-difference stencils and quadrature."""
+"""Small numerical kernels: finite-difference stencils and quadrature.
+
+The quadrature works on arrays: integrands take an array of points and
+return an array of values, and ``adaptive_simpson`` integrates a whole
+array of intervals with one integrand call per recursion level.
+"""
 
 from __future__ import annotations
 
@@ -34,40 +39,66 @@ def central_diff2(y: np.ndarray, h: float):
     return d2, sl
 
 
-def adaptive_simpson(fn, a: float, b: float, tol: float = 1e-10, max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
+def adaptive_simpson(fn, a, b, tol: float = 1e-10, max_depth: int = 40):
+    """Adaptive Simpson quadrature of ``fn`` on [a, b], batched over intervals.
+
+    ``a`` and ``b`` are scalars or equal-shape arrays; ``fn`` maps an array
+    of points to an array of values.  The classic recursion (stop when
+    ``|delta| <= 15 eps`` or at ``max_depth``, halve ``eps`` per level, leaf
+    value ``left + right + delta / 15``) runs breadth-first: each level makes
+    one ``fn`` call on the midpoints of every pending half-interval, and the
+    results are summed back up left child before right child, so every
+    integral has the same bits as the depth-first recursion.  Scalar bounds
+    return a float; ``a == b`` integrates to 0.
+    """
 
     def simpson(x0, x2, f0, f1, f2):
         return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = fn(lm)
-        frm = fn(rm)
-        left = simpson(x0, x1, f0, flm, f1)
-        right = simpson(x1, x2, f1, frm, f2)
-        delta = left + right - whole
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        half = 0.5 * eps
-        return recurse(x0, x1, f0, flm, f1, left, half, depth + 1) + recurse(
-            x1, x2, f1, frm, f2, right, half, depth + 1
-        )
-
-    if a == b:
-        return 0.0
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    a_arr, b_arr = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.zeros(a_arr.shape)
+    live = a_arr != b_arr
+    x0, x2 = a_arr[live], b_arr[live]
+    if x0.size:
+        xm = 0.5 * (x0 + x2)
+        f0, f1, f2 = np.split(fn(np.concatenate([x0, xm, x2])), 3)
+        whole = simpson(x0, x2, f0, f1, f2)
+        eps = tol
+        levels = []  # per depth: (values, split mask); children are [lefts, rights]
+        for depth in range(max_depth + 1):
+            x1 = 0.5 * (x0 + x2)
+            lm = 0.5 * (x0 + x1)
+            rm = 0.5 * (x1 + x2)
+            flm, frm = np.split(fn(np.concatenate([lm, rm])), 2)
+            left = simpson(x0, x1, f0, flm, f1)
+            right = simpson(x1, x2, f1, frm, f2)
+            delta = left + right - whole
+            split = ~(np.abs(delta) <= 15.0 * eps) & (depth < max_depth)
+            values = left + right + delta / 15.0
+            levels.append((values, split))
+            if not split.any():
+                break
+            x0, x2 = np.concatenate([x0[split], x1[split]]), np.concatenate([x1[split], x2[split]])
+            f0, f2 = np.concatenate([f0[split], f1[split]]), np.concatenate([f1[split], f2[split]])
+            f1 = np.concatenate([flm[split], frm[split]])
+            whole = np.concatenate([left[split], right[split]])
+            eps = 0.5 * eps
+        below = None
+        for values, split in reversed(levels):
+            if below is not None:
+                half = below.size // 2
+                values[split] = below[:half] + below[half:]
+            below = values
+        out[live] = below
+    return float(out) if out.ndim == 0 else out
 
 
 def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: float = 1e-10):
     """Place ``n`` parameter values equally spaced in arc length.
 
-    ``speed_fn`` is ds/du > 0.  Integrates segmentwise with adaptive Simpson,
-    inverts with monotone cubic interpolation, and polishes each node with
+    ``speed_fn`` maps an array of u to ds/du > 0.  Integrates every dense
+    segment in one batched adaptive Simpson call, inverts with monotone
+    cubic interpolation, and polishes all interior nodes at once with two
     Newton steps (ds/du is exact).  Returns ``(u_nodes, s_nodes)`` with
     ``s_nodes`` uniform from 0 to the total arc length.
     """
@@ -77,8 +108,7 @@ def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: fl
     u_dense = np.linspace(u0, u1, dense)
     seg = np.empty(dense)
     seg[0] = 0.0
-    for i in range(dense - 1):
-        seg[i + 1] = adaptive_simpson(speed_fn, u_dense[i], u_dense[i + 1], quad_tol)
+    seg[1:] = adaptive_simpson(speed_fn, u_dense[:-1], u_dense[1:], quad_tol)
     s_dense = np.cumsum(seg)
     if np.any(np.diff(s_dense) <= 0.0):
         raise ValueError("arc length is not strictly increasing on the range")
@@ -86,13 +116,12 @@ def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: fl
     s_nodes = np.linspace(0.0, s_dense[-1], n)
     u_nodes = np.asarray(inverse(s_nodes), dtype=float)
     u_nodes[0], u_nodes[-1] = u0, u1
-    for i in range(1, n - 1):
-        u = u_nodes[i]
-        # s(u) from the nearest dense node keeps the Newton correction local
-        j = int(np.searchsorted(u_dense, u)) - 1
-        j = min(max(j, 0), dense - 2)
-        for _ in range(2):
-            s_here = s_dense[j] + adaptive_simpson(speed_fn, u_dense[j], u, quad_tol)
-            u = u - (s_here - s_nodes[i]) / speed_fn(u)
-        u_nodes[i] = u
+    # Newton on the interior nodes; s(u) from the nearest dense node keeps
+    # each correction local
+    u = u_nodes[1:-1]
+    j = np.clip(np.searchsorted(u_dense, u) - 1, 0, dense - 2)
+    for _ in range(2):
+        s_here = s_dense[j] + adaptive_simpson(speed_fn, u_dense[j], u, quad_tol)
+        u = u - (s_here - s_nodes[1:-1]) / speed_fn(u)
+    u_nodes[1:-1] = u
     return u_nodes, s_nodes

@@ -173,27 +173,35 @@ def surface_point(surface: ExplicitSurface, u: float, v: float) -> Vec3:
     return eval_triple(d.f, u) + v * eval_triple(d.q, u)
 
 
-def _ruling_derivative_checked(surface: ExplicitSurface, u: float, tol: Tolerances):
-    d = surface._d
-    qdot = eval_triple(d.qdot, u)
-    if float(np.linalg.norm(qdot)) <= CYLINDRICAL_EPS:
-        raise CylindricalRulingError(f"ruling derivative vanishes at u = {u}")
-    _, char = norm_and_character(qdot, tol)
-    if char is CausalCharacter.NULL:
-        raise NullDerivativeError(f"ruling derivative is null at u = {u}")
+def _ruling_derivative_checked(surface: ExplicitSurface, u: np.ndarray, tol: Tolerances):
+    """q' at 1-d ``u`` as an (n, 3) array; raises at the first point where
+    it vanishes (cylindrical) or is null at unit scale."""
+    qdot = eval_triple(surface._d.qdot, u)
+    scale = np.linalg.norm(qdot, axis=-1)
+    cylindrical = scale <= CYLINDRICAL_EPS
+    with np.errstate(all="ignore"):
+        unit = qdot / scale[..., None]
+    null = ~cylindrical & (np.abs(lorentz_dot(unit, unit)) <= tol.causal_eps)
+    if np.any(cylindrical | null):
+        i = int(np.argmax(cylindrical | null))
+        if cylindrical[i]:
+            raise CylindricalRulingError(f"ruling derivative vanishes at u = {float(u[i])}")
+        raise NullDerivativeError(f"ruling derivative is null at u = {float(u[i])}")
     return qdot
 
 
-def distribution_parameter(
-    surface: ExplicitSurface, u: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
-    """Drall d = det(f', q, q') / <q', q'> at the given parameter."""
+def distribution_parameter(surface: ExplicitSurface, u, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Drall d = det(f', q, q') / <q', q'> at a scalar or an array of parameters.
+
+    An array ``u`` gives an array; the checks run over the whole array and
+    an error names the first failing parameter.
+    """
     d = surface._d
-    qdot = _ruling_derivative_checked(surface, u, tol)
-    fdot = eval_triple(d.fdot, u)
-    q = eval_triple(d.q, u)
-    det = float(np.linalg.det(np.stack([fdot, q, qdot])))
-    return det / float(lorentz_dot(qdot, qdot))
+    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    qdot = _ruling_derivative_checked(surface, uu, tol)
+    det = np.linalg.det(np.stack([eval_triple(d.fdot, uu), eval_triple(d.q, uu), qdot], axis=1))
+    drall = det / lorentz_dot(qdot, qdot)
+    return float(drall[0]) if np.ndim(u) == 0 else drall
 
 
 def unit_normal(
@@ -221,7 +229,7 @@ def asymptotic_normal(
 ) -> Vec3:
     """Limiting normal direction a = (q' * q)/|q'| along the ruling at u."""
     d = surface._d
-    qdot = _ruling_derivative_checked(surface, u, tol)
+    qdot = _ruling_derivative_checked(surface, np.atleast_1d(float(u)), tol)[0]
     q = eval_triple(d.q, u)
     norm = math.sqrt(abs(float(lorentz_dot(qdot, qdot))))
     return lorentz_cross(qdot, q) / norm
@@ -245,15 +253,19 @@ def normal_limit_agreement(
     return out
 
 
-def striction(
-    surface: ExplicitSurface, u: float, tol: Tolerances = DEFAULT_TOLERANCES
-) -> tuple[float, Vec3]:
-    """Strictional distance v0 and striction point c(u) = f(u) + v0 q(u)."""
+def striction(surface: ExplicitSurface, u, tol: Tolerances = DEFAULT_TOLERANCES):
+    """Strictional distance v0 and striction point c(u) = f(u) + v0 q(u).
+
+    Scalar ``u`` gives ``(float, (3,) array)``; an array gives arrays of
+    shapes ``(n,)`` and ``(n, 3)``, checked as in ``distribution_parameter``.
+    """
     d = surface._d
-    qdot = _ruling_derivative_checked(surface, u, tol)
-    fdot = eval_triple(d.fdot, u)
-    v0 = -float(lorentz_dot(qdot, fdot)) / float(lorentz_dot(qdot, qdot))
-    point = eval_triple(d.f, u) + v0 * eval_triple(d.q, u)
+    uu = np.atleast_1d(np.asarray(u, dtype=float))
+    qdot = _ruling_derivative_checked(surface, uu, tol)
+    v0 = -lorentz_dot(qdot, eval_triple(d.fdot, uu)) / lorentz_dot(qdot, qdot)
+    point = eval_triple(d.f, uu) + v0[:, None] * eval_triple(d.q, uu)
+    if np.ndim(u) == 0:
+        return float(v0[0]), point[0]
     return v0, point
 
 
@@ -409,7 +421,7 @@ def classify(
         developable = True  # constant tangent plane along each ruling
     else:
         try:
-            drall = np.array([distribution_parameter(surface, ui, tol) for ui in u])
+            drall = distribution_parameter(surface, u, tol)
             max_abs_drall = float(np.max(np.abs(drall)))
             developable = max_abs_drall <= tol.general_eps
         except (CylindricalRulingError, NullDerivativeError):

@@ -460,6 +460,8 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Su
 def _tuned_developable(cfg, family, k1, k2, th):
     """(theta, spec) making the transversal drall vanish, or None + reason."""
     angle0 = cfg.angle_values[0]
+    if family in (Family.ALPHA, Family.BETA) and k1 == 0.0:
+        return None, "k1 = 0 leaves no tuning angle"
     if family is Family.ALPHA:
         # constant angle; theta solves the drall numerator
         value = -math.sinh(angle0) ** 2 * k2 / k1

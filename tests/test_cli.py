@@ -221,6 +221,37 @@ def test_verify_end_to_end_small(tmp_path, schema):
     assert len(report["suites"]) == 3
 
 
+
+def test_verify_zero_k1_reports(tmp_path, schema, capsys):
+    payload = dict(
+        MINIMAL_INTRINSIC,
+        suite={"k1_values": [0.0], "k2_values": [0.5], "theta_values": [0.0]},
+        output={"report_path": "verify.json"},
+    )
+    path = write_config(tmp_path, "c.json", payload)
+    assert main(["verify", "--config", path, "--output-dir", str(tmp_path)]) in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+    validate_report(tmp_path / "verify.json", schema)
+
+
+@pytest.mark.parametrize("samples", [2, 3, 6])
+def test_analyze_too_few_samples_skips_predicates(tmp_path, schema, samples):
+    payload = {
+        "mode": "explicit",
+        "f": ["0.9*s", "0", "0.7*s"],
+        "q": ["cosh(0.8*s)", "sinh(0.8*s)", "0"],
+        "u_range": [0.0, 1.0],
+        "samples": samples,
+        "output": {"report_path": "report.json"},
+    }
+    path = write_config(tmp_path, "c.json", payload)
+    assert main(["analyze", "--config", path, "--output-dir", str(tmp_path)]) == 0
+    report = validate_report(tmp_path / "report.json", schema)
+    assert report["striction_predicates"] is None
+    assert report["warnings"] == ["predicates need at least 7 samples; predicates skipped"]
+    assert len(report["samples"]["arc_length"]) == samples
+    assert all(theta is not None for theta in report["samples"]["theta"])
+
 def test_transversal_requires_intrinsic(tmp_path, capsys):
     payload = {
         "mode": "explicit",

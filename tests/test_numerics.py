@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from minkruled import expressions as ex
 from minkruled.numerics import (
     adaptive_simpson,
     central_diff1,
@@ -52,15 +53,99 @@ def test_adaptive_simpson():
     assert adaptive_simpson(lambda x: 4.0 / (1.0 + x * x), 0.0, 1.0) == pytest.approx(
         math.pi, abs=1e-10
     )
-    assert adaptive_simpson(math.cosh, 0.0, 2.0) == pytest.approx(math.sinh(2.0), abs=1e-10)
-    assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+    assert adaptive_simpson(np.cosh, 0.0, 2.0) == pytest.approx(math.sinh(2.0), abs=1e-10)
+    assert adaptive_simpson(np.exp, 1.0, 1.0) == 0.0
 
 
 def test_uniform_arclength_nodes():
     # speed cosh(u) integrates to arc length sinh(u)
-    u, s = uniform_arclength_nodes(math.cosh, 0.0, 2.0, 33)
+    u, s = uniform_arclength_nodes(np.cosh, 0.0, 2.0, 33)
     assert s[0] == 0.0
     assert s[-1] == pytest.approx(math.sinh(2.0), abs=1e-9)
     assert np.allclose(np.diff(s), s[-1] / 32, atol=1e-12)
     assert np.max(np.abs(np.sinh(u) - s)) < 1e-9
     assert u[0] == 0.0 and u[-1] == 2.0
+
+
+def reference_simpson(fn, a, b, tol=1e-10, max_depth=40):
+    """The depth-first scalar recursion the batched quadrature must match bit for bit."""
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, eps, depth):
+        x1 = 0.5 * (x0 + x2)
+        lm = 0.5 * (x0 + x1)
+        rm = 0.5 * (x1 + x2)
+        flm = fn(lm)
+        frm = fn(rm)
+        left = simpson(x0, x1, f0, flm, f1)
+        right = simpson(x1, x2, f1, frm, f2)
+        delta = left + right - whole
+        if depth >= max_depth or abs(delta) <= 15.0 * eps:
+            return left + right + delta / 15.0
+        half = 0.5 * eps
+        return recurse(x0, x1, f0, flm, f1, left, half, depth + 1) + recurse(
+            x1, x2, f1, frm, f2, right, half, depth + 1
+        )
+
+    if a == b:
+        return 0.0
+    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 0)
+
+
+def assert_matches_reference(fn, a, b, **kw):
+    batched = adaptive_simpson(fn, np.asarray(a, dtype=float), np.asarray(b, dtype=float), **kw)
+    expected = [reference_simpson(fn, float(x), float(y), **kw) for x, y in zip(a, b)]
+    assert batched.tolist() == expected
+
+
+# speed trees of the benchmark's T1 (timelike striction) and H3 (helicoid-like) bases
+SPEED_SURFACES = {
+    "T1": (("0.8*s", "0", "0.7*s"), ("cosh(0.75*s)", "sinh(0.75*s)", "0"), (0.0, 1.0)),
+    "H3": (
+        ("0", "0", "1.3*s"),
+        ("cosh(0.7*s+0.2*s^2)", "sinh(0.7*s+0.2*s^2)", "0"),
+        (0.0, 1.05),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPEED_SURFACES))
+def test_batched_simpson_bit_exact_on_speed_trees(name):
+    from minkruled.ruled import ExplicitSurface
+
+    f, q, (u0, u1) = SPEED_SURFACES[name]
+    speed = ExplicitSurface.from_strings(f, q, (u0, u1))._d.speed
+    u = np.linspace(u0, u1, 801)
+    assert_matches_reference(lambda x: ex.evaluate(speed, x), u[:-1], u[1:])
+
+
+def test_batched_simpson_bit_exact_edge_cases():
+    kink = lambda x: np.abs(x - 0.3137)  # noqa: E731
+    a = np.array([0.0, 0.3, 1.0, 0.5, -0.2])
+    b = np.array([1.0, 0.31, 0.0, 0.5, 0.3137])  # forward, short, reversed, empty, kink at end
+    assert_matches_reference(kink, a, b)
+    assert_matches_reference(kink, a, b, tol=1e-14)  # deep levels
+    assert_matches_reference(kink, a, b, tol=1e-14, max_depth=3)  # depth cap reached
+    # smooth integrands whose deltas sit near the halving thresholds
+    assert_matches_reference(np.sqrt, np.array([0.0, 0.1]), np.array([1.0, 2.0]), tol=1e-12)
+    wave = lambda x: np.sin(20.0 * x)  # noqa: E731
+    assert_matches_reference(wave, np.array([0.0, 1.0]), np.array([3.0, 0.0]))
+    assert adaptive_simpson(kink, 0.2, 0.2) == 0.0
+    assert isinstance(adaptive_simpson(kink, 0.0, 1.0), float)
+    assert adaptive_simpson(kink, np.empty(0), np.empty(0)).shape == (0,)
+
+
+def test_uniform_arclength_nodes_batches_speed_calls():
+    calls = []
+
+    def speed(x):
+        calls.append(np.shape(x))
+        return np.cosh(x)
+
+    uniform_arclength_nodes(speed, 0.0, 2.0, 101)
+    assert 0 < len(calls) <= 100
+    u, s = uniform_arclength_nodes(speed, 0.0, 2.0, 2)  # no interior node to polish
+    assert u.tolist() == [0.0, 2.0] and s[0] == 0.0

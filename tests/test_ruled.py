@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from minkruled.errors import CylindricalRulingError, DegenerateNormalError
+from minkruled.errors import CylindricalRulingError, DegenerateNormalError, NullDerivativeError
 from minkruled.lorentz import CausalCharacter, frame_check, lorentz_dot
 from minkruled.ruled import (
     ExplicitSurface,
@@ -60,6 +60,44 @@ def test_distribution_parameter_cylinder():
     with pytest.raises(CylindricalRulingError):
         distribution_parameter(cylinder, 0.5)
 
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [
+        syn1_explicit(0.7),
+        ExplicitSurface.from_strings(
+            ("0.8*s", "0", "0.7*s"), ("cosh(0.75*s)", "sinh(0.75*s)", "0"), (0.0, 1.0)
+        ),
+    ],
+)
+def test_array_drall_and_striction_equal_pointwise(surface):
+    u = np.linspace(0.0, 1.0, 101)
+    drall = distribution_parameter(surface, u)
+    v0, points = striction(surface, u)
+    assert drall.shape == v0.shape == (101,) and points.shape == (101, 3)
+    assert drall.tolist() == [distribution_parameter(surface, float(x)) for x in u]
+    pointwise = [striction(surface, float(x)) for x in u]
+    assert v0.tolist() == [p[0] for p in pointwise]
+    assert points.tolist() == [p[1].tolist() for p in pointwise]
+
+
+def test_array_drall_raises_at_first_degenerate_sample():
+    # q' = 2s (sinh s^2, cosh s^2, 0) vanishes at s = 0 only
+    pinched = ExplicitSurface.from_strings(
+        ("0", "0", "s"), ("cosh(s^2)", "sinh(s^2)", "0"), (0.0, 1.0)
+    )
+    with pytest.raises(CylindricalRulingError, match="u = 0.0"):
+        distribution_parameter(pinched, np.array([0.5, 0.0, 0.2]))
+    with pytest.raises(CylindricalRulingError):
+        striction(pinched, np.array([0.5, 0.0]))
+    # q = (s, s, 1) is unit spacelike with the null derivative (1, 1, 0)
+    null = ExplicitSurface.from_strings(("0", "0", "s"), ("s", "s", "1"), (0.0, 1.0))
+    for u in (0.25, np.array([0.25, 0.5])):
+        with pytest.raises(NullDerivativeError, match="u = 0.25"):
+            distribution_parameter(null, u)
+        with pytest.raises(NullDerivativeError):
+            striction(null, u)
 
 def test_unit_normal(helicoid):
     assert np.allclose(unit_normal(helicoid, 0.0, 0.0), [0.0, -1.0, 0.0], atol=1e-15)

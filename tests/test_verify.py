@@ -122,6 +122,14 @@ def test_config_validation():
     assert Family.ALPHA in SuiteConfig().families
 
 
+
+def test_zero_k1_skips_developable_tuning():
+    report = run_all(SuiteConfig(k1_values=(0.0,), k2_values=(0.5,), theta_values=(0.0,)))
+    developability = next(r for r in report["suites"] if r["suite"] == "developability")
+    notes = {case["family"]: case["note"] for case in developability["cases"]}
+    for family in ("alpha", "beta"):
+        assert "forward skipped: k1 = 0 leaves no tuning angle" in notes[family]
+
 def test_run_all_merges_blocks_into_suite_order():
     # run_all runs one (k1, k2) block at a time; its merged report must equal
     # the three suites run directly over the whole grid
