@@ -284,9 +284,8 @@ def arc_length(surface: ExplicitSurface, u: float, tol_quad: float = 1e-10) -> f
 # ---------------------------------------------------------------------------
 
 
-def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> SampledSurface:
-    d = surface._d
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+def _curvatures(d: _Derived, u: np.ndarray, tol: Tolerances):
+    """q, speed, gauge-fixed h, gauge flip, epsilon, k1 and k2 at u: only what k1, k2 need."""
     qdot = eval_triple(d.qdot, u)
     if np.min(np.linalg.norm(qdot, axis=-1)) <= CYLINDRICAL_EPS:
         raise CylindricalRulingError("ruling derivative vanishes on the range")
@@ -300,22 +299,25 @@ def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> Sample
         raise ValueError("ruling changes causal character on the range")
     epsilon = -1 if qq[0] < 0.0 else 1
 
-    c = eval_triple(d.c, u)
-    cdot = eval_triple(d.cdot, u)
     speed = ex.evaluate(d.speed, u)
-    a = eval_triple(d.a_raw, u)
     h = eval_triple(d.h_raw, u)
     adot = eval_triple(d.adot_raw, u)
-    hdot = eval_triple(d.hdot_raw, u)
-
     k1_raw = lorentz_dot(qdot, h) / speed
     flip = np.where(k1_raw < 0.0, -1.0, 1.0)
-    a = flip[..., None] * a
     h = flip[..., None] * h
-    hdot = flip[..., None] * hdot
     # k2 is even under the gauge flip (both a and h change sign)
-    k1 = np.abs(k1_raw)
     k2 = epsilon * lorentz_dot(adot, h) / speed
+    return q, speed, h, flip, epsilon, np.abs(k1_raw), k2
+
+
+def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> SampledSurface:
+    d = surface._d
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    q, speed, h, flip, epsilon, k1, k2 = _curvatures(d, u, tol)
+    c = eval_triple(d.c, u)
+    cdot = eval_triple(d.cdot, u)
+    a = flip[..., None] * eval_triple(d.a_raw, u)
+    hdot = flip[..., None] * eval_triple(d.hdot_raw, u)
 
     cc = lorentz_dot(cdot, cdot)
     cc_unit = cc / np.maximum(1e-300, np.sum(cdot * cdot, axis=-1))
@@ -430,10 +432,9 @@ def classify(
     conoid = None
     if not cylindrical:
         try:
-            track = _frames_at(surface, u, np.zeros_like(u), tol)
+            k1, k2 = _curvatures(d, u, tol)[-2:]
             conoid = bool(
-                np.min(np.abs(track.k1)) > tol.general_eps
-                and np.max(np.abs(track.k2)) <= tol.general_eps
+                np.min(np.abs(k1)) > tol.general_eps and np.max(np.abs(k2)) <= tol.general_eps
             )
         except (CylindricalRulingError, NullDerivativeError, ValueError):
             pass

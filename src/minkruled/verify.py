@@ -277,6 +277,9 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Suit
 _ALPHA_ANGLE0 = 1.5  # keeps sinh(angle) bounded away from zero on capped ranges
 _BETA_ANGLE0 = 0.7  # mid (0, pi/2); capped ranges stay inside (0.1, pi/2 - 0.1)
 _BETA_BOUNDS = (0.1, math.pi / 2.0 - 0.1)
+# beta coincidence reads tanh(theta) (angle' + k2) = k1: at theta = 0 it fails
+# for every angle when k1 != 0 and holds for every angle when k1 = 0
+_BETA_DEGENERATE = "coincidence holds for every angle at theta = 0, k1 = 0"
 
 
 def _tuned_coincidence(cfg, family, k1, k2, th, surfaces):
@@ -290,7 +293,8 @@ def _tuned_coincidence(cfg, family, k1, k2, th, surfaces):
         spec = TransversalSpec(family, angle, Branch.TIMELIKE)
     elif family is Family.BETA:
         if abs(math.tanh(th)) < 1e-12:
-            return None, "coincidence unattainable for theta = 0 (k1 != 0)"
+            unattainable = "coincidence unattainable for theta = 0 (k1 != 0)"
+            return None, _BETA_DEGENERATE if k1 == 0.0 else unattainable
         angle = coincident_angle(k1, k2, th, family, _BETA_ANGLE0)
         slope = k1 / math.tanh(th) - k2
         rng = _capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS)
@@ -326,13 +330,14 @@ def _violated_coincidence(cfg, family, k1, k2, th, surfaces):
 def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes, surfaces):
     """Constant-angle / parameter-identity specializations of coincidence."""
     ok = True
-    # asymptotic striction (tanh theta = k1/k2) forces a constant angle
-    if abs(k2) > 0.0 and abs(k1 / k2) < 1.0:
+    # asymptotic striction (tanh theta = k1/k2) forces a constant angle, except
+    # for beta at k1 = 0, where theta = 0 leaves every angle coincident
+    if abs(k2) > 0.0 and abs(k1 / k2) < 1.0 and (k1 != 0.0 or family is not Family.BETA):
         theta_star = math.atanh(k1 / k2)
         if family is Family.ALPHA:
             slope = math.tanh(theta_star) * k2 - k1
         elif family is Family.BETA:
-            slope = k1 / math.tanh(theta_star) - k2 if theta_star != 0.0 else math.nan
+            slope = k1 / math.tanh(theta_star) - k2
         else:
             mu, eta = math.cosh(theta_star), math.sinh(theta_star)
             slope = abs(eta / mu - k1 / k2)  # identity residual, not a slope
@@ -415,19 +420,19 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Su
                     )
                 else:
                     notes.append(f"forward skipped: {reason}")
-                surf, spec = _violated_coincidence(cfg, family, k1, k2, th, surfaces)
-                analysis = analyze(surf, spec)
-                valid = analysis.oracle.valid
-                residuals["backward_min_v_closed"] = float(
-                    np.min(np.abs(analysis.v_closed))
-                )
-                residuals["backward_min_v_oracle"] = (
-                    float(np.min(np.abs(analysis.oracle.v0[valid])))
-                    if np.any(valid)
-                    else math.inf
-                )
-                ok = ok and residuals["backward_min_v_closed"] >= 10.0 * ctol
-                ok = ok and residuals["backward_min_v_oracle"] >= 10.0 * ctol
+                if reason == _BETA_DEGENERATE:  # no instance violates the condition
+                    notes.append(f"backward skipped: {reason}")
+                else:
+                    analysis = analyze(*_violated_coincidence(cfg, family, k1, k2, th, surfaces))
+                    valid = analysis.oracle.valid
+                    residuals["backward_min_v_closed"] = float(np.min(np.abs(analysis.v_closed)))
+                    residuals["backward_min_v_oracle"] = (
+                        float(np.min(np.abs(analysis.oracle.v0[valid])))
+                        if np.any(valid)
+                        else math.inf
+                    )
+                    ok = ok and residuals["backward_min_v_closed"] >= 10.0 * ctol
+                    ok = ok and residuals["backward_min_v_oracle"] >= 10.0 * ctol
                 ok = _specialization_residuals(
                     cfg, family, k1, k2, th, residuals, notes, surfaces
                 ) and ok

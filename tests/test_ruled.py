@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from minkruled import expressions as ex
+from minkruled import ruled as ruled_module
 from minkruled.errors import CylindricalRulingError, DegenerateNormalError, NullDerivativeError
-from minkruled.lorentz import CausalCharacter, frame_check, lorentz_dot
+from minkruled.lorentz import DEFAULT_TOLERANCES, CausalCharacter, frame_check, lorentz_dot
 from minkruled.ruled import (
     ExplicitSurface,
+    SurfaceClassification,
     asymptotic_normal,
     classify,
     distribution_parameter,
@@ -228,6 +231,86 @@ def test_classify_tangent_type_developable():
     cls = classify(syn1_explicit(0.0), samples=101)
     assert cls.developable is True
     assert cls.conoid is True
+
+
+def _classification(character, developable, conoid, cylindrical, max_abs_drall):
+    return SurfaceClassification(
+        CausalCharacter[character], developable, conoid, cylindrical, max_abs_drall
+    )
+
+
+# (f, q, u_range, classification): the helicoid demo, the benchmark's T1 and H3
+# bases, a conoid with constant k1 = 0.516 and k2 = 0, a cylinder, and a
+# twisted ruling with k2 != 0; classifications as the full frame path gave them
+CLASSIFY_SURFACES = {
+    "helicoid": (
+        ("0", "0", "s"),
+        ("cosh(s)", "sinh(s)", "0"),
+        (0.0, 1.0),
+        _classification("TIMELIKE", False, True, False, 1.0000000000000004),
+    ),
+    "T1": (
+        ("0.8*s", "0", "0.7*s"),
+        ("cosh(0.75*s)", "sinh(0.75*s)", "0"),
+        (0.0, 1.0),
+        _classification("TIMELIKE", False, True, False, 0.9333333333333336),
+    ),
+    "H3": (
+        ("0", "0", "1.3*s"),
+        ("cosh(0.7*s+0.2*s^2)", "sinh(0.7*s+0.2*s^2)", "0"),
+        (0.0, 1.05),
+        _classification("TIMELIKE", False, True, False, 1.8571428571428572),
+    ),
+    "conoid": (
+        ("2*sinh(s)", "2*(cosh(s) - 1)", "0.5*s"),
+        ("cosh(s)", "sinh(s)", "0"),
+        (0.0, 1.0),
+        _classification("TIMELIKE", False, True, False, 0.5000000000000002),
+    ),
+    "cylinder": (
+        ("0", "0", "s"),
+        ("1", "0", "0"),
+        (0.0, 1.0),
+        _classification("TIMELIKE", True, None, True, None),
+    ),
+    "twisted": (
+        ("s", "0", "0.3*s"),
+        ("cosh(s)", "sinh(s)*cos(s)", "sinh(s)*sin(s)"),
+        (0.2, 1.0),
+        _classification("TIMELIKE", False, False, False, 0.45584177460901665),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_SURFACES))
+def test_classify_reads_only_what_the_conoid_test_needs(monkeypatch, name):
+    f, q, u_range, expected = CLASSIFY_SURFACES[name]
+    surface = ExplicitSurface.from_strings(f, q, u_range)
+    d = surface._d
+    unread = {id(e) for e in (*d.tdot, *d.hdot_raw)}
+    seen = []
+    original_triple, original_evaluate = ruled_module.eval_triple, ex.evaluate
+
+    def eval_triple(triple, u):
+        seen.append(triple)
+        return original_triple(triple, u)
+
+    def evaluate(e, s):
+        seen.append(e)
+        return original_evaluate(e, s)
+
+    monkeypatch.setattr(ruled_module, "eval_triple", eval_triple)
+    monkeypatch.setattr(ex, "evaluate", evaluate)
+    cls = classify(surface, samples=101)
+    monkeypatch.undo()
+    assert seen and not [e for e in seen if e is d.tdot or e is d.hdot_raw or id(e) in unread]
+    assert cls == expected
+    if expected.conoid is not None:
+        # the curvatures the conoid test reads have the bits of the full frames
+        u = np.linspace(u_range[0], u_range[1], 101)
+        track = ruled_module._frames_at(surface, u, np.zeros_like(u), DEFAULT_TOLERANCES)
+        k1, k2 = ruled_module._curvatures(d, u, DEFAULT_TOLERANCES)[-2:]
+        assert k1.tolist() == track.k1.tolist() and k2.tolist() == track.k2.tolist()
 
 
 def test_normalize_q_flag():

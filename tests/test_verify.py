@@ -130,6 +130,19 @@ def test_zero_k1_skips_developable_tuning():
     for family in ("alpha", "beta"):
         assert "forward skipped: k1 = 0 leaves no tuning angle" in notes[family]
 
+
+def test_zero_k1_zero_theta_beta_coincidence_is_skipped_not_failed():
+    # at theta = 0, k1 = 0 the beta condition tanh(theta) (angle' + k2) = k1
+    # holds for every angle: no violated instance exists to test backward
+    report = run_all(SuiteConfig(k1_values=(0.0,), k2_values=(0.5,), theta_values=(0.0,)))
+    coincidence = next(r for r in report["suites"] if r["suite"] == "coincidence")
+    assert coincidence["summary"]["fail"] == 0
+    beta = next(case for case in coincidence["cases"] if case["family"] == "beta")
+    assert beta["verdict"] == "skip"
+    assert "backward skipped: coincidence holds for every angle" in beta["note"]
+    assert "k1 != 0" not in beta["note"]
+    assert all(value is not None for value in beta["residuals"].values())
+
 def test_run_all_merges_blocks_into_suite_order():
     # run_all runs one (k1, k2) block at a time; its merged report must equal
     # the three suites run directly over the whole grid
