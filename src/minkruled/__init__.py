@@ -39,7 +39,6 @@ from .lorentz import (
     lorentz_angle,
     lorentz_cross,
     lorentz_dot,
-    lorentz_norm,
     norm_and_character,
     vec3,
 )

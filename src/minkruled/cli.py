@@ -40,7 +40,7 @@ from .ruled import (
     striction,
     striction_predicates,
 )
-from .synthesis import IntrinsicData, SampledSurface, synthesize_surface, to_explicit_grid
+from .synthesis import IntrinsicData, SampledSurface, _ruled_grid, synthesize_surface, to_explicit_grid
 from .transversal import (
     Branch,
     Family,
@@ -463,7 +463,7 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
 def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
     if cfg.mode != "intrinsic":
         raise ConfigError("synthesize requires mode = 'intrinsic'")
-    surf = synthesize_surface(_intrinsic_data(cfg), cfg.tolerances)
+    surf = synthesize_surface(_intrinsic_data(cfg))
     report = _envelope("synthesize", cfg)
     qq = lorentz_dot(surf.q, surf.q)
     hh = lorentz_dot(surf.h, surf.h)
@@ -503,7 +503,7 @@ def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
         raise ConfigError("transversal requires mode = 'intrinsic'")
     if cfg.transversal_spec is None:
         raise ConfigError("transversal requires a 'transversal' config block")
-    surf = synthesize_surface(_intrinsic_data(cfg), cfg.tolerances)
+    surf = synthesize_surface(_intrinsic_data(cfg))
     spec = cfg.transversal_spec
     analysis = analyze_transversal(surf, spec)
     report = _envelope("transversal", cfg)
@@ -563,12 +563,10 @@ def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
     if cfg.mode == "explicit":
         surface = _explicit_surface(cfg)
         u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
-        v = np.linspace(cfg.v_range[0], cfg.v_range[1], cfg.v_samples)
         f = eval_triple(surface._d.f, u)
-        q = eval_triple(surface._d.q, u)
-        return f[:, None, :] + v[None, :, None] * q[:, None, :]
+        return _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
     if surf is None:
-        surf = synthesize_surface(_intrinsic_data(cfg), cfg.tolerances)
+        surf = synthesize_surface(_intrinsic_data(cfg))
     if cfg.transversal_spec is not None:
         grid, _ = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
         return grid

@@ -401,6 +401,8 @@ def evaluate(e: Expr, s):
         return float(out)
     if out.shape != arr.shape:
         out = np.broadcast_to(out, arr.shape).copy()
+    elif out is arr:  # the bare variable: never hand back the caller's array
+        out = arr.copy()
     return out
 
 

@@ -102,11 +102,6 @@ def lorentz_cross(x: Vec3, y: Vec3):
     )
 
 
-def lorentz_norm(v: Vec3):
-    """sqrt(|<v,v>|); zero exactly for null vectors."""
-    return np.sqrt(np.abs(lorentz_dot(v, v)))
-
-
 def norm_and_character(v: Vec3, tol: Tolerances = DEFAULT_TOLERANCES):
     """Norm and causal class of a single vector.
 

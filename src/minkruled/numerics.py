@@ -50,7 +50,8 @@ def adaptive_simpson(fn, a, b, tol: float = 1e-10, max_depth: int = 40):
     one ``fn`` call on the midpoints of every pending half-interval, and the
     results are summed back up left child before right child, so every
     integral has the same bits as the depth-first recursion.  Scalar bounds
-    return a float; ``a == b`` integrates to 0.
+    return a float; ``a == b`` integrates to 0.  A non-finite integrand value,
+    or a Simpson sum that overflows, raises ``ValueError``.
     """
 
     def simpson(x0, x2, f0, f1, f2):
@@ -76,6 +77,8 @@ def adaptive_simpson(fn, a, b, tol: float = 1e-10, max_depth: int = 40):
             delta = left + right - whole
             split = ~(np.abs(delta) <= 15.0 * eps) & (depth < max_depth)
             values = left + right + delta / 15.0
+            if not np.isfinite(values).all():
+                raise ValueError("integrand or Simpson sum is not finite")
             levels.append((values, split))
             if not split.any():
                 break

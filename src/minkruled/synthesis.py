@@ -11,9 +11,11 @@ and for epsilon = -1 the striction tangent is
 
     dc/ds = cosh(theta) q + sinh(theta) a,
 
-which is automatically unit timelike.  Integration is classical fixed-step
-RK4 with a Lorentzian Gram-Schmidt re-projection of the frame after every
+which is automatically unit timelike.  One fixed-step RK4 kernel integrates
+the frame alone, with a Lorentzian Gram-Schmidt re-projection after every
 step, so orthonormality residuals stay near roundoff over long ranges.
+theta enters only dc/ds, so the striction curve is built afterwards in one
+numpy pass over the stored frames, with the bits of a joint integration.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import expressions as ex
 from .errors import FrameDegenerateError, NonTimelikeStrictionError
 from .frame import SampledSurface, canonical_frame
-from .lorentz import DEFAULT_TOLERANCES, Tolerances, Vec3, frame_check
+from .lorentz import Vec3, frame_check
 
 
 @dataclass(frozen=True)
@@ -92,27 +94,20 @@ def from_constants(
     )
 
 
-def _eval_on(expr: ex.Expr, grid: np.ndarray) -> list:
-    out = ex.evaluate(expr, grid)
-    return np.asarray(out, dtype=float).tolist()
-
-
-def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, chn, shn, chh, shh, frame0, with_curve):
-    """Unrolled scalar RK4 with per-step Lorentzian Gram-Schmidt.
+def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, frame0):
+    """Unrolled scalar RK4 of the frame with per-step Lorentzian Gram-Schmidt.
 
     Tables are plain lists (node values, length n+1; half-step values,
     length n).  Scalar float arithmetic keeps the sequential loop an order
-    of magnitude faster than small-array numpy.  Returns (frames, curve)
-    float arrays of shapes (n+1, 3, 3) and (n+1, 3).
+    of magnitude faster than small-array numpy.  Returns the frames as a
+    float array of shape (n+1, 3, 3), rows (q, h, a).
     """
     (qx, qy, qz), (hx, hy, hz), (ax, ay, az) = (
         (float(v[0]), float(v[1]), float(v[2])) for v in frame0
     )
-    cx = cy = cz = 0.0
     rows_q = [(qx, qy, qz)]
     rows_h = [(hx, hy, hz)]
     rows_a = [(ax, ay, az)]
-    rows_c = [(cx, cy, cz)]
     half = 0.5 * dt
     sixth = dt / 6.0
     for i in range(n):
@@ -151,18 +146,6 @@ def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, chn, shn, chh, shh, frame0, with_c
         dhx4 = m * qx4 + k2_1 * ax4; dhy4 = m * qy4 + k2_1 * ay4; dhz4 = m * qz4 + k2_1 * az4
         dax4 = e2 * hx4; day4 = e2 * hy4; daz4 = e2 * hz4
 
-        if with_curve:
-            ch0, sh0 = chn[i], shn[i]
-            chm, shm = chh[i], shh[i]
-            ch1, sh1 = chn[i + 1], shn[i + 1]
-            dcx1 = ch0 * qx + sh0 * ax; dcy1 = ch0 * qy + sh0 * ay; dcz1 = ch0 * qz + sh0 * az
-            dcx2 = chm * qx2 + shm * ax2; dcy2 = chm * qy2 + shm * ay2; dcz2 = chm * qz2 + shm * az2
-            dcx3 = chm * qx3 + shm * ax3; dcy3 = chm * qy3 + shm * ay3; dcz3 = chm * qz3 + shm * az3
-            dcx4 = ch1 * qx4 + sh1 * ax4; dcy4 = ch1 * qy4 + sh1 * ay4; dcz4 = ch1 * qz4 + sh1 * az4
-            cx += sixth * (dcx1 + 2.0 * (dcx2 + dcx3) + dcx4)
-            cy += sixth * (dcy1 + 2.0 * (dcy2 + dcy3) + dcy4)
-            cz += sixth * (dcz1 + 2.0 * (dcz2 + dcz3) + dcz4)
-
         qx += sixth * (dqx1 + 2.0 * (dqx2 + dqx3) + dqx4)
         qy += sixth * (dqy1 + 2.0 * (dqy2 + dqy3) + dqy4)
         qz += sixth * (dqz1 + 2.0 * (dqz2 + dqz3) + dqz4)
@@ -199,51 +182,59 @@ def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, chn, shn, chh, shh, frame0, with_c
         rows_q.append((qx, qy, qz))
         rows_h.append((hx, hy, hz))
         rows_a.append((ax, ay, az))
-        rows_c.append((cx, cy, cz))
 
-    frames = np.stack(
-        [np.array(rows_q), np.array(rows_h), np.array(rows_a)], axis=1
-    )
-    return frames, np.array(rows_c)
+    return np.stack([np.array(rows_q), np.array(rows_h), np.array(rows_a)], axis=1)
 
 
-def _integrate(data: IntrinsicData, with_curve: bool):
-    """One RK4 run on the grid of ``data``.
+def _striction_curve(frames, dt, eps, k1n, k2n, k1h, k2h, thn, thh):
+    """Striction curve with c(s0) = 0 from the stored ``_rk4_core`` frames.
 
-    Returns ``(s, k1, k2, theta, frames, curve)``: node arc lengths, the
-    node values of k1 and k2 as lists, and the ``_rk4_core`` output.  theta
-    (node values) and the striction curve are computed only with
-    ``with_curve``; otherwise theta is None and the curve stays at 0.
+    The RK4 stages of c for every step are recomputed from the frame at its
+    start node, with the kernel's operations in the kernel's order, and the
+    increments are summed in step order, so c has the bits of integrating it
+    inside the frame loop.  Tables as in ``_integrate_frames``.
     """
-    s0, _ = data.s_range
-    n = data.n_steps
-    dt = data.actual_step
-    s_nodes = s0 + dt * np.arange(n + 1)
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    k1n, k2n, k1h, k2h = (t[:, None] for t in (k1n, k2n, k1h, k2h))
+    chn, shn, chh, shh = (f(t)[:, None] for t in (thn, thh) for f in (np.cosh, np.sinh))
+
+    def deriv(k1, k2, q, h, a):
+        return k1 * h, (-eps * k1) * q + k2 * a, (eps * k2) * h
+
+    # each stage's (q_j, h_j, a_j) replaces the last one's, so few (n, 3)
+    # temporaries are alive at once
+    q, h, a = frames[:-1, 0], frames[:-1, 1], frames[:-1, 2]
+    dq, dh, da = deriv(k1n[:-1], k2n[:-1], q, h, a)
+    dc1 = chn[:-1] * q + shn[:-1] * a
+    qj, hj, aj = q + half * dq, h + half * dh, a + half * da
+    dq, dh, da = deriv(k1h, k2h, qj, hj, aj)
+    dc2 = chh * qj + shh * aj
+    qj, hj, aj = q + half * dq, h + half * dh, a + half * da
+    dq, _, da = deriv(k1h, k2h, qj, hj, aj)
+    dc3 = chh * qj + shh * aj
+    dc4 = chn[1:] * (q + dt * dq) + shn[1:] * (a + dt * da)
+    inc = sixth * (dc1 + 2.0 * (dc2 + dc3) + dc4)
+    # a leading zero row makes c[1] = 0.0 + inc[0], as in a running sum
+    return np.cumsum(np.concatenate([np.zeros((1, 3)), inc]), axis=0)
+
+
+def _integrate_frames(data: IntrinsicData):
+    """Returns ``(s, s_half, tables, frames)`` for the RK4 grid of ``data``.
+
+    ``s`` and ``s_half`` are the n+1 node and n half-step arc lengths,
+    ``tables`` the arrays ``(k1n, k2n, k1h, k2h)`` of k1 and k2 on them, and
+    ``frames`` the ``(n+1, 3, 3)`` output of ``_rk4_core``.
+    """
+    n, dt, s0 = data.n_steps, data.actual_step, data.s_range[0]
+    s = s0 + dt * np.arange(n + 1)
     s_half = s0 + dt * (np.arange(n) + 0.5)
-    k1n = _eval_on(data.k1, s_nodes)
-    k2n = _eval_on(data.k2, s_nodes)
-    thn = None
-    trig = (None, None, None, None)
-    if with_curve:
-        thn = np.asarray(ex.evaluate(data.theta, s_nodes), dtype=float)
-        thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
-        trig = (
-            np.cosh(thn).tolist(), np.sinh(thn).tolist(),
-            np.cosh(thh).tolist(), np.sinh(thh).tolist(),
-        )
-    frames, curve = _rk4_core(
-        n,
-        dt,
-        data.epsilon,
-        k1n,
-        k2n,
-        _eval_on(data.k1, s_half),
-        _eval_on(data.k2, s_half),
-        *trig,
-        data.initial_frame,
-        with_curve=with_curve,
+    tables = tuple(
+        np.asarray(ex.evaluate(expr, grid), dtype=float)
+        for expr, grid in ((data.k1, s), (data.k2, s), (data.k1, s_half), (data.k2, s_half))
     )
-    return s_nodes, k1n, k2n, thn, frames, curve
+    frames = _rk4_core(n, dt, data.epsilon, *(t.tolist() for t in tables), data.initial_frame)
+    return s, s_half, tables, frames
 
 
 def integrate_frame(data: IntrinsicData):
@@ -253,38 +244,40 @@ def integrate_frame(data: IntrinsicData):
     re-orthonormalized after every step, so residuals stay below ~1e-12
     for the ranges used here.
     """
-    s, _, _, _, frames, _ = _integrate(data, with_curve=False)
+    s, _, _, frames = _integrate_frames(data)
     return s, frames[:, 0, :], frames[:, 1, :], frames[:, 2, :]
 
 
-def synthesize_surface(data: IntrinsicData, tol: Tolerances = DEFAULT_TOLERANCES) -> SampledSurface:
-    """Integrate frame and striction curve together on one RK4 grid.
+def synthesize_surface(data: IntrinsicData) -> SampledSurface:
+    """Integrate the frame, then build the striction curve from it.
 
-    Only the timelike-ruling signature (epsilon = -1) admits the hyperbolic
+    The RK4 kernel integrates the frame alone; ``_striction_curve`` computes
+    c from the stored frames and the theta tables in one array pass.  Only
+    the timelike-ruling signature (epsilon = -1) admits the hyperbolic
     striction tangent used here; c starts at the origin.
     """
     if data.epsilon != -1:
         raise NonTimelikeStrictionError(
             "surface synthesis requires epsilon = -1 (timelike ruling)"
         )
-    s, k1n, k2n, thn, frames, curve = _integrate(data, with_curve=True)
+    s, s_half, tables, frames = _integrate_frames(data)
+    thn = np.asarray(ex.evaluate(data.theta, s), dtype=float)
+    thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
+    c = _striction_curve(frames, data.actual_step, data.epsilon, *tables, thn, thh)
     return SampledSurface(
-        s=s,
-        c=curve,
-        q=frames[:, 0, :],
-        h=frames[:, 1, :],
-        a=frames[:, 2, :],
-        k1=np.asarray(k1n, dtype=float),
-        k2=np.asarray(k2n, dtype=float),
-        theta=thn,
-        epsilon=data.epsilon,
-        data=data,
+        s=s, c=c, q=frames[:, 0, :], h=frames[:, 1, :], a=frames[:, 2, :],
+        k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon, data=data,
     )
+
+
+def _ruled_grid(base: np.ndarray, ruling: np.ndarray, v_range, nv: int) -> np.ndarray:
+    """Tensor grid base(s_i) + v_j ruling(s_i), shape (n_s, nv, 3)."""
+    if nv < 2:
+        raise ValueError("need at least two v samples")
+    v = np.linspace(v_range[0], v_range[1], nv)
+    return base[:, None, :] + v[None, :, None] * ruling[:, None, :]
 
 
 def to_explicit_grid(surf: SampledSurface, v_range: tuple[float, float], nv: int) -> np.ndarray:
     """Tensor grid r(s_i, v_j) = c(s_i) + v_j q(s_i), shape (n_s, nv, 3)."""
-    if nv < 2:
-        raise ValueError("need at least two v samples")
-    v = np.linspace(v_range[0], v_range[1], nv)
-    return surf.c[:, None, :] + v[None, :, None] * surf.q[:, None, :]
+    return _ruled_grid(surf.c, surf.q, v_range, nv)

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .lorentz import lorentz_dot
 from .ruled import SampledInvariants, sampled_ruled_invariants, verdicts_agree
-from .synthesis import SampledSurface
+from .synthesis import SampledSurface, _ruled_grid
 
 TRIVIAL_EPS = 1e-9
 DENOM_EPS = 1e-10
@@ -101,16 +101,15 @@ class Coefficients:
     angle_d: np.ndarray
 
 
-def coefficients(surf: SampledSurface, spec: TransversalSpec, s) -> Coefficients:
-    """Evaluate curvatures and angle exactly from the generating expressions."""
-    arr = np.asarray(s, dtype=float)
-    data = surf.data
+def coefficients(surf: SampledSurface, spec: TransversalSpec) -> Coefficients:
+    """Evaluate curvatures and angle exactly from the generating expressions on ``surf.s``."""
+    s, data = surf.s, surf.data
     return Coefficients(
-        k1=np.asarray(ex.evaluate(data.k1, arr), dtype=float),
-        k2=np.asarray(ex.evaluate(data.k2, arr), dtype=float),
-        theta=np.asarray(ex.evaluate(data.theta, arr), dtype=float),
-        angle=np.asarray(ex.evaluate(spec.angle, arr), dtype=float),
-        angle_d=np.asarray(ex.evaluate(ex.differentiate(spec.angle), arr), dtype=float),
+        k1=np.asarray(ex.evaluate(data.k1, s), dtype=float),
+        k2=np.asarray(ex.evaluate(data.k2, s), dtype=float),
+        theta=np.asarray(ex.evaluate(data.theta, s), dtype=float),
+        angle=np.asarray(ex.evaluate(spec.angle, s), dtype=float),
+        angle_d=np.asarray(ex.evaluate(ex.differentiate(spec.angle), s), dtype=float),
     )
 
 
@@ -252,7 +251,7 @@ def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> 
 
 def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     """Evaluate closed forms on the grid and cross-check with the oracle."""
-    co = coefficients(surf, spec, surf.s)
+    co = coefficients(surf, spec)
     _check_nontrivial(spec, co.angle)
     v, v_printed, d, den, scale = _closed_values(spec, co)
     if np.any(np.abs(den) <= DENOM_EPS * np.maximum(1.0, scale)):
@@ -287,12 +286,8 @@ def to_explicit(
     surf: SampledSurface, spec: TransversalSpec, v_range: tuple[float, float], nv: int
 ):
     """Sampled parametrization r_T(s_i, v_j) = c(s_i) + v_j q_T(s_i)."""
-    if nv < 2:
-        raise ValueError("need at least two v samples")
     q_t, _ = ruling_samples(surf, spec)
-    v = np.linspace(v_range[0], v_range[1], nv)
-    grid = surf.c[:, None, :] + v[None, :, None] * q_t[:, None, :]
-    return grid, surf.c
+    return _ruled_grid(surf.c, q_t, v_range, nv), surf.c
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +429,7 @@ def corollary_checks(
     (alpha), angle' = -k2 (beta), mu k1 = eta k2 (gamma); each is compared
     against the transversal drall oracle in both directions.
     """
-    co = coefficients(surf, spec, surf.s)
+    co = coefficients(surf, spec)
     if np.min(np.abs(co.k1)) <= DENOM_EPS:
         raise DegenerateDenominatorError("base drall undefined where k1 = 0")
     base_drall = float(np.max(np.abs(np.sinh(co.theta) / co.k1)))

@@ -1,6 +1,11 @@
 """Finite-difference stencils, adaptive quadrature, arc-length placement."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +240,56 @@ def test_uniform_arclength_nodes_overflowing_arc_length_raises():
     # every segment integral is finite, but their running sum overflows
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
         uniform_arclength_nodes(lambda u: np.full_like(u, 2e307), 0.0, 100.0, 11)
+
+
+def run_memory_capped(body: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a fresh interpreter whose address space is capped at 2 GiB.
+
+    Quadrature that splits every interval at every level doubles its arrays
+    per level; under the cap that ends in ``MemoryError`` (a nonzero exit)
+    instead of taking the machine's memory.
+    """
+    code = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code + body],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # a NaN integrand
+        """
+        import numpy as np
+        from minkruled.numerics import adaptive_simpson
+        adaptive_simpson(lambda u: np.full_like(u, np.nan), 0.0, 1.0)
+        """,
+        # finite values whose Simpson sum f0 + 4 f1 + f2 overflows
+        """
+        import numpy as np
+        from minkruled.numerics import adaptive_simpson
+        with np.errstate(over="ignore", invalid="ignore"):
+            adaptive_simpson(lambda u: np.full_like(u, 1e308), 0.0, 1.0)
+        """,
+        # a speed that overflows inside the range
+        """
+        import numpy as np
+        from minkruled.numerics import uniform_arclength_nodes
+        with np.errstate(over="ignore", invalid="ignore"):
+            uniform_arclength_nodes(lambda u: np.exp(800 * u), 0.0, 1.0, 11)
+        """,
+    ],
+    ids=["nan", "overflowing-sum", "overflowing-speed"],
+)
+def test_non_finite_quadrature_raises(body):
+    proc = run_memory_capped(
+        "try:\n"
+        + textwrap.indent(textwrap.dedent(body), "    ")
+        + "except ValueError as err:\n    print('ValueError:', err)\n"
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("ValueError:"), proc.stdout

@@ -214,3 +214,176 @@ def test_step_divides_range_evenly():
     surf = synthesize_surface(data)
     assert len(surf) == 4
     assert surf.s[-1] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the frame-only kernel plus the array curve pass against one joint RK4
+# ---------------------------------------------------------------------------
+
+
+def reference_joint_rk4(data):
+    """Frame and striction curve integrated together in one scalar RK4 loop.
+
+    This is the combined kernel the library ran before the curve moved into a
+    separate array pass, kept here as the reference: tables are plain lists
+    and every operation is a Python float operation.  Returns
+    ``(frames, curve)`` of shapes (n+1, 3, 3) and (n+1, 3).
+    """
+    n, dt, eps = data.n_steps, data.actual_step, data.epsilon
+    s0 = data.s_range[0]
+    s_nodes = s0 + dt * np.arange(n + 1)
+    s_half = s0 + dt * (np.arange(n) + 0.5)
+
+    def table(expr, grid):
+        return np.asarray(ex.evaluate(expr, grid), dtype=float).tolist()
+
+    k1n, k2n, k1h, k2h = (
+        table(e, g) for e, g in ((data.k1, s_nodes), (data.k2, s_nodes), (data.k1, s_half), (data.k2, s_half))
+    )
+    thn = np.asarray(ex.evaluate(data.theta, s_nodes), dtype=float)
+    thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
+    chn, shn = np.cosh(thn).tolist(), np.sinh(thn).tolist()
+    chh, shh = np.cosh(thh).tolist(), np.sinh(thh).tolist()
+
+    (qx, qy, qz), (hx, hy, hz), (ax, ay, az) = (
+        (float(v[0]), float(v[1]), float(v[2])) for v in data.initial_frame
+    )
+    cx = cy = cz = 0.0
+    rows_q, rows_h, rows_a, rows_c = [(qx, qy, qz)], [(hx, hy, hz)], [(ax, ay, az)], [(cx, cy, cz)]
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for i in range(n):
+        k1_0, k2_0 = k1n[i], k2n[i]
+        k1_m, k2_m = k1h[i], k2h[i]
+        k1_1, k2_1 = k1n[i + 1], k2n[i + 1]
+
+        m = -eps * k1_0
+        e2 = eps * k2_0
+        dqx1 = k1_0 * hx; dqy1 = k1_0 * hy; dqz1 = k1_0 * hz
+        dhx1 = m * qx + k2_0 * ax; dhy1 = m * qy + k2_0 * ay; dhz1 = m * qz + k2_0 * az
+        dax1 = e2 * hx; day1 = e2 * hy; daz1 = e2 * hz
+
+        qx2 = qx + half * dqx1; qy2 = qy + half * dqy1; qz2 = qz + half * dqz1
+        hx2 = hx + half * dhx1; hy2 = hy + half * dhy1; hz2 = hz + half * dhz1
+        ax2 = ax + half * dax1; ay2 = ay + half * day1; az2 = az + half * daz1
+        m = -eps * k1_m
+        e2 = eps * k2_m
+        dqx2 = k1_m * hx2; dqy2 = k1_m * hy2; dqz2 = k1_m * hz2
+        dhx2 = m * qx2 + k2_m * ax2; dhy2 = m * qy2 + k2_m * ay2; dhz2 = m * qz2 + k2_m * az2
+        dax2 = e2 * hx2; day2 = e2 * hy2; daz2 = e2 * hz2
+
+        qx3 = qx + half * dqx2; qy3 = qy + half * dqy2; qz3 = qz + half * dqz2
+        hx3 = hx + half * dhx2; hy3 = hy + half * dhy2; hz3 = hz + half * dhz2
+        ax3 = ax + half * dax2; ay3 = ay + half * day2; az3 = az + half * daz2
+        dqx3 = k1_m * hx3; dqy3 = k1_m * hy3; dqz3 = k1_m * hz3
+        dhx3 = m * qx3 + k2_m * ax3; dhy3 = m * qy3 + k2_m * ay3; dhz3 = m * qz3 + k2_m * az3
+        dax3 = e2 * hx3; day3 = e2 * hy3; daz3 = e2 * hz3
+
+        qx4 = qx + dt * dqx3; qy4 = qy + dt * dqy3; qz4 = qz + dt * dqz3
+        hx4 = hx + dt * dhx3; hy4 = hy + dt * dhy3; hz4 = hz + dt * dhz3
+        ax4 = ax + dt * dax3; ay4 = ay + dt * day3; az4 = az + dt * daz3
+        m = -eps * k1_1
+        e2 = eps * k2_1
+        dqx4 = k1_1 * hx4; dqy4 = k1_1 * hy4; dqz4 = k1_1 * hz4
+        dhx4 = m * qx4 + k2_1 * ax4; dhy4 = m * qy4 + k2_1 * ay4; dhz4 = m * qz4 + k2_1 * az4
+        dax4 = e2 * hx4; day4 = e2 * hy4; daz4 = e2 * hz4
+
+        ch0, sh0 = chn[i], shn[i]
+        chm, shm = chh[i], shh[i]
+        ch1, sh1 = chn[i + 1], shn[i + 1]
+        dcx1 = ch0 * qx + sh0 * ax; dcy1 = ch0 * qy + sh0 * ay; dcz1 = ch0 * qz + sh0 * az
+        dcx2 = chm * qx2 + shm * ax2; dcy2 = chm * qy2 + shm * ay2; dcz2 = chm * qz2 + shm * az2
+        dcx3 = chm * qx3 + shm * ax3; dcy3 = chm * qy3 + shm * ay3; dcz3 = chm * qz3 + shm * az3
+        dcx4 = ch1 * qx4 + sh1 * ax4; dcy4 = ch1 * qy4 + sh1 * ay4; dcz4 = ch1 * qz4 + sh1 * az4
+        cx += sixth * (dcx1 + 2.0 * (dcx2 + dcx3) + dcx4)
+        cy += sixth * (dcy1 + 2.0 * (dcy2 + dcy3) + dcy4)
+        cz += sixth * (dcz1 + 2.0 * (dcz2 + dcz3) + dcz4)
+
+        qx += sixth * (dqx1 + 2.0 * (dqx2 + dqx3) + dqx4)
+        qy += sixth * (dqy1 + 2.0 * (dqy2 + dqy3) + dqy4)
+        qz += sixth * (dqz1 + 2.0 * (dqz2 + dqz3) + dqz4)
+        hx += sixth * (dhx1 + 2.0 * (dhx2 + dhx3) + dhx4)
+        hy += sixth * (dhy1 + 2.0 * (dhy2 + dhy3) + dhy4)
+        hz += sixth * (dhz1 + 2.0 * (dhz2 + dhz3) + dhz4)
+        ax += sixth * (dax1 + 2.0 * (dax2 + dax3) + dax4)
+        ay += sixth * (day1 + 2.0 * (day2 + day3) + day4)
+        az += sixth * (daz1 + 2.0 * (daz2 + daz3) + daz4)
+
+        qq = -qx * qx + qy * qy + qz * qz
+        inv = 1.0 / math.sqrt(abs(qq))
+        qx *= inv; qy *= inv; qz *= inv
+        coef = (-hx * qx + hy * qy + hz * qz) * eps
+        hx -= coef * qx; hy -= coef * qy; hz -= coef * qz
+        hh = -hx * hx + hy * hy + hz * hz
+        inv = 1.0 / math.sqrt(hh)
+        hx *= inv; hy *= inv; hz *= inv
+        coef = (-ax * qx + ay * qy + az * qz) * eps
+        ax -= coef * qx; ay -= coef * qy; az -= coef * qz
+        coef = -ax * hx + ay * hy + az * hz
+        ax -= coef * hx; ay -= coef * hy; az -= coef * hz
+        aa = -ax * ax + ay * ay + az * az
+        inv = 1.0 / math.sqrt(abs(aa))
+        ax *= inv; ay *= inv; az *= inv
+
+        rows_q.append((qx, qy, qz))
+        rows_h.append((hx, hy, hz))
+        rows_a.append((ax, ay, az))
+        rows_c.append((cx, cy, cz))
+
+    frames = np.stack([np.array(rows_q), np.array(rows_h), np.array(rows_a)], axis=1)
+    return frames, np.array(rows_c)
+
+
+def boosted_frame():
+    """The canonical frame under a boost in (x, y) and a rotation in (y, z)."""
+    b, r = 0.6, 0.9
+    boost = np.array([[math.cosh(b), math.sinh(b), 0.0], [math.sinh(b), math.cosh(b), 0.0], [0.0, 0.0, 1.0]])
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(r), -math.sin(r)], [0.0, math.sin(r), math.cos(r)]])
+    return tuple(rot @ boost @ v for v in canonical_frame())
+
+
+SPLIT_CASES = {
+    "constant": dict(k1="1", k2="0", theta="1", s_range=(0.0, 1.0), step=1e-3),
+    "constant-twisted": dict(k1="2", k2="1", theta="0.7", s_range=(0.0, 2.0), step=1e-3),
+    "varying": dict(k1="1 + 0.3*sin(2*s)", k2="0.5*cos(s)", theta="0.2 + 0.4*s", s_range=(0.0, 3.0), step=1e-3),
+    "negative-theta": dict(k1="0.8", k2="s", theta="-0.5*sin(s)", s_range=(-1.0, 1.5), step=2e-3),
+    "boosted-start": dict(
+        k1="1 + 0.2*s", k2="0.4", theta="0.3*cos(s)", s_range=(0.0, 1.0), step=1e-3,
+        initial_frame=boosted_frame(),
+    ),
+}
+
+
+def assert_same_bits(x, y):
+    assert x.shape == y.shape
+    assert x.tobytes() == y.tobytes()  # exact, including the sign of zero
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CASES))
+def test_split_kernel_matches_joint_rk4(name):
+    case = dict(SPLIT_CASES[name])
+    data = IntrinsicData(
+        k1=ex.parse(case.pop("k1")), k2=ex.parse(case.pop("k2")), theta=ex.parse(case.pop("theta")), **case
+    )
+    frames, curve = reference_joint_rk4(data)
+    surf = synthesize_surface(data)
+    assert_same_bits(surf.c, curve)
+    assert_same_bits(surf.q, frames[:, 0, :])
+    assert_same_bits(surf.h, frames[:, 1, :])
+    assert_same_bits(surf.a, frames[:, 2, :])
+    s, q, h, a = integrate_frame(data)
+    assert_same_bits(s, surf.s)
+    for x, y in ((q, surf.q), (h, surf.h), (a, surf.a)):
+        assert_same_bits(x, y)
+
+
+def test_surface_arrays_do_not_alias_the_grid():
+    # k2 and theta equal to the bare variable must still be arrays of their own
+    data = IntrinsicData(k1=ex.const(1.0), k2=ex.parse("s"), theta=ex.parse("s"), step=0.1)
+    surf = synthesize_surface(data)
+    arrays = [surf.s, surf.c, surf.q, surf.h, surf.a, surf.k1, surf.k2, surf.theta]
+    for i, x in enumerate(arrays):
+        for y in arrays[i + 1:]:
+            assert not np.shares_memory(x, y)
+    grid = np.linspace(0.0, 1.0, 5)
+    assert ex.evaluate(ex.parse("s"), grid) is not grid
