@@ -319,13 +319,19 @@ def parse_config(path: str) -> Config:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: str, text: str):
+# rows per string block when streaming an OBJ: one ``%`` per block keeps the
+# formatting in C without holding the whole file as one string
+OBJ_CHUNK_ROWS = 4096
+
+
+def _atomic_write(path: str, chunks):
+    """Write the strings of ``chunks`` to a temp file, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -333,22 +339,28 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _format_rows(*tables):
+    """Yield ``fmt % row`` over each ``(fmt, rows)`` table, OBJ_CHUNK_ROWS rows per string."""
+    for fmt, rows in tables:
+        for start in range(0, len(rows), OBJ_CHUNK_ROWS):
+            block = rows[start:start + OBJ_CHUNK_ROWS]
+            yield (fmt * len(block)) % tuple(block.reshape(-1).tolist())
+
+
 def export_obj(grid: np.ndarray, path: str):
     """Write a quad-mesh Wavefront OBJ for a (ns, nv, 3) vertex grid."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[0] < 2 or grid.shape[1] < 2:
         raise ValueError("mesh grid must have shape (ns >= 2, nv >= 2, 3)")
+    if not np.isfinite(grid).all():
+        raise ValueError("mesh grid holds non-finite vertices")
     ns, nv, _ = grid.shape
-    lines = []
-    for i in range(ns):
-        for j in range(nv):
-            x, y, z = grid[i, j]
-            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for i in range(ns - 1):
-        for j in range(nv - 1):
-            base = i * nv + j + 1
-            lines.append(f"f {base} {base + nv} {base + nv + 1} {base + 1}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    base = (np.arange(ns - 1)[:, None] * nv + np.arange(1, nv)).reshape(-1)
+    faces = np.stack([base, base + nv, base + nv + 1, base + 1], axis=1)
+    _atomic_write(
+        path,
+        _format_rows(("v %.17g %.17g %.17g\n", grid.reshape(-1, 3)), ("f %d %d %d %d\n", faces)),
+    )
 
 
 def _sanitize(value, warnings: list, context: str):
@@ -358,6 +370,8 @@ def _sanitize(value, warnings: list, context: str):
     if isinstance(value, (list, tuple)):
         return [_sanitize(v, warnings, context) for v in value]
     if isinstance(value, np.ndarray):
+        if np.isfinite(value).all():
+            return value.tolist()
         return _sanitize(value.tolist(), warnings, context)
     if isinstance(value, (np.floating, np.integer)):
         value = value.item()
@@ -372,7 +386,7 @@ def export_report(report: dict, path: str):
     warnings = report.setdefault("warnings", [])
     body = {k: _sanitize(v, warnings, k) for k, v in report.items() if k != "warnings"}
     body["warnings"] = list(warnings)
-    _atomic_write(path, json.dumps(body, indent=2, allow_nan=False) + "\n")
+    _atomic_write(path, (json.dumps(body, indent=2, allow_nan=False), "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +439,16 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         "max_abs_drall": cls.max_abs_drall,
     }
     u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
-    drall = distribution_parameter(surface, u, cfg.tolerances).tolist()
-    v0 = striction(surface, u, cfg.tolerances)[0].tolist()
+    drall = distribution_parameter(surface, u, cfg.tolerances)
+    v0 = striction(surface, u, cfg.tolerances)[0]
     track = sample_frames(surface, cfg.samples, cfg.tolerances)
     report["samples"] = {
-        "u": u.tolist(),
+        "u": u,
         "drall": drall,
         "strictional_distance": v0,
-        "arc_length": track.s.tolist(),
-        "k1": track.k1.tolist(),
-        "k2": track.k2.tolist(),
+        "arc_length": track.s,
+        "k1": track.k1,
+        "k2": track.k2,
         # NaN theta (striction tangent not timelike) is reported as null
         "theta": [None if math.isnan(x) else x for x in track.theta.tolist()],
     }
@@ -483,16 +497,13 @@ def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
         gap = float(
             np.max(np.abs(closed[oracle.sl][oracle.valid] - oracle.drall[oracle.valid]))
         )
-    report["drall"] = {
-        "closed_form": closed.tolist(),
-        "oracle_max_gap": gap,
-    }
+    report["drall"] = {"closed_form": closed, "oracle_max_gap": gap}
     report["samples"] = {
-        "s": surf.s.tolist(),
-        "k1": surf.k1.tolist(),
-        "k2": surf.k2.tolist(),
-        "theta": surf.theta.tolist(),
-        "striction_curve": surf.c.tolist(),
+        "s": surf.s,
+        "k1": surf.k1,
+        "k2": surf.k2,
+        "theta": surf.theta,
+        "striction_curve": surf.c,
     }
     report["warnings"] = []
     return report, surf
@@ -511,17 +522,17 @@ def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
     report["family"] = spec.family.value
     report["ruling_norm"] = analysis.ell
     report["samples"] = {
-        "s": analysis.s.tolist(),
-        "v_closed": analysis.v_closed.tolist(),
-        "v_printed": analysis.v_printed.tolist(),
-        "d_closed": analysis.d_closed.tolist(),
-        "d_via_base_drall": analysis.d_via_base.tolist(),
+        "s": analysis.s,
+        "v_closed": analysis.v_closed,
+        "v_printed": analysis.v_printed,
+        "d_closed": analysis.d_closed,
+        "d_via_base_drall": analysis.d_via_base,
     }
     report["oracle"] = {
         "interior_offset": analysis.sl.start,
-        "v": analysis.oracle.v0.tolist(),
-        "d": analysis.oracle.drall.tolist(),
-        "valid": analysis.oracle.valid.tolist(),
+        "v": analysis.oracle.v0,
+        "d": analysis.oracle.drall,
+        "valid": analysis.oracle.valid,
     }
     report["agreement"] = {
         "rel_v": analysis.rel_v,
@@ -559,18 +570,23 @@ def _cmd_verify(cfg: Config) -> tuple[dict, None]:
 
 
 def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
-    """Vertex grid of the configured surface; reuses ``surf`` when given."""
-    if cfg.mode == "explicit":
-        surface = _explicit_surface(cfg)
-        u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
-        f = eval_triple(surface._d.f, u)
-        return _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
-    if surf is None:
-        surf = synthesize_surface(_intrinsic_data(cfg))
-    if cfg.transversal_spec is not None:
-        grid, _ = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
-        return grid
-    return to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
+    """Vertex grid of the configured surface; reuses ``surf`` when given.
+
+    Overflow (say a v range too wide for floats) is left to ``export_obj``,
+    which rejects non-finite vertices, so numpy's warnings are silenced.
+    """
+    with np.errstate(all="ignore"):
+        if cfg.mode == "explicit":
+            surface = _explicit_surface(cfg)
+            u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
+            f = eval_triple(surface._d.f, u)
+            return _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
+        if surf is None:
+            surf = synthesize_surface(_intrinsic_data(cfg))
+        if cfg.transversal_spec is not None:
+            grid, _ = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
+            return grid
+        return to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
 
 
 def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: float | None = None) -> int:

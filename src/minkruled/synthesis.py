@@ -224,7 +224,9 @@ def _integrate_frames(data: IntrinsicData):
 
     ``s`` and ``s_half`` are the n+1 node and n half-step arc lengths,
     ``tables`` the arrays ``(k1n, k2n, k1h, k2h)`` of k1 and k2 on them, and
-    ``frames`` the ``(n+1, 3, 3)`` output of ``_rk4_core``.
+    ``frames`` the ``(n+1, 3, 3)`` output of ``_rk4_core``.  Raises
+    FrameDegenerateError if a frame is not finite (the step is too coarse
+    for the curvatures).
     """
     n, dt, s0 = data.n_steps, data.actual_step, data.s_range[0]
     s = s0 + dt * np.arange(n + 1)
@@ -234,6 +236,8 @@ def _integrate_frames(data: IntrinsicData):
         for expr, grid in ((data.k1, s), (data.k2, s), (data.k1, s_half), (data.k2, s_half))
     )
     frames = _rk4_core(n, dt, data.epsilon, *(t.tolist() for t in tables), data.initial_frame)
+    if not np.isfinite(frames).all():
+        raise FrameDegenerateError("frame integration overflowed to non-finite values")
     return s, s_half, tables, frames
 
 
@@ -254,7 +258,8 @@ def synthesize_surface(data: IntrinsicData) -> SampledSurface:
     The RK4 kernel integrates the frame alone; ``_striction_curve`` computes
     c from the stored frames and the theta tables in one array pass.  Only
     the timelike-ruling signature (epsilon = -1) admits the hyperbolic
-    striction tangent used here; c starts at the origin.
+    striction tangent used here; c starts at the origin.  Frames or a
+    striction curve that overflow raise FrameDegenerateError.
     """
     if data.epsilon != -1:
         raise NonTimelikeStrictionError(
@@ -263,7 +268,10 @@ def synthesize_surface(data: IntrinsicData) -> SampledSurface:
     s, s_half, tables, frames = _integrate_frames(data)
     thn = np.asarray(ex.evaluate(data.theta, s), dtype=float)
     thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
-    c = _striction_curve(frames, data.actual_step, data.epsilon, *tables, thn, thh)
+    with np.errstate(all="ignore"):
+        c = _striction_curve(frames, data.actual_step, data.epsilon, *tables, thn, thh)
+    if not np.isfinite(c).all():
+        raise FrameDegenerateError("striction curve overflowed to non-finite values")
     return SampledSurface(
         s=s, c=c, q=frames[:, 0, :], h=frames[:, 1, :], a=frames[:, 2, :],
         k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon, data=data,

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -292,3 +294,194 @@ def test_report_echoes_expressions(tmp_path, schema):
     report = validate_report(tmp_path / "beta_report.json", schema)
     assert report["config"]["k1"] == "1"
     assert report["config"]["transversal"]["angle"] == "pi/4"
+
+
+# ---------------------------------------------------------------------------
+# writers: the same bytes as the per-value writers they replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_obj_text(grid):
+    """The OBJ text of the per-vertex f-string writer, kept as the reference."""
+    ns, nv, _ = grid.shape
+    lines = []
+    for i in range(ns):
+        for j in range(nv):
+            x, y, z = grid[i, j]
+            lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
+    for i in range(ns - 1):
+        for j in range(nv - 1):
+            base = i * nv + j + 1
+            lines.append(f"f {base} {base + nv} {base + nv + 1} {base + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_sanitize(value, warnings, context):
+    """The list-walking sanitizer, kept as the reference."""
+    if isinstance(value, dict):
+        return {k: reference_sanitize(v, warnings, f"{context}.{k}") for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_sanitize(v, warnings, context) for v in value]
+    if isinstance(value, np.ndarray):
+        return reference_sanitize(value.tolist(), warnings, context)
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        warnings.append(f"{context}: non-finite value replaced by null")
+        return None
+    return value
+
+
+SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+    1.7976931348623157e308, 3.0, -7.0, 1e16, 123456789012345678.0, 0.1, 1 / 3,
+]
+
+
+def obj_grid(ns, nv, seed):
+    """Random (ns, nv, 3) grid over 16 decades, with integral and special floats."""
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((ns, nv, 3)) * 10.0 ** rng.uniform(-8, 8, (ns, nv, 3))
+    flat = grid.reshape(-1)
+    positions = rng.choice(flat.size, size=min(flat.size, 3 * len(SPECIAL_FLOATS)), replace=False)
+    integral = rng.random(flat.size) < 0.1
+    flat[integral] = np.round(flat[integral])
+    flat[positions] = np.resize(SPECIAL_FLOATS, positions.size)
+    return grid
+
+
+@pytest.mark.parametrize(
+    "shape,chunk",
+    [((2, 2), None), ((2, 2), 1), ((101, 81), None), ((64, 64), 4096), ((65, 65), 4096)]
+    # a (3, 4) grid has 12 vertex rows and 6 faces: these chunks fall just
+    # below, at and just above the length of each table
+    + [((3, 4), chunk) for chunk in (5, 6, 7, 11, 12, 13)],
+)
+def test_export_obj_matches_per_vertex_writer(tmp_path, monkeypatch, shape, chunk):
+    # (64, 64) has 4096 vertex rows and (65, 65) 4096 faces
+    if chunk is not None:
+        monkeypatch.setattr(cli, "OBJ_CHUNK_ROWS", chunk)
+    grid = obj_grid(*shape, seed=sum(shape) + (chunk or 0))
+    cli.export_obj(grid, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(grid).encode("utf-8")
+
+
+def with_non_finite(array, index, value):
+    out = np.array(array, dtype=float)
+    out.reshape(-1)[index] = value
+    return out
+
+
+SANITIZE_CASES = {
+    "nested": {
+        "a": {"b": (1.0, float("nan"), [2, np.float64(np.inf)]), "c": None, "d": "text"},
+        "e": [True, 3, np.int64(4), np.float32(1.5), np.float64(-np.inf)],
+    },
+    "numpy-scalars": [np.float64(0.5), np.float64(np.nan), np.int32(-3), np.float16(2.0)],
+    "int-array": np.arange(-5, 6),
+    "bool-array": np.array([True, False, True]),
+    "empty-array": np.zeros(0),
+    "finite-2d": np.linspace(-1.0, 1.0, 12).reshape(4, 3),
+    "arrays-in-dict": {
+        f"{kind}-{where}": with_non_finite(np.linspace(0.0, 1.0, 9), index, value)
+        for kind, value in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))
+        for where, index in (("first", 0), ("middle", 4), ("last", -1))
+    },
+    "nan-2d": with_non_finite(np.ones((5, 3)), 7, np.nan),
+    "array-list": [np.array([1.0, np.inf]), np.array([np.nan]), np.array([2, 3])],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SANITIZE_CASES))
+def test_sanitize_matches_list_walk(name):
+    value = SANITIZE_CASES[name]
+    got_warnings, ref_warnings = [], []
+    got = cli._sanitize(value, got_warnings, name)
+    ref = reference_sanitize(value, ref_warnings, name)
+    assert json.dumps(got, indent=2, allow_nan=False) == json.dumps(ref, indent=2, allow_nan=False)
+    assert got_warnings == ref_warnings
+
+
+def test_export_report_of_arrays_matches_lists(tmp_path):
+    # the builders hand arrays to the report where they used to hand lists
+    curve = with_non_finite(np.ones((7, 3)), 10, np.nan)
+    arrays = {
+        "samples": {"s": np.linspace(0.0, 1.0, 7), "c": curve},
+        "valid": np.array([True, False]),
+        "gap": np.float64(np.inf),
+        "warnings": ["kept first"],
+    }
+    lists = {
+        "samples": {"s": arrays["samples"]["s"].tolist(), "c": curve.tolist()},
+        "valid": [True, False],
+        "gap": math.inf,
+    }
+    cli.export_report(arrays, str(tmp_path / "r.json"))
+    ref_warnings = ["kept first"]
+    body = {k: reference_sanitize(v, ref_warnings, k) for k, v in lists.items()}
+    body["warnings"] = ref_warnings
+    expected = json.dumps(body, indent=2, allow_nan=False) + "\n"
+    assert (tmp_path / "r.json").read_bytes() == expected.encode("utf-8")
+
+
+def test_export_obj_rejects_non_finite(tmp_path):
+    grid = obj_grid(3, 4, seed=0)
+    grid[1, 2, 0] = np.nan
+    target = tmp_path / "new" / "m.obj"
+    with pytest.raises(ValueError, match="non-finite"):
+        cli.export_obj(grid, str(target))
+    assert not target.parent.exists()
+
+
+def run_cli(tmp_path, command, payload):
+    """Run the CLI in a fresh interpreter so stderr holds everything it prints."""
+    config = write_config(tmp_path, "c.json", payload)
+    env = dict(os.environ)
+    src = os.path.join(HERE, "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "minkruled.cli", command, "--config", config,
+         "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def load_demo(name):
+    with open(os.path.join(CONFIG_DIR, f"{name}.json"), "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+BLOWN_UP_FRAME = {
+    "mode": "intrinsic",
+    "k1": "1e200",
+    "k2": "0.1",
+    "theta": "0.5",
+    "s_range": [0, 1],
+    "step": 0.01,
+    "output": {"report_path": "r.json", "mesh_path": "m.obj"},
+}
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("synthesize", BLOWN_UP_FRAME, "frame integration overflowed"),
+        ("mesh", BLOWN_UP_FRAME, "frame integration overflowed"),
+        (
+            "mesh",
+            dict(
+                load_demo("hyperbolic_mesh"),
+                output={"mesh_path": "surface.obj", "v_range": [-1e308, 1e308]},
+            ),
+            "non-finite vertices",
+        ),
+    ],
+    ids=["synthesize-frame-overflow", "mesh-frame-overflow", "mesh-v-range-overflow"],
+)
+def test_non_finite_results_exit_1(tmp_path, command, payload, message):
+    result = run_cli(tmp_path, command, payload)
+    assert result.returncode == 1
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+    assert not (tmp_path / "out").exists()

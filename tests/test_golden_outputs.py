@@ -57,6 +57,18 @@ SMALL_VERIFY = {
     "output": {"report_path": "verify.json"},
 }
 
+# k1 crosses zero on a grid node, so drall.closed_form holds one NaN that the
+# report writes as null with a warning
+ZERO_K1_SYNTHESIZE = {
+    "mode": "intrinsic",
+    "k1": "s - 0.5",
+    "k2": "0.3",
+    "theta": "0.5",
+    "s_range": [0.0, 1.0],
+    "step": 0.001,
+    "output": {"report_path": "zero_k1_report.json"},
+}
+
 # (case id, command, config, {output file: sha256})
 CASES = [
     (
@@ -115,6 +127,21 @@ CASES = [
         "verify",
         SMALL_VERIFY,
         {"verify.json": "f1e55bd602a1a86ac07a1086ab1fc87b24b9b2f2f63eca337dbfc6a7caa05a4b"},
+    ),
+    (
+        "helicoid_mesh",
+        "mesh",
+        demo(
+            "helicoid_analyze",
+            output={"mesh_path": "helicoid.obj", "v_range": [-2.0, 2.0], "v_samples": 11},
+        ),
+        {"helicoid.obj": "ea5bd09152b136ab128d5ea878564b805e78c6ab1b98bc648d858c8b630d0b59"},
+    ),
+    (
+        "zero_k1_synthesize",
+        "synthesize",
+        ZERO_K1_SYNTHESIZE,
+        {"zero_k1_report.json": "328ff42a5c29435d4351e5b1a64df693b03676d258e367d658e2b80f7f92e48f"},
     ),
 ]
 

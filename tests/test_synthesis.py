@@ -1,12 +1,13 @@
 """Frame integration and surface synthesis from intrinsic data."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from minkruled import expressions as ex
-from minkruled.errors import NonTimelikeStrictionError
+from minkruled.errors import FrameDegenerateError, NonTimelikeStrictionError
 from minkruled.frame import canonical_frame
 from minkruled.lorentz import frame_check, lorentz_dot
 from minkruled.numerics import central_diff1
@@ -387,3 +388,23 @@ def test_surface_arrays_do_not_alias_the_grid():
             assert not np.shares_memory(x, y)
     grid = np.linspace(0.0, 1.0, 5)
     assert ex.evaluate(ex.parse("s"), grid) is not grid
+
+
+@pytest.mark.parametrize(
+    "k1,theta,stage",
+    [("1e200", "0.5", "frame integration"), ("1", "800", "striction curve")],
+    ids=["frame-overflow", "curve-overflow"],
+)
+def test_overflow_raises_frame_degenerate(k1, theta, stage):
+    data = IntrinsicData(
+        k1=ex.parse(k1), k2=ex.parse("0.1"), theta=ex.parse(theta), s_range=(0.0, 1.0), step=0.01
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        with pytest.raises(FrameDegenerateError, match=stage):
+            synthesize_surface(data)
+        if stage == "frame integration":
+            with pytest.raises(FrameDegenerateError, match=stage):
+                integrate_frame(data)
+        else:
+            assert np.isfinite(integrate_frame(data)[1]).all()
