@@ -403,7 +403,7 @@ def test_sanitize_matches_list_walk(name):
 
 
 def test_export_report_of_arrays_matches_lists(tmp_path):
-    # the builders hand arrays to the report where they used to hand lists
+    # the command functions hand arrays to the report: the bytes must be those of the lists
     curve = with_non_finite(np.ones((7, 3)), 10, np.nan)
     arrays = {
         "samples": {"s": np.linspace(0.0, 1.0, 7), "c": curve},
