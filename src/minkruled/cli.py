@@ -594,8 +594,8 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if tolerance is not None:
-        if not tolerance > 0:
-            raise ConfigError("--tolerance must be positive")
+        if not 0.0 < tolerance < math.inf:
+            raise ConfigError("--tolerance must be a positive finite number")
         cfg.tolerances = replace(cfg.tolerances, general_eps=tolerance)
         cfg.suite = replace(cfg.suite or SuiteConfig(), tolerance=tolerance)
 

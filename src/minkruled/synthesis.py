@@ -252,28 +252,34 @@ def integrate_frame(data: IntrinsicData):
     return s, frames[:, 0, :], frames[:, 1, :], frames[:, 2, :]
 
 
-def synthesize_surface(data: IntrinsicData) -> SampledSurface:
+def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
     """Integrate the frame, then build the striction curve from it.
 
     The RK4 kernel integrates the frame alone; ``_striction_curve`` computes
-    c from the stored frames and the theta tables in one array pass.  Only
-    the timelike-ruling signature (epsilon = -1) admits the hyperbolic
-    striction tangent used here; c starts at the origin.  Frames or a
-    striction curve that overflow raise FrameDegenerateError.
+    c from the stored frames and the theta tables in one array pass.  A
+    caller-owned ``frames`` dict, keyed by every input but theta, shares one
+    integration (arrays included) across theta.  Only epsilon = -1 admits
+    the hyperbolic striction tangent used here; c starts at the origin.
+    Overflowing frames or curves raise FrameDegenerateError.
     """
     if data.epsilon != -1:
         raise NonTimelikeStrictionError(
             "surface synthesis requires epsilon = -1 (timelike ruling)"
         )
-    s, s_half, tables, frames = _integrate_frames(data)
+    frames = {} if frames is None else frames
+    key = (data.k1, data.k2, data.epsilon, tuple(data.s_range), data.step,
+           np.asarray(data.initial_frame, dtype=float).tobytes())
+    if key not in frames:
+        frames[key] = _integrate_frames(data)
+    s, s_half, tables, track = frames[key]
     thn = np.asarray(ex.evaluate(data.theta, s), dtype=float)
     thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
     with np.errstate(all="ignore"):
-        c = _striction_curve(frames, data.actual_step, data.epsilon, *tables, thn, thh)
+        c = _striction_curve(track, data.actual_step, data.epsilon, *tables, thn, thh)
     if not np.isfinite(c).all():
         raise FrameDegenerateError("striction curve overflowed to non-finite values")
     return SampledSurface(
-        s=s, c=c, q=frames[:, 0, :], h=frames[:, 1, :], a=frames[:, 2, :],
+        s=s, c=c, q=track[:, 0, :], h=track[:, 1, :], a=track[:, 2, :],
         k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon, data=data,
     )
 

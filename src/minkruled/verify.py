@@ -63,8 +63,8 @@ class SuiteConfig:
     def __post_init__(self):
         if not (self.k1_values and self.k2_values and self.theta_values and self.angle_values):
             raise ValueError("value grids must be non-empty")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be a positive finite number")
         if not self.step > 0.0:
             raise ValueError("step must be positive")
         if not self.s_range[1] > self.s_range[0]:
@@ -148,15 +148,16 @@ class SuiteReport:
 
 
 def _surface(cfg: SuiteConfig, surfaces, k1, k2, theta, s_range=None) -> SampledSurface:
-    """The synthesized surface, reused from the dict ``surfaces`` unless that is None."""
-    data = from_constants(
-        k1, k2, theta, s_range=s_range or cfg.s_range, step=cfg.step
-    )
+    """The surface, reused from the dict ``surfaces`` (unless None) by the raw
+    (k1, k2, theta, s_range); its "frames" entry shares frames across theta."""
+    s_range = s_range or cfg.s_range
+    key = (k1, k2, theta, tuple(s_range))
+    if surfaces is not None and key in surfaces:
+        return surfaces[key]
+    data = from_constants(k1, k2, theta, s_range=s_range, step=cfg.step)
     if surfaces is None:
         return synthesize_surface(data)
-    key = (data.k1, data.k2, data.theta, tuple(data.s_range), data.step)
-    if key not in surfaces:
-        surfaces[key] = synthesize_surface(data)
+    surfaces[key] = synthesize_surface(data, surfaces.setdefault("frames", {}))
     return surfaces[key]
 
 
@@ -614,7 +615,8 @@ def _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) -> bool:
 
 def run_all(cfg: SuiteConfig = SuiteConfig()) -> dict:
     """Run the three suites one (k1, k2) block at a time, each block with one
-    surface dict; returns a JSON-ready combined report in full-grid order.
+    surface dict, which also shares each frame integration across theta;
+    returns a JSON-ready combined report in full-grid order.
     """
     suites = (run_striction_suite, run_coincidence_suite, run_developability_suite)
     blocks = []

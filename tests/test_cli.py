@@ -288,6 +288,21 @@ def test_tolerance_flag(tmp_path, schema):
     assert report["classification"]["developable"] is True
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1"])
+def test_tolerance_flag_rejects_non_positive_or_non_finite(tmp_path, capsys, value):
+    # as suite.tolerance: Infinity in the config does, --tolerance inf exits 2
+    payload = dict(
+        MINIMAL_INTRINSIC,
+        suite={"k1_values": [1.0], "k2_values": [0.5], "theta_values": [0.5]},
+        output={"report_path": "verify.json"},
+    )
+    path = write_config(tmp_path, "c.json", payload)
+    argv = ["verify", "--config", path, "--output-dir", str(tmp_path), f"--tolerance={value}"]
+    assert main(argv) == 2
+    assert "--tolerance must be a positive finite number" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
 def test_report_echoes_expressions(tmp_path, schema):
     config = os.path.join(CONFIG_DIR, "beta_transversal.json")
     assert main(["transversal", "--config", config, "--output-dir", str(tmp_path)]) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from minkruled import expressions as ex
+from minkruled import synthesis
 from minkruled.errors import FrameDegenerateError, NonTimelikeStrictionError
 from minkruled.frame import canonical_frame
 from minkruled.lorentz import frame_check, lorentz_dot
@@ -408,3 +409,71 @@ def test_overflow_raises_frame_degenerate(k1, theta, stage):
                 integrate_frame(data)
         else:
             assert np.isfinite(integrate_frame(data)[1]).all()
+
+
+SURFACE_FIELDS = ("s", "c", "q", "h", "a", "k1", "k2", "theta")
+SHARED_THETAS = ("0", "1", "-0.5", "0.2 + 0.4*s", "-0.5*sin(s)")
+
+
+def counted_rk4(monkeypatch):
+    calls = []
+    original = synthesis._rk4_core
+
+    def counted(n, *args):
+        calls.append(n)
+        return original(n, *args)
+
+    monkeypatch.setattr(synthesis, "_rk4_core", counted)
+    return calls
+
+
+def with_theta(case, theta):
+    case = dict(case)
+    return IntrinsicData(
+        k1=ex.parse(case.pop("k1")), k2=ex.parse(case.pop("k2")), theta=ex.parse(theta),
+        **{k: v for k, v in case.items() if k != "theta"},
+    )
+
+
+@pytest.mark.parametrize("name", ["varying", "boosted-start"])
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+def test_shared_frames_match_fresh_synthesis(monkeypatch, name, order):
+    datas = [with_theta(SPLIT_CASES[name], theta) for theta in SHARED_THETAS]
+    fresh = [synthesize_surface(data) for data in datas]
+    calls = counted_rk4(monkeypatch)
+    frames = {}
+    shared = {i: synthesize_surface(datas[i], frames) for i in range(len(datas))[::order]}
+    # one frame integration serves every theta
+    assert len(calls) == 1 and len(frames) == 1
+    for i, surf in shared.items():
+        assert surf.data is datas[i]
+        for field in SURFACE_FIELDS:
+            assert_same_bits(getattr(surf, field), getattr(fresh[i], field))
+
+
+def test_shared_frames_never_reuse_another_frame(monkeypatch):
+    base = dict(k1="1 + 0.2*s", k2="0.4", theta="0.3", s_range=(0.0, 1.0), step=1e-2)
+    variants = [
+        dict(base, k1="1.2 + 0.2*s"),
+        dict(base, k2="0.5"),
+        dict(base, step=5e-3),
+        dict(base, s_range=(0.0, 1.5)),
+        dict(base, s_range=(-0.5, 1.0)),
+        dict(base, initial_frame=boosted_frame()),
+    ]
+    calls = counted_rk4(monkeypatch)
+    frames = {}
+    synthesize_surface(with_theta(base, "0.3"), frames)
+    for i, case in enumerate(variants, start=2):
+        data = with_theta(case, "0.3")
+        before = len(calls)
+        surf = synthesize_surface(data, frames)
+        assert len(calls) == before + 1 and len(frames) == i
+        fresh = synthesize_surface(data)
+        for field in SURFACE_FIELDS:
+            assert_same_bits(getattr(surf, field), getattr(fresh, field))
+    # an equal initial frame in new arrays, and a new theta, reuse the entry
+    synthesize_surface(with_theta(dict(base, initial_frame=canonical_frame()), "s"), frames)
+    synthesize_surface(with_theta(dict(variants[-1], initial_frame=boosted_frame()), "-1"), frames)
+    assert len(frames) == len(variants) + 1
+    assert len(calls) == 2 * len(variants) + 1  # the fresh syntheses above

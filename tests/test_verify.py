@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from minkruled import verify
+from minkruled import synthesis, verify
 from minkruled.transversal import Family
 from minkruled.verify import (
     SuiteConfig,
@@ -122,6 +122,13 @@ def test_config_validation():
     assert Family.ALPHA in SuiteConfig().families
 
 
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0])
+def test_config_rejects_non_finite_tolerance(tolerance):
+    # an infinite tolerance failed every backward case and wrote Infinity,
+    # which strict JSON cannot hold, into the report's config
+    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
+        SuiteConfig(tolerance=tolerance)
+
 
 def test_zero_k1_skips_developable_tuning():
     report = run_all(SuiteConfig(k1_values=(0.0,), k2_values=(0.5,), theta_values=(0.0,)))
@@ -184,3 +191,23 @@ def test_run_all_synthesizes_each_surface_once(monkeypatch):
     # no surface outlives the call: a second run builds them all again
     run_all(SMALL)
     assert len(keys) == 2 * first
+
+
+def test_default_suite_integrates_each_frame_once(monkeypatch):
+    # theta is not a frame input: the 144 distinct surfaces of the default
+    # suite share 50 frame integrations, and each IntrinsicData is built only
+    # for a surface not yet in the block's dict
+    calls = {"rk4": 0, "data": 0, "surfaces": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(synthesis, "_rk4_core", counted("rk4", synthesis._rk4_core))
+    monkeypatch.setattr(verify, "from_constants", counted("data", verify.from_constants))
+    monkeypatch.setattr(verify, "synthesize_surface", counted("surfaces", verify.synthesize_surface))
+    run_all(SuiteConfig())
+    assert calls == {"rk4": 50, "data": 144, "surfaces": 144}
