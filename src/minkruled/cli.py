@@ -23,13 +23,7 @@ import numpy as np
 from . import expressions as ex
 from ._version import __version__
 from .errors import BaseNotDevelopableError, ConfigError, ExprError, GeometryError, ParseError
-from .lorentz import (
-    DEFAULT_TOLERANCES,
-    CausalCharacter,
-    Tolerances,
-    frame_check,
-    lorentz_dot,
-)
+from .lorentz import DEFAULT_TOLERANCES, CausalCharacter, Tolerances, lorentz_dot
 from .ruled import (
     ExplicitSurface,
     classify,
@@ -115,44 +109,43 @@ def _parse_expr(text, context: str) -> ex.Expr:
         raise ConfigError(f"{context}: {err.message} at offset {err.position}") from err
 
 
-def _finite(value) -> bool:
-    """True for a JSON number (int or float) that is a finite float."""
+def _number(value, context: str) -> float:
+    """A JSON number (not a boolean) as a float; the value's owner checks its range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{context}: expected a number")
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return float(value)
     except OverflowError:  # an integer too large for a float
-        return False
+        return math.inf if value > 0 else -math.inf
 
 
 def _pair(value, context: str) -> tuple:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_finite(x) for x in value)
-    ):
-        raise ConfigError(f"{context}: expected a pair [lo, hi] of finite numbers")
-    if not value[1] > value[0]:
-        raise ConfigError(f"{context}: range must be increasing")
-    return (float(value[0]), float(value[1]))
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{context}: expected a pair [lo, hi] of numbers")
+    return tuple(_number(x, context) for x in value)
+
+
+def _build(context: str, owner, **kwargs):
+    """``owner(**kwargs)``, its ValueError (a value out of range) a ConfigError."""
+    try:
+        return owner(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}") from err
 
 
 @dataclass
 class Config:
-    """Validated run configuration plus the raw dict for report echoes."""
+    """Validated run configuration plus the raw dict for report echoes.
+
+    ``data`` (intrinsic mode) and ``surface`` (explicit mode) are the
+    library's input types; their constructors check every value's range.
+    """
 
     mode: str
     raw: dict
-    f: tuple | None = None
-    q: tuple | None = None
-    u_range: tuple | None = None
+    data: IntrinsicData | None = None
+    surface: ExplicitSurface | None = None
     samples: int | None = None
-    normalize_q: bool = False
-    k1: ex.Expr | None = None
-    k2: ex.Expr | None = None
-    theta: ex.Expr | None = None
-    epsilon: int = -1
-    s_range: tuple | None = None
-    step: float | None = None
-    initial_frame: tuple | None = None
     transversal_spec: TransversalSpec | None = None
     report_path: str = "report.json"
     mesh_path: str | None = None
@@ -180,51 +173,39 @@ def parse_config(path: str) -> Config:
     cfg = Config(mode=mode, raw=raw)
 
     if mode == "explicit":
+        kwargs = {}
         for name in ("f", "q"):
             triple = _require(raw, name, "config")
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ConfigError(f"config.{name}: expected three expression strings")
-            setattr(
-                cfg, name, tuple(_parse_expr(t, f"config.{name}[{i}]") for i, t in enumerate(triple))
-            )
-        cfg.u_range = _pair(_require(raw, "u_range", "config"), "config.u_range")
+            kwargs[name] = tuple(_parse_expr(t, f"config.{name}[{i}]") for i, t in enumerate(triple))
+        kwargs["u_range"] = _pair(_require(raw, "u_range", "config"), "config.u_range")
         samples = _require(raw, "samples", "config")
         if not isinstance(samples, int) or samples < 2:
             raise ConfigError("config.samples: expected an integer >= 2")
         cfg.samples = samples
-        cfg.normalize_q = bool(raw.get("normalize_q", False))
+        normalize_q = raw.get("normalize_q", False)
+        if not isinstance(normalize_q, bool):
+            raise ConfigError("config.normalize_q: expected true or false")
+        cfg.surface = _build("config", ExplicitSurface, normalize_q=normalize_q, **kwargs)
     else:
-        for name in ("k1", "k2", "theta"):
-            setattr(cfg, name, _parse_expr(_require(raw, name, "config"), f"config.{name}"))
-        cfg.s_range = _pair(_require(raw, "s_range", "config"), "config.s_range")
-        step = _require(raw, "step", "config")
-        if not _finite(step) or not step > 0:
-            raise ConfigError("config.step: expected a positive finite number")
-        cfg.step = float(step)
-        epsilon = raw.get("epsilon", -1)
-        if epsilon not in (-1, 1):
-            raise ConfigError("config.epsilon: expected -1 or 1")
-        cfg.epsilon = int(epsilon)
+        kwargs = {
+            name: _parse_expr(_require(raw, name, "config"), f"config.{name}")
+            for name in ("k1", "k2", "theta")
+        }
+        kwargs["s_range"] = _pair(_require(raw, "s_range", "config"), "config.s_range")
+        kwargs["step"] = _number(_require(raw, "step", "config"), "config.step")
+        kwargs["epsilon"] = raw.get("epsilon", -1)
         if "initial_frame" in raw:
             frame = raw["initial_frame"]
-            if (
-                not isinstance(frame, list)
-                or len(frame) != 3
-                or not all(
-                    isinstance(v, list) and len(v) == 3 and all(_finite(x) for x in v)
-                    for v in frame
-                )
+            if not isinstance(frame, list) or len(frame) != 3 or not all(
+                isinstance(v, list) and len(v) == 3 for v in frame
             ):
-                raise ConfigError(
-                    "config.initial_frame: expected three 3-vectors of finite numbers"
-                )
-            cfg.initial_frame = tuple(np.array(v, dtype=float) for v in frame)
-            check = frame_check(*cfg.initial_frame, cfg.epsilon)
-            if not check.canonical:
-                raise ConfigError(
-                    "config.initial_frame: expected an orthonormal frame with h = a*q "
-                    f"and det = -1 (residual {check.max_residual:.2e}, det {check.det:+.3f})"
-                )
+                raise ConfigError("config.initial_frame: expected three 3-vectors of numbers")
+            kwargs["initial_frame"] = tuple(
+                np.array([_number(x, "config.initial_frame") for x in v]) for v in frame
+            )
+        cfg.data = _build("config", IntrinsicData, **kwargs)
 
     if "transversal" in raw:
         block = raw["transversal"]
@@ -257,7 +238,10 @@ def parse_config(path: str) -> Config:
         if "mesh_path" in block:
             cfg.mesh_path = str(block["mesh_path"])
         if "v_range" in block:
+            # no library type owns the mesh's v range
             cfg.v_range = _pair(block["v_range"], "config.output.v_range")
+            if not -math.inf < cfg.v_range[0] < cfg.v_range[1] < math.inf:
+                raise ConfigError("config.output.v_range: range must be finite and increasing")
         if "v_samples" in block:
             if not isinstance(block["v_samples"], int) or block["v_samples"] < 2:
                 raise ConfigError("config.output.v_samples: expected an integer >= 2")
@@ -268,16 +252,8 @@ def parse_config(path: str) -> Config:
         if not isinstance(block, dict):
             raise ConfigError("config.tolerances: expected an object")
         _reject_unknown(block, _TOLERANCE_KEYS, "config.tolerances")
-        values = {
-            "causal_eps": DEFAULT_TOLERANCES.causal_eps,
-            "frame_eps": DEFAULT_TOLERANCES.frame_eps,
-            "general_eps": DEFAULT_TOLERANCES.general_eps,
-        }
-        for key in block:
-            if not _finite(block[key]) or not block[key] > 0:
-                raise ConfigError(f"config.tolerances.{key}: expected a positive finite number")
-            values[key] = float(block[key])
-        cfg.tolerances = Tolerances(**values)
+        values = {key: _number(x, f"config.tolerances.{key}") for key, x in block.items()}
+        cfg.tolerances = _build("config.tolerances", Tolerances, **values)
 
     if "suite" in raw:
         block = raw["suite"]
@@ -287,12 +263,9 @@ def parse_config(path: str) -> Config:
         kwargs = {}
         for key in ("k1_values", "k2_values", "theta_values", "angle_values"):
             if key in block:
-                values = block[key]
-                if not isinstance(values, list) or not values or not all(map(_finite, values)):
-                    raise ConfigError(
-                        f"config.suite.{key}: expected a non-empty list of finite numbers"
-                    )
-                kwargs[key] = tuple(float(x) for x in values)
+                if not isinstance(block[key], list):
+                    raise ConfigError(f"config.suite.{key}: expected a list of numbers")
+                kwargs[key] = tuple(_number(x, f"config.suite.{key}") for x in block[key])
         if "families" in block:
             if not isinstance(block["families"], list):
                 raise ConfigError("config.suite.families: expected a list of family names")
@@ -302,15 +275,10 @@ def parse_config(path: str) -> Config:
                 raise ConfigError(f"config.suite.families: {err}") from err
         for key in ("tolerance", "step"):
             if key in block:
-                if not _finite(block[key]):
-                    raise ConfigError(f"config.suite.{key}: expected a finite number")
-                kwargs[key] = float(block[key])
+                kwargs[key] = _number(block[key], f"config.suite.{key}")
         if "s_range" in block:
             kwargs["s_range"] = _pair(block["s_range"], "config.suite.s_range")
-        try:
-            cfg.suite = SuiteConfig(**kwargs)
-        except ValueError as err:
-            raise ConfigError(f"config.suite: {err}") from err
+        cfg.suite = _build("config.suite", SuiteConfig, **kwargs)
     return cfg
 
 
@@ -398,20 +366,6 @@ def _envelope(command: str, cfg: Config) -> dict:
     return {"version": __version__, "command": command, "config": cfg.raw}
 
 
-def _explicit_surface(cfg: Config) -> ExplicitSurface:
-    return ExplicitSurface(f=cfg.f, q=cfg.q, u_range=cfg.u_range, normalize_q=cfg.normalize_q)
-
-
-def _intrinsic_data(cfg: Config) -> IntrinsicData:
-    kwargs = dict(
-        k1=cfg.k1, k2=cfg.k2, theta=cfg.theta,
-        epsilon=cfg.epsilon, s_range=cfg.s_range, step=cfg.step,
-    )
-    if cfg.initial_frame is not None:
-        kwargs["initial_frame"] = cfg.initial_frame
-    return IntrinsicData(**kwargs)
-
-
 def _condition_dict(report) -> dict:
     return {
         "kind": report.kind,
@@ -425,7 +379,7 @@ def _condition_dict(report) -> dict:
 def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
     if cfg.mode != "explicit":
         raise ConfigError("analyze requires mode = 'explicit'")
-    surface = _explicit_surface(cfg)
+    surface = cfg.surface
     report = _envelope("analyze", cfg)
     warnings: list = []
     cls = classify(surface, cfg.samples, cfg.tolerances)
@@ -438,7 +392,7 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         "cylindrical": cls.cylindrical,
         "max_abs_drall": cls.max_abs_drall,
     }
-    u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
+    u = np.linspace(surface.u_range[0], surface.u_range[1], cfg.samples)
     drall = distribution_parameter(surface, u, cfg.tolerances)
     v0 = striction(surface, u, cfg.tolerances)[0]
     track = sample_frames(surface, cfg.samples, cfg.tolerances)
@@ -477,7 +431,7 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
 def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
     if cfg.mode != "intrinsic":
         raise ConfigError("synthesize requires mode = 'intrinsic'")
-    surf = synthesize_surface(_intrinsic_data(cfg))
+    surf = synthesize_surface(cfg.data)
     report = _envelope("synthesize", cfg)
     qq = lorentz_dot(surf.q, surf.q)
     hh = lorentz_dot(surf.h, surf.h)
@@ -514,7 +468,7 @@ def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
         raise ConfigError("transversal requires mode = 'intrinsic'")
     if cfg.transversal_spec is None:
         raise ConfigError("transversal requires a 'transversal' config block")
-    surf = synthesize_surface(_intrinsic_data(cfg))
+    surf = synthesize_surface(cfg.data)
     spec = cfg.transversal_spec
     analysis = analyze_transversal(surf, spec)
     report = _envelope("transversal", cfg)
@@ -577,12 +531,12 @@ def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         if cfg.mode == "explicit":
-            surface = _explicit_surface(cfg)
-            u = np.linspace(cfg.u_range[0], cfg.u_range[1], cfg.samples)
+            surface = cfg.surface
+            u = np.linspace(surface.u_range[0], surface.u_range[1], cfg.samples)
             f = eval_triple(surface._d.f, u)
             return _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
         if surf is None:
-            surf = synthesize_surface(_intrinsic_data(cfg))
+            surf = synthesize_surface(cfg.data)
         if cfg.transversal_spec is not None:
             grid, _ = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
             return grid
@@ -594,10 +548,11 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     if tolerance is not None:
-        if not 0.0 < tolerance < math.inf:
-            raise ConfigError("--tolerance must be a positive finite number")
-        cfg.tolerances = replace(cfg.tolerances, general_eps=tolerance)
-        cfg.suite = replace(cfg.suite or SuiteConfig(), tolerance=tolerance)
+        try:  # Tolerances and SuiteConfig own the range rule
+            cfg.tolerances = replace(cfg.tolerances, general_eps=tolerance)
+            cfg.suite = replace(cfg.suite or SuiteConfig(), tolerance=tolerance)
+        except ValueError as err:
+            raise ConfigError("--tolerance must be a positive finite number") from err
 
     def resolve(path: str) -> str:
         if output_dir is not None and not os.path.isabs(path):

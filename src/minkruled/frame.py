@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .lorentz import Vec3
-
-if TYPE_CHECKING:
-    from .synthesis import IntrinsicData
 
 
 @dataclass
@@ -23,8 +19,6 @@ class SampledSurface:
     angle ``theta`` between striction tangent and ruling.  ``theta`` is NaN
     where the striction tangent is not timelike.  ``c2`` and ``hprime``
     optionally carry d2c/ds2 and dh/ds computed symbolically by the producer.
-    A synthesized surface keeps its generating ``data`` so downstream closed
-    forms can evaluate k1, k2, theta (and their derivatives) exactly at any s.
 
     ``track[i]`` is the single-point view: the same class holding row i.
     """
@@ -40,7 +34,6 @@ class SampledSurface:
     epsilon: int
     c2: np.ndarray | None = None
     hprime: np.ndarray | None = None
-    data: IntrinsicData | None = None
 
     def __len__(self) -> int:
         return self.s.shape[0]
@@ -51,7 +44,7 @@ class SampledSurface:
 
         return SampledSurface(
             self.s[i], self.c[i], self.q[i], self.h[i], self.a[i], self.k1[i], self.k2[i],
-            self.theta[i], self.epsilon, row(self.c2), row(self.hprime), self.data,
+            self.theta[i], self.epsilon, row(self.c2), row(self.hprime),
         )
 
     @property

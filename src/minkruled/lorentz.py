@@ -40,6 +40,8 @@ class Tolerances:
     causal_eps   threshold on <v,v> (unit scale) below which v counts as null
     frame_eps    orthonormality residual bound for frame validation
     general_eps  default comparison bound (developability, conoid tests, ...)
+
+    Each must lie in (0, inf); ValueError otherwise.
     """
 
     causal_eps: float = 1e-10
@@ -47,8 +49,8 @@ class Tolerances:
     general_eps: float = 1e-8
 
     def __post_init__(self):
-        if min(self.causal_eps, self.frame_eps, self.general_eps) <= 0.0:
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0.0 < x < math.inf for x in (self.causal_eps, self.frame_eps, self.general_eps)):
+            raise ValueError("tolerances must be positive finite numbers")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -179,7 +181,7 @@ class FrameReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        return float(np.max(list(self.residuals.values())))  # NaN-propagating
 
 
 def frame_check(
@@ -194,24 +196,26 @@ def frame_check(
     Expects <q,q> = epsilon, <h,h> = 1, <a,a> = -epsilon and vanishing mixed
     products.  The canonical orientation of this library is h = a*q, which
     forces det(q, h, a) = -1; frames with det = +1 are reported as
-    orthonormal but non-canonical.
+    orthonormal but non-canonical.  A non-finite or overflowing frame is
+    reported as non-canonical, without numpy warnings.
     """
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be -1 or +1")
     q = np.asarray(q, dtype=float)
     h = np.asarray(h, dtype=float)
     a = np.asarray(a, dtype=float)
-    residuals = {
-        "qq": abs(float(lorentz_dot(q, q)) - epsilon),
-        "hh": abs(float(lorentz_dot(h, h)) - 1.0),
-        "aa": abs(float(lorentz_dot(a, a)) + epsilon),
-        "qh": abs(float(lorentz_dot(q, h))),
-        "qa": abs(float(lorentz_dot(q, a))),
-        "ha": abs(float(lorentz_dot(h, a))),
-    }
-    orthonormal = max(residuals.values()) <= tol.frame_eps
-    det = float(np.linalg.det(np.stack([q, h, a])))
-    cross_residual = float(np.max(np.abs(h - lorentz_cross(a, q))))
+    with np.errstate(all="ignore"):
+        residuals = {
+            "qq": abs(float(lorentz_dot(q, q)) - epsilon),
+            "hh": abs(float(lorentz_dot(h, h)) - 1.0),
+            "aa": abs(float(lorentz_dot(a, a)) + epsilon),
+            "qh": abs(float(lorentz_dot(q, h))),
+            "qa": abs(float(lorentz_dot(q, a))),
+            "ha": abs(float(lorentz_dot(h, a))),
+        }
+        det = float(np.linalg.det(np.stack([q, h, a])))
+        cross_residual = float(np.max(np.abs(h - lorentz_cross(a, q))))
+    orthonormal = all(r <= tol.frame_eps for r in residuals.values())
     h_is_cross = cross_residual <= tol.frame_eps
     canonical = orthonormal and h_is_cross and abs(det + 1.0) <= tol.frame_eps
     return FrameReport(

@@ -94,7 +94,8 @@ class ExplicitSurface:
 
     With ``normalize_q`` the ruling is rescaled to unit Lorentzian norm
     symbolically before any analysis; otherwise |<q,q>| must already be 1
-    on the sampled range.
+    on the sampled range.  ValueError unless ``u_range`` is finite and
+    increasing.
     """
 
     f: ExprTriple
@@ -103,8 +104,9 @@ class ExplicitSurface:
     normalize_q: bool = False
 
     def __post_init__(self):
-        if not self.u_range[1] > self.u_range[0]:
-            raise ValueError("u_range must be increasing")
+        u0, u1 = self.u_range
+        if not (-math.inf < u0 < u1 and u1 - u0 < math.inf):
+            raise ValueError("u_range must be finite and increasing")
         self.f = tuple(self.f)
         self.q = tuple(self.q)
 
@@ -359,15 +361,9 @@ def frenet_frame_at(
 
 def frame_consistency(surface: ExplicitSurface, u: float, tol: Tolerances = DEFAULT_TOLERANCES):
     """Residuals between curvature extractions from dq/ds, da/ds and dh/ds."""
-    sample = frenet_frame_at(surface, u, tol)
-    d = surface._d
-    speed = ex.evaluate(d.speed, float(u))
-    hdot = eval_triple(d.hdot_raw, float(u))
-    # re-apply the gauge flip used for the sample
-    if float(lorentz_dot(eval_triple(d.qdot, float(u)), eval_triple(d.h_raw, float(u)))) < 0.0:
-        hdot = -hdot
-    k1_h = -float(lorentz_dot(hdot, sample.q)) / speed
-    k2_h = -sample.epsilon * float(lorentz_dot(hdot, sample.a)) / speed
+    sample = _frames_at(surface, [u], [0.0], tol)[0]
+    k1_h = -float(lorentz_dot(sample.hprime, sample.q))
+    k2_h = -sample.epsilon * float(lorentz_dot(sample.hprime, sample.a))
     return {"k1": abs(sample.k1 - k1_h), "k2": abs(sample.k2 - k2_h)}
 
 

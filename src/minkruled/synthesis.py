@@ -36,8 +36,10 @@ class IntrinsicData:
     """Curvature functions and integration setup for one surface.
 
     ``step`` is a target; the actual step divides the range evenly.
-    The initial frame must be orthonormal for the chosen signature with
-    h = a*q and det(q, h, a) = -1.
+    ValueError unless ``epsilon`` is -1 or 1 (not a bool), ``step`` lies in
+    (0, inf), ``s_range`` is finite and increasing, and the initial frame
+    (the default one included) is orthonormal for the chosen signature
+    with h = a*q and det(q, h, a) = -1.
     """
 
     k1: ex.Expr
@@ -49,12 +51,13 @@ class IntrinsicData:
     initial_frame: tuple[Vec3, Vec3, Vec3] = field(default_factory=canonical_frame)
 
     def __post_init__(self):
-        if self.epsilon not in (-1, 1):
+        if isinstance(self.epsilon, bool) or self.epsilon not in (-1, 1):
             raise ValueError("epsilon must be -1 or +1")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not self.s_range[1] > self.s_range[0]:
-            raise ValueError("s_range must be increasing")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be a positive finite number")
+        s0, s1 = self.s_range
+        if not (-math.inf < s0 < s1 and s1 - s0 < math.inf):
+            raise ValueError("s_range must be finite and increasing")
         q0, h0, a0 = self.initial_frame
         report = frame_check(q0, h0, a0, self.epsilon)
         if not report.canonical:
@@ -280,7 +283,7 @@ def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
         raise FrameDegenerateError("striction curve overflowed to non-finite values")
     return SampledSurface(
         s=s, c=c, q=track[:, 0, :], h=track[:, 1, :], a=track[:, 2, :],
-        k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon, data=data,
+        k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon,
     )
 
 

@@ -102,12 +102,12 @@ class Coefficients:
 
 
 def coefficients(surf: SampledSurface, spec: TransversalSpec) -> Coefficients:
-    """Evaluate curvatures and angle exactly from the generating expressions on ``surf.s``."""
-    s, data = surf.s, surf.data
+    """The surface's k1, k2 and theta with the angle evaluated exactly on ``surf.s``."""
+    s = surf.s
     return Coefficients(
-        k1=np.asarray(ex.evaluate(data.k1, s), dtype=float),
-        k2=np.asarray(ex.evaluate(data.k2, s), dtype=float),
-        theta=np.asarray(ex.evaluate(data.theta, s), dtype=float),
+        k1=surf.k1,
+        k2=surf.k2,
+        theta=surf.theta,
         angle=np.asarray(ex.evaluate(spec.angle, s), dtype=float),
         angle_d=np.asarray(ex.evaluate(ex.differentiate(spec.angle), s), dtype=float),
     )

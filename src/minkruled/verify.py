@@ -32,7 +32,7 @@ from . import expressions as ex
 from .errors import ExprError, GeometryError
 from .numerics import central_diff1
 from .ruled import striction_predicates
-from .synthesis import SampledSurface, from_constants, synthesize_surface
+from .synthesis import IntrinsicData, SampledSurface, from_constants, synthesize_surface
 from .transversal import (
     Branch,
     Family,
@@ -49,7 +49,13 @@ ANGLE_MARGIN = 0.1  # size of the condition violation in backward cases
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Grids and tolerances for the verification suites."""
+    """Grids and tolerances for the verification suites.
+
+    ValueError unless every value grid is a non-empty tuple of finite
+    numbers, ``tolerance`` lies in (0, inf) and ``step`` and ``s_range``
+    pass ``IntrinsicData``'s rules: step in (0, inf), range finite and
+    increasing.
+    """
 
     k1_values: tuple = (0.5, 1.0, 2.0)
     k2_values: tuple = (0.0, 0.5, 1.0)
@@ -61,14 +67,14 @@ class SuiteConfig:
     step: float = 1e-3
 
     def __post_init__(self):
-        if not (self.k1_values and self.k2_values and self.theta_values and self.angle_values):
-            raise ValueError("value grids must be non-empty")
+        grids = (self.k1_values, self.k2_values, self.theta_values, self.angle_values)
+        if not all(grid and all(map(math.isfinite, grid)) for grid in grids):
+            raise ValueError("value grids must be non-empty and finite")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be a positive finite number")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
-        if not self.s_range[1] > self.s_range[0]:
-            raise ValueError("s_range must be increasing")
+        # every suite surface is an IntrinsicData with this step and s_range
+        zero = ex.const(0.0)
+        IntrinsicData(zero, zero, zero, s_range=self.s_range, step=self.step)
 
     @property
     def coincidence_tolerance(self) -> float:

@@ -56,8 +56,8 @@ def validate_report(path, schema):
 def test_parse_config_minimal(tmp_path):
     cfg = parse_config(write_config(tmp_path, "c.json", MINIMAL_INTRINSIC))
     assert cfg.mode == "intrinsic"
-    assert cfg.step == 0.001
-    assert cfg.epsilon == -1
+    assert cfg.data.step == 0.001
+    assert cfg.data.epsilon == -1
 
 
 def test_parse_config_bad_expression(tmp_path):
@@ -106,13 +106,52 @@ BAD_VALUE_CONFIGS = [
         dict(MINIMAL_INTRINSIC, initial_frame=[[2, 0, 0], [0, 1, 0], [0, 0, -1]]),
         id="initial-frame-not-orthonormal",
     ),
+    # the default frame is canonical only for epsilon = -1
+    pytest.param(dict(MINIMAL_INTRINSIC, epsilon=1), id="epsilon-positive-default-frame"),
+    # JSON booleans are not numbers
+    pytest.param(dict(MINIMAL_INTRINSIC, epsilon=True), id="epsilon-boolean"),
+    pytest.param(dict(MINIMAL_INTRINSIC, step=True), id="step-boolean"),
+    pytest.param(dict(MINIMAL_INTRINSIC, s_range=[False, True]), id="s-range-boolean"),
+    pytest.param(
+        dict(MINIMAL_INTRINSIC, suite={"k1_values": [True], "k2_values": [0.5], "theta_values": [0.5]}),
+        id="suite-k1-boolean",
+    ),
+    pytest.param(dict(MINIMAL_INTRINSIC, tolerances={"general_eps": True}), id="tolerance-boolean"),
+    pytest.param(dict(MINIMAL_INTRINSIC, step=10**400), id="step-integer-overflows-float"),
 ]
 
 
-@pytest.mark.parametrize("command", ["synthesize", "verify"])
+@pytest.mark.parametrize("command", ["synthesize", "transversal", "verify"])
 @pytest.mark.parametrize("payload", BAD_VALUE_CONFIGS)
 def test_bad_config_values_exit_2(tmp_path, capsys, command, payload):
+    if command == "transversal":
+        payload = dict(payload, transversal={"kind": "beta", "angle": "pi/4"})
     # json.dumps writes math.inf as Infinity, which json.load accepts
+    path = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", path, "--output-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+# the ruling 2*(cosh, sinh, 0) is unit only if normalize_q is really on
+NON_UNIT_EXPLICIT = {
+    "mode": "explicit",
+    "f": ["0.9*s", "0", "0.7*s"],
+    "q": ["2*cosh(0.8*s)", "2*sinh(0.8*s)", "0"],
+    "u_range": [0.0, 1.0],
+    "samples": 11,
+    "normalize_q": True,
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "mesh"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(dict(NON_UNIT_EXPLICIT, normalize_q="false"), id="normalize-q-string"),
+        pytest.param(dict(NON_UNIT_EXPLICIT, u_range=[False, True]), id="u-range-boolean"),
+    ],
+)
+def test_bad_explicit_values_exit_2(tmp_path, capsys, command, payload):
     path = write_config(tmp_path, "c.json", payload)
     assert main([command, "--config", path, "--output-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err

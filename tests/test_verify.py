@@ -5,7 +5,11 @@ import math
 
 import pytest
 
+from minkruled import expressions as ex
 from minkruled import synthesis, verify
+from minkruled.lorentz import Tolerances
+from minkruled.ruled import ExplicitSurface
+from minkruled.synthesis import IntrinsicData
 from minkruled.transversal import Family
 from minkruled.verify import (
     SuiteConfig,
@@ -122,12 +126,41 @@ def test_config_validation():
     assert Family.ALPHA in SuiteConfig().families
 
 
-@pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0])
-def test_config_rejects_non_finite_tolerance(tolerance):
-    # an infinite tolerance failed every backward case and wrote Infinity,
-    # which strict JSON cannot hold, into the report's config
-    with pytest.raises(ValueError, match="tolerance must be a positive finite number"):
-        SuiteConfig(tolerance=tolerance)
+ONE = ex.const(1.0)
+# every step, range end, grid value and tolerance field of the four input
+# types, each built with one value replaced
+OWNER_FIELDS = {
+    "IntrinsicData.step": lambda x: IntrinsicData(ONE, ONE, ONE, step=x),
+    "IntrinsicData.s_range.lo": lambda x: IntrinsicData(ONE, ONE, ONE, s_range=(x, 1.0)),
+    "IntrinsicData.s_range.hi": lambda x: IntrinsicData(ONE, ONE, ONE, s_range=(0.0, x)),
+    "SuiteConfig.step": lambda x: SuiteConfig(step=x),
+    "SuiteConfig.s_range.lo": lambda x: SuiteConfig(s_range=(x, 1.0)),
+    "SuiteConfig.s_range.hi": lambda x: SuiteConfig(s_range=(0.0, x)),
+    "SuiteConfig.tolerance": lambda x: SuiteConfig(tolerance=x),
+    **{
+        f"SuiteConfig.{grid}": lambda x, grid=grid: SuiteConfig(**{grid: (0.5, x)})
+        for grid in ("k1_values", "k2_values", "theta_values", "angle_values")
+    },
+    **{
+        f"Tolerances.{name}": lambda x, name=name: Tolerances(**{name: x})
+        for name in ("causal_eps", "frame_eps", "general_eps")
+    },
+    "ExplicitSurface.u_range.lo": lambda x: ExplicitSurface((ONE,) * 3, (ONE,) * 3, (x, 1.0)),
+    "ExplicitSurface.u_range.hi": lambda x: ExplicitSurface((ONE,) * 3, (ONE,) * 3, (0.0, x)),
+}
+OUT_OF_RANGE = [
+    pytest.param(build, value, id=f"{name}={value}")
+    for name, build in OWNER_FIELDS.items()
+    for value in (math.inf, -math.inf, math.nan)
+] + [pytest.param(OWNER_FIELDS["SuiteConfig.tolerance"], -1.0, id="SuiteConfig.tolerance=-1.0")]
+
+
+@pytest.mark.parametrize("build, value", OUT_OF_RANGE)
+def test_owner_types_reject_out_of_range_values(build, value):
+    # an infinite suite tolerance failed every backward case and wrote
+    # Infinity, which strict JSON cannot hold, into the report's config
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 def test_zero_k1_skips_developable_tuning():
