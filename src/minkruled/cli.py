@@ -43,6 +43,7 @@ from .transversal import (
     coincidence_condition,
     corollary_checks,
     developability_condition,
+    drall_law,
     to_explicit,
 )
 from .verify import SuiteConfig, run_all
@@ -217,15 +218,14 @@ def parse_config(path: str) -> Config:
             raise ConfigError(f"config.transversal.kind: unknown family {kind!r}")
         angle = _parse_expr(_require(block, "angle", "config.transversal"), "config.transversal.angle")
         branch = block.get("branch")
-        if kind in ("alpha", "gamma"):
-            if branch not in ("timelike", "spacelike"):
-                raise ConfigError(
-                    "config.transversal.branch: alpha/gamma need 'timelike' or 'spacelike'"
-                )
-        elif branch is not None:
-            raise ConfigError("config.transversal.branch: beta has no causal branch")
-        cfg.transversal_spec = TransversalSpec(
-            Family(kind), angle, Branch(branch) if branch is not None else None
+        if branch not in (None, "timelike", "spacelike"):
+            raise ConfigError("config.transversal.branch: expected 'timelike' or 'spacelike'")
+        cfg.transversal_spec = _build(
+            "config.transversal",
+            TransversalSpec,
+            family=Family(kind),
+            angle=angle,
+            branch=None if branch is None else Branch(branch),
         )
 
     if "output" in raw:
@@ -444,8 +444,7 @@ def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
         "orientation": float(np.max(np.abs(dets + 1))),
     }
     oracle = sampled_ruled_invariants(surf.c, surf.q, surf.step)
-    with np.errstate(all="ignore"):
-        closed = np.where(np.abs(surf.k1) > 0, -np.sinh(surf.theta) / surf.k1, np.nan)
+    closed = drall_law(surf.k1, surf.theta)
     gap = None
     if np.any(oracle.valid):
         gap = float(

@@ -138,7 +138,6 @@ class _Derived:
         self.f = surf.f
         self.fdot = _diff_triple(self.f)
         self.qdot = _diff_triple(self.q)
-        self.qq = _dot_expr(self.q, self.q)
         self.qdqd = _dot_expr(self.qdot, self.qdot)
         v0 = ex.neg(ex.div(_dot_expr(self.qdot, self.fdot), self.qdqd))
         self.v0 = v0
@@ -175,10 +174,13 @@ def surface_point(surface: ExplicitSurface, u: float, v: float) -> Vec3:
     return eval_triple(d.f, u) + v * eval_triple(d.q, u)
 
 
-def _ruling_derivative_checked(surface: ExplicitSurface, u: np.ndarray, tol: Tolerances):
+def _ruling_derivative_checked(d: _Derived, u: np.ndarray, tol: Tolerances):
     """q' at 1-d ``u`` as an (n, 3) array; raises at the first point where
-    it vanishes (cylindrical) or is null at unit scale."""
-    qdot = eval_triple(surface._d.qdot, u)
+    it vanishes (cylindrical) or is null at unit scale.
+
+    The one q' degeneracy rule of every explicit-surface function.
+    """
+    qdot = eval_triple(d.qdot, u)
     scale = np.linalg.norm(qdot, axis=-1)
     cylindrical = scale <= CYLINDRICAL_EPS
     with np.errstate(all="ignore"):
@@ -200,7 +202,7 @@ def distribution_parameter(surface: ExplicitSurface, u, tol: Tolerances = DEFAUL
     """
     d = surface._d
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    qdot = _ruling_derivative_checked(surface, uu, tol)
+    qdot = _ruling_derivative_checked(d, uu, tol)
     det = np.linalg.det(np.stack([eval_triple(d.fdot, uu), eval_triple(d.q, uu), qdot], axis=1))
     drall = det / lorentz_dot(qdot, qdot)
     return float(drall[0]) if np.ndim(u) == 0 else drall
@@ -229,12 +231,14 @@ def unit_normal(
 def asymptotic_normal(
     surface: ExplicitSurface, u: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Vec3:
-    """Limiting normal direction a = (q' * q)/|q'| along the ruling at u."""
+    """Limiting normal direction a = (q' * q)/|q'| along the ruling at u.
+
+    This is the frame's ungauged ``a``: the k1 > 0 gauge of the moving frame
+    may reverse it.
+    """
     d = surface._d
-    qdot = _ruling_derivative_checked(surface, np.atleast_1d(float(u)), tol)[0]
-    q = eval_triple(d.q, u)
-    norm = math.sqrt(abs(float(lorentz_dot(qdot, qdot))))
-    return lorentz_cross(qdot, q) / norm
+    _ruling_derivative_checked(d, np.atleast_1d(float(u)), tol)
+    return eval_triple(d.a_raw, float(u))
 
 
 def normal_limit_agreement(
@@ -263,7 +267,7 @@ def striction(surface: ExplicitSurface, u, tol: Tolerances = DEFAULT_TOLERANCES)
     """
     d = surface._d
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    qdot = _ruling_derivative_checked(surface, uu, tol)
+    qdot = _ruling_derivative_checked(d, uu, tol)
     v0 = -lorentz_dot(qdot, eval_triple(d.fdot, uu)) / lorentz_dot(qdot, qdot)
     point = eval_triple(d.f, uu) + v0[:, None] * eval_triple(d.q, uu)
     if np.ndim(u) == 0:
@@ -287,14 +291,12 @@ def arc_length(surface: ExplicitSurface, u: float, tol_quad: float = 1e-10) -> f
 
 
 def _curvatures(d: _Derived, u: np.ndarray, tol: Tolerances):
-    """q, speed, gauge-fixed h, gauge flip, epsilon, k1 and k2 at u: only what k1, k2 need."""
-    qdot = eval_triple(d.qdot, u)
-    if np.min(np.linalg.norm(qdot, axis=-1)) <= CYLINDRICAL_EPS:
-        raise CylindricalRulingError("ruling derivative vanishes on the range")
-    qdqd = lorentz_dot(qdot, qdot)
-    if np.min(np.abs(qdqd) / np.maximum(1.0, np.sum(qdot * qdot, axis=-1))) <= tol.causal_eps:
-        raise NullDerivativeError("ruling derivative is null on the range")
+    """q, speed, ungauged h, gauge sign, epsilon, k1 and k2 at u: only what k1, k2 need.
 
+    The gauge sign makes k1 = <q', sign h>/speed positive; it multiplies a
+    and h alike, so k2 = epsilon <a', h>/speed does not depend on it.
+    """
+    qdot = _ruling_derivative_checked(d, u, tol)
     q = eval_triple(d.q, u)
     qq = lorentz_dot(q, q)
     if not (np.all(qq < 0.0) or np.all(qq > 0.0)):
@@ -303,23 +305,18 @@ def _curvatures(d: _Derived, u: np.ndarray, tol: Tolerances):
 
     speed = ex.evaluate(d.speed, u)
     h = eval_triple(d.h_raw, u)
-    adot = eval_triple(d.adot_raw, u)
     k1_raw = lorentz_dot(qdot, h) / speed
-    flip = np.where(k1_raw < 0.0, -1.0, 1.0)
-    h = flip[..., None] * h
-    # k2 is even under the gauge flip (both a and h change sign)
-    k2 = epsilon * lorentz_dot(adot, h) / speed
-    return q, speed, h, flip, epsilon, np.abs(k1_raw), k2
+    k2 = epsilon * lorentz_dot(eval_triple(d.adot_raw, u), h) / speed
+    return q, speed, h, np.where(k1_raw < 0.0, -1.0, 1.0), epsilon, np.abs(k1_raw), k2
 
 
 def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> SampledSurface:
     d = surface._d
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    q, speed, h, flip, epsilon, k1, k2 = _curvatures(d, u, tol)
+    q, speed, h, sign, epsilon, k1, k2 = _curvatures(d, u, tol)
+    h, a, hdot = sign[:, None] * np.array([h, eval_triple(d.a_raw, u), eval_triple(d.hdot_raw, u)])
     c = eval_triple(d.c, u)
     cdot = eval_triple(d.cdot, u)
-    a = flip[..., None] * eval_triple(d.a_raw, u)
-    hdot = flip[..., None] * eval_triple(d.hdot_raw, u)
 
     cc = lorentz_dot(cdot, cdot)
     cc_unit = cc / np.maximum(1e-300, np.sum(cdot * cdot, axis=-1))
@@ -413,21 +410,14 @@ def classify(
     qdot = eval_triple(d.qdot, u)
     cylindrical = bool(np.max(np.linalg.norm(qdot, axis=-1)) <= CYLINDRICAL_EPS)
 
-    developable = None
+    developable = True if cylindrical else None  # constant tangent plane along each ruling
     max_abs_drall = None
-    if cylindrical:
-        developable = True  # constant tangent plane along each ruling
-    else:
+    conoid = None
+    if not cylindrical:
         try:
             drall = distribution_parameter(surface, u, tol)
             max_abs_drall = float(np.max(np.abs(drall)))
             developable = max_abs_drall <= tol.general_eps
-        except (CylindricalRulingError, NullDerivativeError):
-            pass
-
-    conoid = None
-    if not cylindrical:
-        try:
             k1, k2 = _curvatures(d, u, tol)[-2:]
             conoid = bool(
                 np.min(np.abs(k1)) > tol.general_eps and np.max(np.abs(k2)) <= tol.general_eps

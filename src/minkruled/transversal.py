@@ -74,8 +74,17 @@ class TransversalSpec:
     branch: Branch | None = None
 
     def __post_init__(self):
-        if self.family in (Family.ALPHA, Family.GAMMA) and self.branch is None:
+        if self.family is Family.BETA:
+            if self.branch is not None:
+                raise ValueError("beta family takes no causal branch")
+        elif self.branch is None:
             raise ValueError(f"{self.family.value} family requires a causal branch")
+
+
+def drall_law(k1, theta):
+    """Base drall d = -sinh(theta)/k1 of a synthesized surface; NaN where |k1| <= DENOM_EPS."""
+    with np.errstate(all="ignore"):
+        return np.where(np.abs(k1) > DENOM_EPS, -np.sinh(theta) / k1, np.nan)
 
 
 def _mu_eta(spec: TransversalSpec, angle):
@@ -189,10 +198,10 @@ def _closed_values(spec, co: Coefficients):
 
 def _via_base_values(spec, co: Coefficients, den):
     """Base-drall form of d_T over the denominator ``den`` (NaN where k1 vanishes)."""
-    ch, sh = np.cosh(co.theta), np.sinh(co.theta)
+    ch = np.cosh(co.theta)
     ell = _ell(spec)
+    d_base = drall_law(co.k1, co.theta)
     with np.errstate(all="ignore"):
-        d_base = np.where(np.abs(co.k1) > DENOM_EPS, -sh / co.k1, np.nan)
         if spec.family is Family.ALPHA:
             _, eta = _mu_eta(spec, co.angle)
             num = -(ell * d_base * co.k1 * (co.angle_d + co.k1) + eta**2 * co.k2 * ch)
@@ -430,9 +439,10 @@ def corollary_checks(
     against the transversal drall oracle in both directions.
     """
     co = coefficients(surf, spec)
-    if np.min(np.abs(co.k1)) <= DENOM_EPS:
+    d_base = drall_law(co.k1, co.theta)
+    if np.any(np.isnan(d_base)):
         raise DegenerateDenominatorError("base drall undefined where k1 = 0")
-    base_drall = float(np.max(np.abs(np.sinh(co.theta) / co.k1)))
+    base_drall = float(np.max(np.abs(d_base)))
     if base_drall > tol:
         raise BaseNotDevelopableError(
             f"base surface is not developable (max |d| = {base_drall:.3e})"
@@ -451,31 +461,18 @@ def corollary_checks(
     # the transversal is a cylinder, developable with no drall to sample
     q_t, _ = ruling_samples(surf, spec)
     q_t_step = float(np.max(np.linalg.norm(np.diff(q_t, axis=0), axis=-1))) / surf.step
-    if q_t_step <= 1e-6:
+    cylindrical = q_t_step <= 1e-6
+    if cylindrical:
         notes.append("transversal ruling is constant (cylinder); developable by definition")
-        return ConditionReport(
-            "corollary",
-            spec.family.value,
-            {
-                "base_drall": base_drall,
-                "condition": condition,
-                "oracle_drall": 0.0,
-                "closed_drall": 0.0,
-            },
-            {
-                "condition_holds": holds,
-                "transversal_developable": True,
-                "cylindrical": True,
-                "equivalent": holds,
-            },
-            notes,
+        oracle_res, closed_res, developable = 0.0, 0.0, True
+    else:
+        analysis = analyze(surf, spec)
+        valid = analysis.oracle.valid
+        oracle_res = (
+            float(np.max(np.abs(analysis.oracle.drall[valid]))) if np.any(valid) else math.nan
         )
-
-    analysis = analyze(surf, spec)
-    valid = analysis.oracle.valid
-    oracle_res = float(np.max(np.abs(analysis.oracle.drall[valid]))) if np.any(valid) else math.nan
-    closed_res = float(np.max(np.abs(analysis.d_closed)))
-    developable = bool(oracle_res <= tol) if not math.isnan(oracle_res) else False
+        closed_res = float(np.max(np.abs(analysis.d_closed)))
+        developable = bool(oracle_res <= tol) if not math.isnan(oracle_res) else False
     return ConditionReport(
         "corollary",
         spec.family.value,
@@ -488,7 +485,7 @@ def corollary_checks(
         {
             "condition_holds": holds,
             "transversal_developable": developable,
-            "cylindrical": False,
+            "cylindrical": cylindrical,
             "equivalent": verdicts_agree(holds, condition, developable, oracle_res, tol),
         },
         notes,

@@ -157,6 +157,21 @@ def test_bad_explicit_values_exit_2(tmp_path, capsys, command, payload):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "block",
+    [
+        pytest.param({"kind": "beta", "angle": "pi/4", "branch": "timelike"}, id="beta-with-branch"),
+        pytest.param({"kind": "alpha", "angle": "1"}, id="alpha-without-branch"),
+        pytest.param({"kind": "gamma", "angle": "1", "branch": "lightlike"}, id="gamma-lightlike"),
+    ],
+)
+def test_transversal_branch_rules_exit_2(tmp_path, capsys, block):
+    path = write_config(tmp_path, "c.json", dict(MINIMAL_INTRINSIC, transversal=block))
+    assert main(["transversal", "--config", path, "--output-dir", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
 def test_main_exit_code_1_on_degeneracy(tmp_path, capsys):
     payload = {
         "mode": "explicit",

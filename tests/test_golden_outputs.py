@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from exact_surface import analyze_config
 from minkruled.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "demos", "configs")
@@ -142,6 +143,14 @@ CASES = [
         "synthesize",
         ZERO_K1_SYNTHESIZE,
         {"zero_k1_report.json": "328ff42a5c29435d4351e5b1a64df693b03676d258e367d658e2b80f7f92e48f"},
+    ),
+    (
+        # the exact surface with tanh(theta) = k2/k1, where the k1 > 0 gauge
+        # reverses a and h and the striction curve is a line of curvature
+        "exact_line_of_curvature_analyze",
+        "analyze",
+        analyze_config(2.0, 1.0, math.atanh(0.5)),
+        {"exact_report.json": "5a0e866a4b8d496e1cce20b1baa70abbfa12a1dcfec64ea1a45fcd7bd6d31e33"},
     ),
 ]
 

@@ -102,6 +102,18 @@ def test_array_drall_raises_at_first_degenerate_sample():
         with pytest.raises(NullDerivativeError):
             striction(null, u)
 
+
+def test_small_spacelike_ruling_derivative_is_not_null():
+    # q' = 1e-6 (sinh, cosh, 0) is spacelike at unit scale though <q', q'> = 1e-12;
+    # the frame, the conoid test and the drall apply the same unit-scale rule
+    surface = ExplicitSurface.from_strings(
+        ("s", "0", "s/2"), ("cosh(1e-6*s)", "sinh(1e-6*s)", "0"), (0.0, 1.0)
+    )
+    assert len(sample_frames(surface, 21)) == 21
+    assert isinstance(classify(surface, 21).conoid, bool)
+    assert np.all(np.isfinite(distribution_parameter(surface, np.linspace(0.0, 1.0, 21))))
+
+
 def test_unit_normal(helicoid):
     assert np.allclose(unit_normal(helicoid, 0.0, 0.0), [0.0, -1.0, 0.0], atol=1e-15)
     rng = np.random.default_rng(5)

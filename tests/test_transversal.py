@@ -22,6 +22,7 @@ from minkruled.transversal import (
     coincident_angle,
     corollary_checks,
     developability_condition,
+    drall_law,
     linear_angle,
     ruling_samples,
     to_explicit,
@@ -35,6 +36,21 @@ def surf_const(k1, k2, theta, s_range=(0.0, 1.0), step=1e-3):
 def spec_for(family, angle, branch=None):
     return TransversalSpec(Family(family), ex.parse(angle) if isinstance(angle, str) else angle,
                            Branch(branch) if branch else None)
+
+
+def test_spec_branch_rules():
+    with pytest.raises(ValueError, match="beta"):
+        TransversalSpec(Family.BETA, ex.parse("pi/4"), Branch.TIMELIKE)
+    for family in (Family.ALPHA, Family.GAMMA):
+        with pytest.raises(ValueError, match=family.value):
+            TransversalSpec(family, ex.parse("1"))
+
+
+def test_drall_law_guards_vanishing_k1():
+    k1 = np.array([0.0, 1e-11, -1e-10, 2.0])
+    d = drall_law(k1, np.full(4, 0.5))
+    assert np.isnan(d[:3]).all()
+    assert d[3] == pytest.approx(-math.sinh(0.5) / 2.0, rel=1e-15)
 
 
 def at(analysis, s):
@@ -389,9 +405,13 @@ def test_corollary_gamma():
     assert report.flags["cylindrical"]
     assert report.flags["transversal_developable"]
     assert report.flags["equivalent"]
+    cylinder = report
     # contrapositive: ratio mismatch leaves a nonzero drall
     surf = surf_const(1.0, 1.0, 0.0)
     report = corollary_checks(surf, spec_for("gamma", "1", "timelike"))
+    assert not report.flags["cylindrical"]
+    assert list(report.residuals) == list(cylinder.residuals)
+    assert list(report.flags) == list(cylinder.flags)
     assert not report.flags["condition_holds"]
     assert not report.flags["transversal_developable"]
     assert report.flags["equivalent"]
