@@ -70,6 +70,32 @@ ZERO_K1_SYNTHESIZE = {
     "output": {"report_path": "zero_k1_report.json"},
 }
 
+# the alpha family on its spacelike branch over a varying k1; the base is not
+# developable, so the corollary checks are skipped with a warning
+ALPHA_SPACELIKE_TRANSVERSAL = {
+    "mode": "intrinsic",
+    "k1": "1 + 0.5*s",
+    "k2": "0.5",
+    "theta": "0.5",
+    "s_range": [0.0, 1.0],
+    "step": 0.001,
+    "transversal": {"kind": "alpha", "angle": "1 + 0.2*s", "branch": "spacelike"},
+    "output": {"report_path": "alpha_report.json"},
+}
+
+# the gamma family on its timelike branch over a developable base (theta = 0),
+# so the report carries the corollary checks and the printed-sign warning
+GAMMA_TIMELIKE_TRANSVERSAL = {
+    "mode": "intrinsic",
+    "k1": "1",
+    "k2": "0.5",
+    "theta": "0",
+    "s_range": [0.0, 1.0],
+    "step": 0.001,
+    "transversal": {"kind": "gamma", "angle": "0.4 + 0.3*s", "branch": "timelike"},
+    "output": {"report_path": "gamma_report.json"},
+}
+
 # (case id, command, config, {output file: sha256})
 CASES = [
     (
@@ -128,6 +154,25 @@ CASES = [
         "verify",
         SMALL_VERIFY,
         {"verify.json": "f1e55bd602a1a86ac07a1086ab1fc87b24b9b2f2f63eca337dbfc6a7caa05a4b"},
+    ),
+    (
+        # the default suites: every family on the full 27-triple grid
+        "verify_default",
+        "verify",
+        demo("verify_default"),
+        {"verify_report.json": "887b6399c94dd8f41e234db0ce5b4fb94eaf905d0ef49cfd82a4c99d1a7ea5b4"},
+    ),
+    (
+        "alpha_spacelike_transversal",
+        "transversal",
+        ALPHA_SPACELIKE_TRANSVERSAL,
+        {"alpha_report.json": "5152d3acd7c4022d1c1dd4d89d82344e44e63b69838c4eb01d0738b031df28c9"},
+    ),
+    (
+        "gamma_timelike_transversal",
+        "transversal",
+        GAMMA_TIMELIKE_TRANSVERSAL,
+        {"gamma_report.json": "aa6f17c45194e9f5ee87d0bfd7cf37f8f9a644873a7af9e7392a82a3a8369b49"},
     ),
     (
         "helicoid_mesh",
