@@ -24,6 +24,7 @@ from .errors import (
     OppositeOrientationError,
     ParseError,
     TrivialRulingError,
+    WorkLimitError,
 )
 from .expressions import Expr, differentiate, evaluate, parse, to_string
 from .frame import canonical_frame

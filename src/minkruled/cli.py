@@ -22,7 +22,14 @@ import numpy as np
 
 from . import expressions as ex
 from ._version import __version__
-from .errors import BaseNotDevelopableError, ConfigError, ExprError, GeometryError, ParseError
+from .errors import (
+    BaseNotDevelopableError,
+    ConfigError,
+    ExprError,
+    GeometryError,
+    ParseError,
+    WorkLimitError,
+)
 from .lorentz import DEFAULT_TOLERANCES, CausalCharacter, Tolerances, lorentz_dot
 from .ruled import (
     ExplicitSurface,
@@ -30,6 +37,7 @@ from .ruled import (
     distribution_parameter,
     eval_triple,
     sample_frames,
+    sample_grid,
     sampled_ruled_invariants,
     striction,
     striction_predicates,
@@ -392,7 +400,7 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         "cylindrical": cls.cylindrical,
         "max_abs_drall": cls.max_abs_drall,
     }
-    u = np.linspace(surface.u_range[0], surface.u_range[1], cfg.samples)
+    u = sample_grid(surface, cfg.samples)
     drall = distribution_parameter(surface, u, cfg.tolerances)
     v0 = striction(surface, u, cfg.tolerances)[0]
     track = sample_frames(surface, cfg.samples, cfg.tolerances)
@@ -531,14 +539,13 @@ def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
     with np.errstate(all="ignore"):
         if cfg.mode == "explicit":
             surface = cfg.surface
-            u = np.linspace(surface.u_range[0], surface.u_range[1], cfg.samples)
+            u = sample_grid(surface, cfg.samples)
             f = eval_triple(surface._d.f, u)
             return _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
         if surf is None:
             surf = synthesize_surface(cfg.data)
         if cfg.transversal_spec is not None:
-            grid, _ = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
-            return grid
+            return to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
         return to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
 
 
@@ -575,6 +582,8 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
         if cfg.mesh_path is not None and surf is not None:
             export_obj(_mesh_grid(cfg, surf), resolve(cfg.mesh_path))
         return 0
+    except WorkLimitError as err:  # the input asks for too much work
+        raise ConfigError(f"config: {err}") from err
     except (GeometryError, ExprError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -69,5 +69,10 @@ class EvalDomainError(ExprError):
     """Evaluation left the real domain (log of a negative value, 1/0, ...)."""
 
 
+class WorkLimitError(ValueError):
+    """An input asks for more steps, samples or mesh vertices than a documented
+    cap allows; the CLI maps it to exit code 2, as a config error."""
+
+
 class ConfigError(Exception):
     """Invalid run configuration; maps to CLI exit code 2."""

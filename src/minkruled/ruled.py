@@ -34,6 +34,7 @@ from .errors import (
     DegenerateNormalError,
     NonTimelikeStrictionError,
     NullDerivativeError,
+    WorkLimitError,
 )
 from .frame import SampledSurface
 from .lorentz import (
@@ -48,6 +49,9 @@ from .lorentz import (
 from .numerics import adaptive_simpson, central_diff1, central_diff2, uniform_arclength_nodes
 
 CYLINDRICAL_EPS = 1e-8  # Euclidean |q'| below this counts as a constant ruling
+# an explicit analysis peaks near 0.9 KB of memory per sample (the helicoid
+# demo), so about 0.9 GB at this many samples
+MAX_SAMPLES = 1_000_000
 
 ExprTriple = tuple[ex.Expr, ex.Expr, ex.Expr]
 
@@ -166,6 +170,18 @@ class _Derived:
 # ---------------------------------------------------------------------------
 # pointwise invariants
 # ---------------------------------------------------------------------------
+
+
+def _check_samples(samples: int):
+    if samples > MAX_SAMPLES:
+        raise WorkLimitError(f"{samples} samples are more than MAX_SAMPLES = {MAX_SAMPLES}")
+
+
+def sample_grid(surface: ExplicitSurface, samples: int) -> np.ndarray:
+    """``samples`` values of u evenly spaced over ``u_range``; WorkLimitError
+    past MAX_SAMPLES."""
+    _check_samples(samples)
+    return np.linspace(surface.u_range[0], surface.u_range[1], samples)
 
 
 def surface_point(surface: ExplicitSurface, u: float, v: float) -> Vec3:
@@ -367,7 +383,9 @@ def frame_consistency(surface: ExplicitSurface, u: float, tol: Tolerances = DEFA
 def sample_frames(
     surface: ExplicitSurface, n: int, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SampledSurface:
-    """Frames at n points equally spaced in striction arc length."""
+    """Frames at n points equally spaced in striction arc length; WorkLimitError
+    past MAX_SAMPLES."""
+    _check_samples(n)
     d = surface._d
 
     def speed(x):
@@ -400,7 +418,7 @@ def classify(
 ) -> SurfaceClassification:
     """Evaluate ruling character and developable/conoid/cylindrical flags."""
     d = surface._d
-    u = np.linspace(surface.u_range[0], surface.u_range[1], samples)
+    u = sample_grid(surface, samples)
     q = eval_triple(d.q, u)
     characters = {norm_and_character(q[i], tol)[1] for i in range(samples)}
     if len(characters) != 1:

@@ -26,9 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expressions as ex
-from .errors import FrameDegenerateError, NonTimelikeStrictionError
+from .errors import FrameDegenerateError, NonTimelikeStrictionError, WorkLimitError
 from .frame import SampledSurface, canonical_frame
 from .lorentz import Vec3, frame_check
+
+# a synthesized surface peaks near 0.75 KB of memory per RK4 step, so about
+# 0.75 GB at this many steps
+MAX_STEPS = 1_000_000
+# an OBJ mesh peaks near 90 B of memory and writes about 93 B of file per
+# vertex, so about 0.9 GB of each at this many vertices
+MAX_MESH_VERTICES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,8 @@ class IntrinsicData:
     ValueError unless ``epsilon`` is -1 or 1 (not a bool), ``step`` lies in
     (0, inf), ``s_range`` is finite and increasing, and the initial frame
     (the default one included) is orthonormal for the chosen signature
-    with h = a*q and det(q, h, a) = -1.
+    with h = a*q and det(q, h, a) = -1; WorkLimitError, a ValueError, where
+    the range over the step exceeds MAX_STEPS.
     """
 
     k1: ex.Expr
@@ -58,6 +66,11 @@ class IntrinsicData:
         s0, s1 = self.s_range
         if not (-math.inf < s0 < s1 and s1 - s0 < math.inf):
             raise ValueError("s_range must be finite and increasing")
+        if (s1 - s0) / self.step > MAX_STEPS:
+            raise WorkLimitError(
+                f"s_range over step asks for {(s1 - s0) / self.step:.3g} RK4 steps, "
+                f"more than MAX_STEPS = {MAX_STEPS}"
+            )
         q0, h0, a0 = self.initial_frame
         report = frame_check(q0, h0, a0, self.epsilon)
         if not report.canonical:
@@ -288,9 +301,14 @@ def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
 
 
 def _ruled_grid(base: np.ndarray, ruling: np.ndarray, v_range, nv: int) -> np.ndarray:
-    """Tensor grid base(s_i) + v_j ruling(s_i), shape (n_s, nv, 3)."""
+    """Tensor grid base(s_i) + v_j ruling(s_i), shape (n_s, nv, 3); WorkLimitError
+    past MAX_MESH_VERTICES vertices."""
     if nv < 2:
         raise ValueError("need at least two v samples")
+    if len(base) * nv > MAX_MESH_VERTICES:
+        raise WorkLimitError(
+            f"a {len(base)} x {nv} mesh has more than MAX_MESH_VERTICES = {MAX_MESH_VERTICES} vertices"
+        )
     v = np.linspace(v_range[0], v_range[1], nv)
     return base[:, None, :] + v[None, :, None] * ruling[:, None, :]
 

@@ -20,11 +20,12 @@ evaluates them on the whole sample grid:
                                 and d = det(c', q_T, q_T')/<q_T', q_T'> using
                                 the frame equations; these match the direct
                                 sampled oracle.
-  * ``v_printed``               the commonly stated textbook form.  For the
-                                beta and gamma strictional distances it
-                                differs from the defining quotient by an
-                                overall sign; analyses flag the discrepancy
-                                instead of silently picking a side.
+  * ``v_printed``               the commonly stated textbook form: v_closed
+                                for alpha; for beta and gamma the same
+                                quotient with the two terms of its
+                                coincidence factor swapped, so -v_closed;
+                                analyses flag the discrepancy instead of
+                                silently picking a side.
   * ``d_via_base``              d_T rewritten through the base drall
                                 d = -sinh(theta)/k1.
 
@@ -172,28 +173,30 @@ def _denominator(spec, co: Coefficients):
     return t1 - t2, np.abs(t1) + np.abs(t2)
 
 
-def _closed_values(spec, co: Coefficients):
-    """v_T and d_T closed forms; returns (v, v_printed, d, den, den_scale)."""
+def _closed_factors(spec, co: Coefficients):
+    """Each family's closed-form factors, written once.
+
+    v_T = pre * (lead - lag) / den and d_T = numerator / den: the coincidence
+    factor lead - lag vanishes exactly where the transversal striction curve
+    meets the base one, ``numerator`` where the transversal is developable.
+    Returns (pre, lead, lag, numerator, den, den_scale).
+    """
     den, scale = _denominator(spec, co)
     ch, sh = np.cosh(co.theta), np.sinh(co.theta)
-    ell = _ell(spec)
     with np.errstate(all="ignore"):
         if spec.family is Family.ALPHA:
             _, eta = _mu_eta(spec, co.angle)
-            v = eta * (ch * (co.angle_d + co.k1) - sh * co.k2) / den
-            v_printed = v
-            d = (ell * (co.angle_d + co.k1) * sh - eta**2 * co.k2 * ch) / den
+            pre, lead, lag = eta, ch * (co.angle_d + co.k1), sh * co.k2
+            numerator = _ell(spec) * (co.angle_d + co.k1) * sh - eta**2 * co.k2 * ch
         elif spec.family is Family.BETA:
             cb = np.cos(co.angle)
-            v = cb * (co.k1 * ch - (co.angle_d + co.k2) * sh) / den
-            v_printed = cb * ((co.angle_d + co.k2) * sh - co.k1 * ch) / den
-            d = (co.k1 * cb**2 * sh - (co.angle_d + co.k2) * ch) / den
+            pre, lead, lag = cb, co.k1 * ch, (co.angle_d + co.k2) * sh
+            numerator = co.k1 * cb**2 * sh - (co.angle_d + co.k2) * ch
         else:
             mu, eta = _mu_eta(spec, co.angle)
-            v = co.angle_d * (eta * ch - mu * sh) / den
-            v_printed = co.angle_d * (mu * sh - eta * ch) / den
-            d = (eta * ch - mu * sh) * (mu * co.k1 - eta * co.k2) / den
-    return v, v_printed, d, den, scale
+            pre, lead, lag = co.angle_d, eta * ch, mu * sh
+            numerator = (lead - lag) * (mu * co.k1 - eta * co.k2)
+    return pre, lead, lag, numerator, den, scale
 
 
 def _via_base_values(spec, co: Coefficients, den):
@@ -250,6 +253,11 @@ class TransversalAnalysis:
         return self.oracle.sl
 
 
+def _oracle_abs(values: np.ndarray, valid: np.ndarray, reduce=np.max, empty=math.nan) -> float:
+    """``reduce`` of |values| over the oracle's valid samples; ``empty`` if none is valid."""
+    return float(reduce(np.abs(values[valid]))) if np.any(valid) else empty
+
+
 def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> float:
     if not np.any(valid):
         return math.nan
@@ -262,9 +270,13 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     """Evaluate closed forms on the grid and cross-check with the oracle."""
     co = coefficients(surf, spec)
     _check_nontrivial(spec, co.angle)
-    v, v_printed, d, den, scale = _closed_values(spec, co)
+    pre, lead, lag, numerator, den, scale = _closed_factors(spec, co)
     if np.any(np.abs(den) <= DENOM_EPS * np.maximum(1.0, scale)):
         raise DegenerateDenominatorError("closed-form denominator vanishes on the range")
+    with np.errstate(all="ignore"):
+        v, d = pre * (lead - lag) / den, numerator / den
+        # the printed beta and gamma forms subtract the same two terms the other way
+        v_printed = v if spec.family is Family.ALPHA else pre * (lag - lead) / den
     q_t, ell = ruling_samples(surf, spec)
     oracle = sampled_ruled_invariants(surf.c, q_t, surf.step)
     sl = oracle.sl
@@ -293,10 +305,10 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
 
 def to_explicit(
     surf: SampledSurface, spec: TransversalSpec, v_range: tuple[float, float], nv: int
-):
-    """Sampled parametrization r_T(s_i, v_j) = c(s_i) + v_j q_T(s_i)."""
+) -> np.ndarray:
+    """Sampled parametrization r_T(s_i, v_j) = c(s_i) + v_j q_T(s_i), shape (n_s, nv, 3)."""
     q_t, _ = ruling_samples(surf, spec)
-    return _ruled_grid(surf.c, q_t, v_range, nv), surf.c
+    return _ruled_grid(surf.c, q_t, v_range, nv)
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +337,19 @@ def coincidence_condition(
     max |v_T| (closed form and sampled oracle).
     """
     spec, co = analysis.spec, analysis.coefficients
-    ch, sh = np.cosh(co.theta), np.sinh(co.theta)
+    pre, lead, lag, _, _, _ = _closed_factors(spec, co)
     residuals = {}
     flags = {}
     notes = []
-    if spec.family is Family.ALPHA:
-        res = np.abs(ch * (co.angle_d + co.k1) - sh * co.k2)
-    elif spec.family is Family.BETA:
-        res = np.abs((co.angle_d + co.k2) * sh - co.k1 * ch)
-    else:
-        mu, eta = _mu_eta(spec, co.angle)
-        angle_part = np.abs(mu * sh - eta * ch)
-        res = np.abs(co.angle_d) * angle_part
+    res = np.abs(lead - lag)
+    if spec.family is Family.GAMMA:
         residuals["angle_derivative"] = float(np.max(np.abs(co.angle_d)))
-        residuals["angle_condition"] = float(np.max(angle_part))
+        residuals["angle_condition"] = float(np.max(res))
         flags["angle_constant"] = residuals["angle_derivative"] <= tol
+        res = np.abs(pre) * res
     condition = float(np.max(res))
     max_v = float(np.max(np.abs(analysis.v_closed)))
-    valid = analysis.oracle.valid
-    max_v_oracle = float(np.max(np.abs(analysis.oracle.v0[valid]))) if np.any(valid) else math.nan
+    max_v_oracle = _oracle_abs(analysis.oracle.v0, analysis.oracle.valid)
     residuals.update(
         {
             "condition": condition,
@@ -357,7 +363,7 @@ def coincidence_condition(
         {
             "condition_holds": holds,
             "coincides_closed": coincides,
-            "coincides_oracle": bool(max_v_oracle <= tol) if not math.isnan(max_v_oracle) else False,
+            "coincides_oracle": bool(max_v_oracle <= tol),
             "agree": verdicts_agree(holds, condition, coincides, max_v, tol),
         }
     )
@@ -375,32 +381,26 @@ def developability_condition(
     Disagreements are flagged; the oracle wins.
     """
     spec, co = analysis.spec, analysis.coefficients
-    ch, sh = np.cosh(co.theta), np.sinh(co.theta)
+    _, _, _, numerator, _, _ = _closed_factors(spec, co)
     tanh_theta = np.tanh(co.theta)
     with np.errstate(all="ignore"):
         if spec.family is Family.ALPHA:
-            ell = _ell(spec)
-            mu, eta = _mu_eta(spec, co.angle)
-            numerator = np.abs(ell * (co.angle_d + co.k1) * sh - eta**2 * co.k2 * ch)
-            stated = np.abs(tanh_theta - ell * (co.angle_d + co.k1) / (mu**2 * co.k2))
+            mu, _ = _mu_eta(spec, co.angle)
+            stated = np.abs(tanh_theta - _ell(spec) * (co.angle_d + co.k1) / (mu**2 * co.k2))
         elif spec.family is Family.BETA:
-            cb = np.cos(co.angle)
-            numerator = np.abs(co.k1 * cb**2 * sh - (co.angle_d + co.k2) * ch)
-            stated = np.abs(tanh_theta - (co.angle_d + co.k2) / (co.k1 * cb**2))
+            stated = np.abs(tanh_theta - (co.angle_d + co.k2) / (co.k1 * np.cos(co.angle) ** 2))
         else:
             mu, eta = _mu_eta(spec, co.angle)
-            numerator = np.abs((eta * ch - mu * sh) * (mu * co.k1 - eta * co.k2))
             first = np.abs(tanh_theta - eta / mu)
             second = np.abs(co.k1 / np.where(co.k2 == 0.0, np.nan, co.k2) - eta / mu)
             stated = np.fmin(first, np.where(np.isnan(second), np.inf, second))
     stated = np.where(np.isfinite(stated), stated, np.inf)
-    num_res = float(np.max(numerator))
+    num_res = float(np.max(np.abs(numerator)))
     stated_res = float(np.max(stated))
-    valid = analysis.oracle.valid
-    oracle_res = float(np.max(np.abs(analysis.oracle.drall[valid]))) if np.any(valid) else math.nan
+    oracle_res = _oracle_abs(analysis.oracle.drall, analysis.oracle.valid)
     num_holds = num_res <= tol
     stated_holds = stated_res <= tol
-    oracle_holds = bool(oracle_res <= tol) if not math.isnan(oracle_res) else False
+    oracle_holds = bool(oracle_res <= tol)
     flags = {
         "numerator_vanishes": num_holds,
         "stated_condition_holds": stated_holds,
@@ -419,7 +419,7 @@ def developability_condition(
         spec.family.value,
         {
             "numerator": num_res,
-            "stated_condition": stated_res if math.isfinite(stated_res) else math.inf,
+            "stated_condition": stated_res,
             "oracle_drall": oracle_res,
             "closed_drall": float(np.max(np.abs(analysis.d_closed))),
         },
@@ -467,12 +467,9 @@ def corollary_checks(
         oracle_res, closed_res, developable = 0.0, 0.0, True
     else:
         analysis = analyze(surf, spec)
-        valid = analysis.oracle.valid
-        oracle_res = (
-            float(np.max(np.abs(analysis.oracle.drall[valid]))) if np.any(valid) else math.nan
-        )
+        oracle_res = _oracle_abs(analysis.oracle.drall, analysis.oracle.valid)
         closed_res = float(np.max(np.abs(analysis.d_closed)))
-        developable = bool(oracle_res <= tol) if not math.isnan(oracle_res) else False
+        developable = bool(oracle_res <= tol)
     return ConditionReport(
         "corollary",
         spec.family.value,
@@ -502,20 +499,20 @@ def linear_angle(intercept: float, slope: float) -> ex.Expr:
     return ex.add(ex.const(intercept), ex.mul(ex.const(slope), ex.VAR))
 
 
-def coincident_angle(
-    k1: float, k2: float, theta: float, family: Family, angle0: float
-) -> ex.Expr:
-    """Angle function keeping the transversal striction curve on the base one.
+def coincidence_slope(k1: float, k2: float, theta: float, family: Family) -> float:
+    """Angle slope keeping the transversal striction curve on the base one.
 
-    Valid for constant (k1, k2, theta): the coincidence conditions reduce to
-    a constant angle slope (alpha: tanh(theta) k2 - k1; beta:
-    k1/tanh(theta) - k2; gamma: 0, any constant angle works).
+    For constant (k1, k2, theta) the coincidence factor vanishes on every
+    angle of this constant slope: alpha tanh(theta) k2 - k1, beta
+    k1/tanh(theta) - k2, gamma 0 (any constant angle).  ValueError for beta
+    where |tanh(theta)| < 1e-12: there no angle coincides unless k1 = 0, and
+    then every angle does.
     """
+    t = math.tanh(theta)
     if family is Family.ALPHA:
-        return linear_angle(angle0, math.tanh(theta) * k2 - k1)
+        return t * k2 - k1
     if family is Family.BETA:
-        t = math.tanh(theta)
         if abs(t) < 1e-12:
             raise ValueError("beta coincidence needs a nonzero theta")
-        return linear_angle(angle0, k1 / t - k2)
-    return ex.const(angle0)
+        return k1 / t - k2
+    return 0.0

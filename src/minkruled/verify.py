@@ -37,8 +37,9 @@ from .transversal import (
     Branch,
     Family,
     TransversalSpec,
+    _oracle_abs,
     analyze,
-    coincident_angle,
+    coincidence_slope,
     corollary_checks,
     developability_condition,
     linear_angle,
@@ -153,17 +154,14 @@ class SuiteReport:
         }
 
 
-def _surface(cfg: SuiteConfig, surfaces, k1, k2, theta, s_range=None) -> SampledSurface:
-    """The surface, reused from the dict ``surfaces`` (unless None) by the raw
-    (k1, k2, theta, s_range); its "frames" entry shares frames across theta."""
+def _surface(cfg: SuiteConfig, surfaces: dict, k1, k2, theta, s_range=None) -> SampledSurface:
+    """The surface kept in ``surfaces`` under the raw (k1, k2, theta, s_range),
+    synthesized on first request; its "frames" entry shares frames across theta."""
     s_range = s_range or cfg.s_range
     key = (k1, k2, theta, tuple(s_range))
-    if surfaces is not None and key in surfaces:
-        return surfaces[key]
-    data = from_constants(k1, k2, theta, s_range=s_range, step=cfg.step)
-    if surfaces is None:
-        return synthesize_surface(data)
-    surfaces[key] = synthesize_surface(data, surfaces.setdefault("frames", {}))
+    if key not in surfaces:
+        data = from_constants(k1, k2, theta, s_range=s_range, step=cfg.step)
+        surfaces[key] = synthesize_surface(data, surfaces.setdefault("frames", {}))
     return surfaces[key]
 
 
@@ -196,12 +194,14 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Suit
     One record per grid triple and predicate.  Each record carries the
     agreement verdict of the two characterizations on the grid surface plus
     targeted forward (condition tuned) and backward (condition violated by
-    0.1) instances where the condition is satisfiable.  A ``surfaces`` dict,
-    as ``run_all`` passes to each suite, keeps every surface synthesized and
-    reuses it on the next request for the same data.
+    0.1) instances where the condition is satisfiable.  Every surface
+    synthesized is kept in ``surfaces`` (a new dict unless the caller, such
+    as ``run_all``, passes one) and reused on the next request for the same
+    data.
     """
     report = SuiteReport("striction", cfg.to_dict())
     tol = cfg.tolerance
+    surfaces = {} if surfaces is None else surfaces
     for k1, k2, th in cfg.grid():
         try:
             base = _surface(cfg, surfaces, k1, k2, th)
@@ -289,103 +289,135 @@ _BETA_BOUNDS = (0.1, math.pi / 2.0 - 0.1)
 _BETA_DEGENERATE = "coincidence holds for every angle at theta = 0, k1 = 0"
 
 
-def _tuned_coincidence(cfg, family, k1, k2, th, surfaces):
-    """Instance (surface, spec) whose transversal striction curve coincides."""
-    if family is Family.ALPHA:
-        if k2 == 0.0:
-            return None, "coincidence needs k2 != 0 (ruling derivative degenerates)"
-        angle = coincident_angle(k1, k2, th, family, _ALPHA_ANGLE0)
-        slope = math.tanh(th) * k2 - k1
-        rng = _capped_range(cfg, _ALPHA_ANGLE0, slope, 0.25, math.inf)
-        spec = TransversalSpec(family, angle, Branch.TIMELIKE)
-    elif family is Family.BETA:
-        if abs(math.tanh(th)) < 1e-12:
+def _family_suite(name: str, cfg: SuiteConfig, surfaces, case) -> SuiteReport:
+    """One record per (family, grid triple), every triple of one family in turn.
+
+    ``case(cfg, surfaces, family, k1, k2, theta, residuals, notes)`` fills
+    the record's residuals and notes and returns whether the case passed, or
+    None for a skip; a GeometryError, ExprError or ValueError makes the
+    record an error whose last note is the message.  ``surfaces`` as in
+    ``run_striction_suite``.
+    """
+    report = SuiteReport(name, cfg.to_dict())
+    surfaces = {} if surfaces is None else surfaces
+    for family in cfg.families:
+        for k1, k2, th in cfg.grid():
+            residuals: dict = {}
+            notes: list = []
+            try:
+                ok = case(cfg, surfaces, family, k1, k2, th, residuals, notes)
+                verdict = "skip" if ok is None else "pass" if ok else "fail"
+            except (GeometryError, ExprError, ValueError) as exc:
+                verdict = "error"
+                notes.append(str(exc))
+            params = {"k1": k1, "k2": k2, "theta": th}
+            report.cases.append(
+                CaseRecord(
+                    name, f"{name}.{family.value}", family.value,
+                    params, residuals, verdict, "; ".join(notes),
+                )
+            )
+    return report
+
+
+def _coincidence_instance(cfg, family, k1, k2, th, surfaces, margin=0.0):
+    """(surface, spec) with a linear angle whose slope exceeds the coincidence
+    slope by ``margin``, and an empty reason: at margin 0 the transversal
+    striction curve coincides with the base one.  (None, reason) where no
+    coincident instance exists."""
+    if family is Family.ALPHA and k2 == 0.0 and not margin:
+        return None, "coincidence needs k2 != 0 (ruling derivative degenerates)"
+    try:
+        slope = coincidence_slope(k1, k2, th, family) + margin
+    except ValueError:  # beta at theta = 0: no slope coincides, so any violates
+        if not margin:
             unattainable = "coincidence unattainable for theta = 0 (k1 != 0)"
             return None, _BETA_DEGENERATE if k1 == 0.0 else unattainable
-        angle = coincident_angle(k1, k2, th, family, _BETA_ANGLE0)
-        slope = k1 / math.tanh(th) - k2
-        rng = _capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS)
-        spec = TransversalSpec(family, angle)
-    else:
-        angle = coincident_angle(k1, k2, th, family, cfg.angle_values[0])
-        rng = cfg.s_range
-        spec = TransversalSpec(family, angle, Branch.TIMELIKE)
-    surf = _surface(cfg, surfaces, k1, k2, th, s_range=rng)
-    return (surf, spec), ""
-
-
-def _violated_coincidence(cfg, family, k1, k2, th, surfaces):
-    """Instance violating the coincidence condition by the standard margin."""
+        slope = 0.0
     if family is Family.ALPHA:
-        slope = (math.tanh(th) * k2 - k1) + ANGLE_MARGIN
-        angle = linear_angle(_ALPHA_ANGLE0, slope)
-        rng = _capped_range(cfg, _ALPHA_ANGLE0, slope, 0.25, math.inf)
-        spec = TransversalSpec(family, angle, Branch.TIMELIKE)
+        angle0, rng = _ALPHA_ANGLE0, _capped_range(cfg, _ALPHA_ANGLE0, slope, 0.25, math.inf)
     elif family is Family.BETA:
-        slope = (k1 / math.tanh(th) - k2 + ANGLE_MARGIN) if abs(th) > 1e-12 else 0.0
-        angle = linear_angle(_BETA_ANGLE0, slope)
-        rng = _capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS)
-        spec = TransversalSpec(family, angle)
-    else:
-        angle = linear_angle(th + 0.2, ANGLE_MARGIN)
-        rng = cfg.s_range
-        spec = TransversalSpec(family, angle, Branch.TIMELIKE)
-    surf = _surface(cfg, surfaces, k1, k2, th, s_range=rng)
-    return surf, spec
+        angle0, rng = _BETA_ANGLE0, _capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS)
+    else:  # every constant angle coincides; a violated one starts off theta
+        angle0, rng = (th + 0.2 if margin else cfg.angle_values[0]), cfg.s_range
+    branch = None if family is Family.BETA else Branch.TIMELIKE
+    spec = TransversalSpec(family, linear_angle(angle0, slope), branch)
+    return (_surface(cfg, surfaces, k1, k2, th, s_range=rng), spec), ""
 
 
-def _specialization_residuals(cfg, family, k1, k2, th, residuals, notes, surfaces):
-    """Constant-angle / parameter-identity specializations of coincidence."""
+def _specialization_residuals(family, k1, k2, th, tuned, reason, residuals, notes) -> bool:
+    """Constant-angle / parameter-identity specializations of coincidence;
+    ``tuned`` is the coincident instance, or None for the ``reason`` given."""
     ok = True
     # asymptotic striction (tanh theta = k1/k2) forces a constant angle, except
     # for beta at k1 = 0, where theta = 0 leaves every angle coincident
     if abs(k2) > 0.0 and abs(k1 / k2) < 1.0 and (k1 != 0.0 or family is not Family.BETA):
         theta_star = math.atanh(k1 / k2)
-        if family is Family.ALPHA:
-            slope = math.tanh(theta_star) * k2 - k1
-        elif family is Family.BETA:
-            slope = k1 / math.tanh(theta_star) - k2
-        else:
+        if family is Family.GAMMA:
             mu, eta = math.cosh(theta_star), math.sinh(theta_star)
             slope = abs(eta / mu - k1 / k2)  # identity residual, not a slope
+        else:
+            slope = coincidence_slope(k1, k2, theta_star, family)
         residuals["asymptotic_spec"] = abs(slope)
         ok = ok and abs(slope) <= 1e-6
-    # geodesic striction (constant theta): angle slope is x k2 - k1 etc.
-    surf_spec, reason = _tuned_coincidence(cfg, family, k1, k2, th, surfaces)
-    if surf_spec is not None:
-        surf, spec = surf_spec
-        x = math.tanh(th)
-        if family is Family.ALPHA:
-            target = x * k2 - k1
-            res = _fd_slope_residual(surf, spec.angle, target)
-        elif family is Family.BETA:
-            target = k1 / x - k2
-            res = _fd_slope_residual(surf, spec.angle, target)
+    # geodesic striction (constant theta): the tuned angle has the coincidence slope
+    if tuned is not None:
+        surf, spec = tuned
+        if family is not Family.GAMMA:
+            res = _fd_slope_residual(surf, spec.angle, coincidence_slope(k1, k2, th, family))
+        elif abs(th) < 1e-12:
+            res = None
         else:
-            if abs(th) < 1e-12:
-                res = None
-            else:
-                gamma = math.atanh(math.tanh(th))  # gamma = theta, timelike branch
-                res = abs(math.sinh(gamma) - x * math.cosh(gamma))
+            x = math.tanh(th)
+            gamma = math.atanh(x)  # gamma = theta, timelike branch
+            res = abs(math.sinh(gamma) - x * math.cosh(gamma))
         if res is not None:
             residuals["geodesic_spec"] = res
             ok = ok and res <= 1e-7 * max(1.0, abs(k1) + abs(k2))
     elif reason:
         notes.append(f"geodesic specialization skipped: {reason}")
     # line-of-curvature striction (tanh theta = k2/k1)
-    if abs(k1) > 0.0 and abs(k2 / k1) < 1.0:
+    if abs(k1) > 0.0 and abs(k2 / k1) < 1.0 and k2 != 0.0:
         theta_star = math.atanh(k2 / k1)
-        if family is Family.ALPHA and k2 != 0.0:
-            fitted = math.tanh(theta_star) * k2 - k1
-            residuals["curvature_line_spec"] = abs(fitted - (k2**2 - k1**2) / k1)
-        elif family is Family.BETA and k2 != 0.0:
-            fitted = k1 / math.tanh(theta_star) - k2
-            residuals["curvature_line_spec"] = abs(fitted - (k1**2 - k2**2) / k2)
-        elif family is Family.GAMMA and k2 != 0.0:
-            gamma = math.atanh(k2 / k1)
-            residuals["curvature_line_spec"] = abs(math.tanh(gamma) - k2 / k1)
-        if "curvature_line_spec" in residuals:
-            ok = ok and residuals["curvature_line_spec"] <= 1e-7 * max(1.0, k1 + k1**2)
+        if family is Family.GAMMA:  # gamma = theta_star
+            res = abs(math.tanh(theta_star) - k2 / k1)
+        else:
+            expected = (k2**2 - k1**2) / k1 if family is Family.ALPHA else (k1**2 - k2**2) / k2
+            res = abs(coincidence_slope(k1, k2, theta_star, family) - expected)
+        residuals["curvature_line_spec"] = res
+        ok = ok and res <= 1e-7 * max(1.0, k1 + k1**2)
+    return ok
+
+
+def _coincidence_case(cfg, surfaces, family, k1, k2, th, residuals, notes):
+    """Forward tuned and backward violated instances, then the specializations."""
+    ctol = cfg.coincidence_tolerance
+    tuned, reason = _coincidence_instance(cfg, family, k1, k2, th, surfaces)
+    ok = True
+    if tuned is not None:
+        analysis = analyze(*tuned)
+        oracle = analysis.oracle
+        residuals["forward_max_v_closed"] = float(np.max(np.abs(analysis.v_closed)))
+        residuals["forward_max_v_oracle"] = _oracle_abs(oracle.v0, oracle.valid, np.max, math.inf)
+        ok = (
+            residuals["forward_max_v_closed"] <= ctol
+            and residuals["forward_max_v_oracle"] <= ctol
+        )
+    else:
+        notes.append(f"forward skipped: {reason}")
+    if reason == _BETA_DEGENERATE:  # no instance violates the condition
+        notes.append(f"backward skipped: {reason}")
+    else:
+        violated, _ = _coincidence_instance(cfg, family, k1, k2, th, surfaces, ANGLE_MARGIN)
+        analysis = analyze(*violated)
+        oracle = analysis.oracle
+        residuals["backward_min_v_closed"] = float(np.min(np.abs(analysis.v_closed)))
+        residuals["backward_min_v_oracle"] = _oracle_abs(oracle.v0, oracle.valid, np.min, math.inf)
+        ok = ok and residuals["backward_min_v_closed"] >= 10.0 * ctol
+        ok = ok and residuals["backward_min_v_oracle"] >= 10.0 * ctol
+    ok = _specialization_residuals(family, k1, k2, th, tuned, reason, residuals, notes) and ok
+    if tuned is None and len(residuals) <= 2:
+        return None
     return ok
 
 
@@ -397,76 +429,15 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Su
     the applicable specialization identities.  ``surfaces`` as in
     ``run_striction_suite``.
     """
-    report = SuiteReport("coincidence", cfg.to_dict())
-    ctol = cfg.coincidence_tolerance
-    for family in cfg.families:
-        for k1, k2, th in cfg.grid():
-            params = {"k1": k1, "k2": k2, "theta": th}
-            residuals: dict = {}
-            notes: list = []
-            verdict = "pass"
-            try:
-                tuned, reason = _tuned_coincidence(cfg, family, k1, k2, th, surfaces)
-                applicable = tuned is not None
-                ok = True
-                if applicable:
-                    surf, spec = tuned
-                    analysis = analyze(surf, spec)
-                    residuals["forward_max_v_closed"] = float(
-                        np.max(np.abs(analysis.v_closed))
-                    )
-                    valid = analysis.oracle.valid
-                    residuals["forward_max_v_oracle"] = (
-                        float(np.max(np.abs(analysis.oracle.v0[valid])))
-                        if np.any(valid)
-                        else math.inf
-                    )
-                    ok = (
-                        residuals["forward_max_v_closed"] <= ctol
-                        and residuals["forward_max_v_oracle"] <= ctol
-                    )
-                else:
-                    notes.append(f"forward skipped: {reason}")
-                if reason == _BETA_DEGENERATE:  # no instance violates the condition
-                    notes.append(f"backward skipped: {reason}")
-                else:
-                    analysis = analyze(*_violated_coincidence(cfg, family, k1, k2, th, surfaces))
-                    valid = analysis.oracle.valid
-                    residuals["backward_min_v_closed"] = float(np.min(np.abs(analysis.v_closed)))
-                    residuals["backward_min_v_oracle"] = (
-                        float(np.min(np.abs(analysis.oracle.v0[valid])))
-                        if np.any(valid)
-                        else math.inf
-                    )
-                    ok = ok and residuals["backward_min_v_closed"] >= 10.0 * ctol
-                    ok = ok and residuals["backward_min_v_oracle"] >= 10.0 * ctol
-                ok = _specialization_residuals(
-                    cfg, family, k1, k2, th, residuals, notes, surfaces
-                ) and ok
-                if not applicable and len(residuals) <= 2:
-                    verdict = "skip"
-                elif not ok:
-                    verdict = "fail"
-            except (GeometryError, ExprError, ValueError) as exc:
-                verdict = "error"
-                notes.append(str(exc))
-            report.cases.append(
-                CaseRecord(
-                    "coincidence",
-                    f"coincidence.{family.value}",
-                    family.value,
-                    params,
-                    residuals,
-                    verdict,
-                    "; ".join(notes),
-                )
-            )
-    return report
+    return _family_suite("coincidence", cfg, surfaces, _coincidence_case)
 
 
 # ---------------------------------------------------------------------------
 # developability suite
 # ---------------------------------------------------------------------------
+
+
+_DISCREPANCY = "stated-condition discrepancy (documented)"
 
 
 def _tuned_developable(cfg, family, k1, k2, th):
@@ -496,6 +467,35 @@ def _tuned_developable(cfg, family, k1, k2, th):
     return (th, TransversalSpec(family, ex.const(th), Branch.TIMELIKE)), ""
 
 
+def _developability_case(cfg, surfaces, family, k1, k2, th, residuals, notes):
+    """Tuned and theta-shifted instances, then the theta = 0 corollaries."""
+    tol = cfg.tolerance
+    ok = True
+    tuned, reason = _tuned_developable(cfg, family, k1, k2, th)
+    if tuned is None:
+        notes.append(f"forward skipped: {reason}")
+    else:
+        theta_t, spec = tuned
+        surf = _surface(cfg, surfaces, k1, k2, theta_t)
+        cond = developability_condition(analyze(surf, spec), tol)
+        residuals["forward_numerator"] = cond.residuals["numerator"]
+        residuals["forward_oracle"] = cond.residuals["oracle_drall"]
+        residuals["forward_stated"] = cond.residuals["stated_condition"]
+        ok = cond.flags["numerator_vanishes"] and cond.flags["oracle_developable"]
+        if cond.notes:
+            notes.append(_DISCREPANCY)
+        # backward: shift theta off the tuned value
+        surf_b = _surface(cfg, surfaces, k1, k2, theta_t + ANGLE_MARGIN)
+        cond_b = developability_condition(analyze(surf_b, spec), tol)
+        residuals["backward_numerator"] = cond_b.residuals["numerator"]
+        residuals["backward_oracle"] = cond_b.residuals["oracle_drall"]
+        ok = ok and residuals["backward_numerator"] >= 10.0 * tol
+        ok = ok and residuals["backward_oracle"] >= 10.0 * tol
+    if th == 0.0:
+        ok = _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) and ok
+    return ok if residuals else None
+
+
 def run_developability_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> SuiteReport:
     """Developability of transversal surfaces: closed form vs oracle vs
     the stated angle conditions, plus the developable-base corollaries.
@@ -505,62 +505,8 @@ def run_developability_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) ->
     drall numerator; that is recorded as a documented discrepancy warning,
     not a failure.  ``surfaces`` as in ``run_striction_suite``.
     """
-    report = SuiteReport("developability", cfg.to_dict())
-    tol = cfg.tolerance
-    discrepancy_seen = False
-    for family in cfg.families:
-        for k1, k2, th in cfg.grid():
-            params = {"k1": k1, "k2": k2, "theta": th}
-            residuals: dict = {}
-            notes: list = []
-            verdict = "pass"
-            try:
-                ok = True
-                tuned, reason = _tuned_developable(cfg, family, k1, k2, th)
-                if tuned is None:
-                    notes.append(f"forward skipped: {reason}")
-                else:
-                    theta_t, spec = tuned
-                    surf = _surface(cfg, surfaces, k1, k2, theta_t)
-                    cond = developability_condition(analyze(surf, spec), tol)
-                    residuals["forward_numerator"] = cond.residuals["numerator"]
-                    residuals["forward_oracle"] = cond.residuals["oracle_drall"]
-                    residuals["forward_stated"] = cond.residuals["stated_condition"]
-                    ok = (
-                        cond.flags["numerator_vanishes"]
-                        and cond.flags["oracle_developable"]
-                    )
-                    if cond.notes:
-                        discrepancy_seen = True
-                        notes.append("stated-condition discrepancy (documented)")
-                    # backward: shift theta off the tuned value
-                    surf_b = _surface(cfg, surfaces, k1, k2, theta_t + ANGLE_MARGIN)
-                    cond_b = developability_condition(analyze(surf_b, spec), tol)
-                    residuals["backward_numerator"] = cond_b.residuals["numerator"]
-                    residuals["backward_oracle"] = cond_b.residuals["oracle_drall"]
-                    ok = ok and residuals["backward_numerator"] >= 10.0 * tol
-                    ok = ok and residuals["backward_oracle"] >= 10.0 * tol
-                if th == 0.0:
-                    ok = _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) and ok
-                if not residuals:
-                    verdict = "skip"
-                elif not ok:
-                    verdict = "fail"
-            except (GeometryError, ExprError, ValueError) as exc:
-                verdict = "error"
-                notes.append(str(exc))
-            report.cases.append(
-                CaseRecord(
-                    "developability",
-                    f"developability.{family.value}",
-                    family.value,
-                    params,
-                    residuals,
-                    verdict,
-                    "; ".join(notes),
-                )
-            )
-    if discrepancy_seen:
+    report = _family_suite("developability", cfg, surfaces, _developability_case)
+    if any(_DISCREPANCY in case.note for case in report.cases):
         report.warnings.append(
             "alpha developability: the stated angle condition does not match the "
             "drall numerator; the direct oracle confirms the numerator form"

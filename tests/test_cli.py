@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 
@@ -502,7 +503,12 @@ def test_export_obj_rejects_non_finite(tmp_path):
     assert not target.parent.exists()
 
 
-def run_cli(tmp_path, command, payload):
+def cap_address_space():
+    """Cap the address space at 2 GiB, so an oversized allocation fails at once."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def run_cli(tmp_path, command, payload, preexec_fn=None):
     """Run the CLI in a fresh interpreter so stderr holds everything it prints."""
     config = write_config(tmp_path, "c.json", payload)
     env = dict(os.environ)
@@ -511,7 +517,7 @@ def run_cli(tmp_path, command, payload):
     return subprocess.run(
         [sys.executable, "-m", "minkruled.cli", command, "--config", config,
          "--output-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
     )
 
 
@@ -553,4 +559,27 @@ def test_non_finite_results_exit_1(tmp_path, command, payload, message):
     assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert "RuntimeWarning" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        ("synthesize", dict(load_demo("hyperbolic_synthesize"), step=1e-15), "MAX_STEPS"),
+        ("analyze", dict(load_demo("helicoid_analyze"), samples=10**12), "MAX_SAMPLES"),
+        (
+            "mesh",
+            dict(load_demo("hyperbolic_mesh"), output={"mesh_path": "m.obj", "v_samples": 10**12}),
+            "MAX_MESH_VERTICES",
+        ),
+    ],
+    ids=["synthesize-step", "analyze-samples", "mesh-v-samples"],
+)
+def test_oversized_work_exits_2(tmp_path, command, payload, message):
+    # each input asks for terabytes in one allocation; without a cap that
+    # allocation fails at once under the address-space limit, with a traceback
+    result = run_cli(tmp_path, command, payload, preexec_fn=cap_address_space)
+    assert result.returncode == 2
+    assert "config error" in result.stderr and message in result.stderr
+    assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()

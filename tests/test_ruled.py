@@ -7,9 +7,15 @@ import pytest
 
 from minkruled import expressions as ex
 from minkruled import ruled as ruled_module
-from minkruled.errors import CylindricalRulingError, DegenerateNormalError, NullDerivativeError
+from minkruled.errors import (
+    CylindricalRulingError,
+    DegenerateNormalError,
+    NullDerivativeError,
+    WorkLimitError,
+)
 from minkruled.lorentz import DEFAULT_TOLERANCES, CausalCharacter, frame_check, lorentz_dot
 from minkruled.ruled import (
+    MAX_SAMPLES,
     ExplicitSurface,
     SurfaceClassification,
     asymptotic_normal,
@@ -19,6 +25,7 @@ from minkruled.ruled import (
     frenet_frame_at,
     normal_limit_agreement,
     sample_frames,
+    sample_grid,
     striction,
     striction_predicates,
     surface_point,
@@ -395,3 +402,11 @@ def test_sample_frames_uniform_arclength():
     frames = sample_frames(syn1_explicit(0.7), 51)
     s = np.array([f.s for f in frames])
     assert np.allclose(np.diff(s), s[-1] / 50, atol=1e-9)
+
+
+def test_sample_count_is_capped(helicoid):
+    u = sample_grid(helicoid, 5)
+    assert u.tolist() == np.linspace(0.0, 1.0, 5).tolist()
+    for call in (sample_grid, classify, sample_frames):
+        with pytest.raises(WorkLimitError, match="MAX_SAMPLES"):
+            call(helicoid, MAX_SAMPLES + 1)

@@ -8,12 +8,13 @@ import pytest
 
 from minkruled import expressions as ex
 from minkruled import synthesis
-from minkruled.errors import FrameDegenerateError, NonTimelikeStrictionError
+from minkruled.errors import FrameDegenerateError, NonTimelikeStrictionError, WorkLimitError
 from minkruled.frame import canonical_frame
 from minkruled.lorentz import frame_check, lorentz_dot
 from minkruled.numerics import central_diff1
 from minkruled.ruled import recover_frame_data, sampled_ruled_invariants
 from minkruled.synthesis import (
+    MAX_STEPS,
     IntrinsicData,
     from_constants,
     integrate_frame,
@@ -476,3 +477,21 @@ def test_shared_frames_never_reuse_another_frame(monkeypatch):
     synthesize_surface(with_theta(dict(variants[-1], initial_frame=boosted_frame()), "-1"), frames)
     assert len(frames) == len(variants) + 1
     assert len(calls) == 2 * len(variants) + 1  # the fresh syntheses above
+
+
+def test_step_count_is_capped():
+    # the range over the step counts the RK4 steps: MAX_STEPS is accepted
+    zero = ex.const(0.0)
+    assert IntrinsicData(zero, zero, zero, s_range=(0.0, 1.0), step=1.0 / MAX_STEPS).n_steps == MAX_STEPS
+    # 1e-320 makes the ratio overflow to inf, which int(round(.)) cannot take
+    for step in (1.0 / (MAX_STEPS + 1), 1e-15, 1e-320):
+        with pytest.raises(WorkLimitError, match="MAX_STEPS"):
+            IntrinsicData(zero, zero, zero, s_range=(0.0, 1.0), step=step)
+
+
+def test_mesh_vertex_count_is_capped(monkeypatch):
+    surf = synthesize_surface(from_constants(1.0, 0.0, 1.0, (0.0, 1.0), 0.25))
+    monkeypatch.setattr(synthesis, "MAX_MESH_VERTICES", 5 * 4)
+    assert to_explicit_grid(surf, (-1.0, 1.0), 4).shape == (5, 4, 3)
+    with pytest.raises(WorkLimitError, match="MAX_MESH_VERTICES"):
+        to_explicit_grid(surf, (-1.0, 1.0), 5)

@@ -19,7 +19,7 @@ from minkruled.transversal import (
     TransversalSpec,
     analyze,
     coincidence_condition,
-    coincident_angle,
+    coincidence_slope,
     corollary_checks,
     developability_condition,
     drall_law,
@@ -297,13 +297,37 @@ def test_coincidence_violated():
     assert report.residuals["max_abs_v_closed"] >= 1e-3
 
 
-def test_coincident_angle_fit():
-    angle = coincident_angle(1.0, 2.0, math.atanh(0.5), Family.ALPHA, 1.0)
-    assert ex.evaluate(ex.differentiate(angle), 0.3) == pytest.approx(0.0, abs=1e-15)
-    angle = coincident_angle(1.0, 2.0, math.atanh(0.5), Family.BETA, 0.7)
-    assert ex.evaluate(ex.differentiate(angle), 0.3) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        coincident_angle(1.0, 2.0, 0.0, Family.BETA, 0.7)
+@pytest.mark.parametrize(
+    "family,k1,k2,theta,branch,angle0",
+    [
+        ("alpha", 1.0, 2.0, 0.3, "timelike", 1.5),
+        ("alpha", 0.5, -1.0, -0.4, "spacelike", 1.0),
+        ("beta", 1.0, 2.0, 0.3, None, 0.7),
+        ("beta", -0.5, 0.4, 0.8, None, 0.9),
+        ("gamma", 1.0, 0.5, 0.3, "timelike", 0.8),
+        ("gamma", 2.0, 1.0, 0.6, "spacelike", 0.5),
+    ],
+)
+def test_coincidence_slope_keeps_the_striction_curve(family, k1, k2, theta, branch, angle0):
+    # closed-form laws: alpha tanh(theta) k2 - k1, beta k1/tanh(theta) - k2, gamma 0
+    t = math.tanh(theta)
+    expected = {"alpha": t * k2 - k1, "beta": k1 / t - k2, "gamma": 0.0}[family]
+    slope = coincidence_slope(k1, k2, theta, Family(family))
+    assert slope == expected
+    # and the linear angle of that slope makes v_T vanish against the oracle
+    surf = surf_const(k1, k2, theta, s_range=(0.0, 0.2))
+    report = coincidence_condition(analyze(surf, spec_for(family, linear_angle(angle0, slope), branch)))
+    assert report.flags["condition_holds"] and report.flags["coincides_oracle"]
+    assert report.residuals["max_abs_v_closed"] <= 1e-12
+
+
+def test_coincidence_slope_beta_needs_nonzero_theta():
+    with pytest.raises(ValueError, match="nonzero theta"):
+        coincidence_slope(1.0, 2.0, 0.0, Family.BETA)
+    with pytest.raises(ValueError, match="nonzero theta"):
+        coincidence_slope(0.0, 2.0, 1e-13, Family.BETA)
+    assert coincidence_slope(1.0, 2.0, 0.0, Family.ALPHA) == -1.0
+    assert coincidence_slope(1.0, 2.0, 0.0, Family.GAMMA) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +450,11 @@ def test_corollary_gamma():
 def test_to_explicit_grid():
     surf = surf_const(1.0, 0.0, 1.0, step=1e-2)
     spec = spec_for("beta", "pi/4")
-    grid, base = to_explicit(surf, spec, (-1.0, 1.0), 5)
+    grid = to_explicit(surf, spec, (-1.0, 1.0), 5)
     assert grid.shape == (len(surf), 5, 3)
     assert np.array_equal(grid[:, 2, :], surf.c)
-    assert np.array_equal(base, surf.c)
+    q_t, _ = ruling_samples(surf, spec)
+    assert np.allclose(grid[:, 4, :], surf.c + q_t, rtol=0.0, atol=1e-15)
 
 
 def test_per_sample_accessor():

@@ -226,6 +226,25 @@ def test_run_all_synthesizes_each_surface_once(monkeypatch):
     assert len(keys) == 2 * first
 
 
+@pytest.mark.parametrize(
+    "suite", [run_striction_suite, run_coincidence_suite, run_developability_suite]
+)
+def test_standalone_suite_synthesizes_each_surface_once(monkeypatch, suite):
+    # a suite called without a dict keeps its own, so a surface that its
+    # tuned, violated and specialization instances share is built once
+    keys = []
+    original = verify.synthesize_surface
+
+    def counted(data, *args, **kwargs):
+        keys.append((data.k1, data.k2, data.theta, tuple(data.s_range), data.step))
+        return original(data, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "synthesize_surface", counted)
+    suite(SMALL)
+    assert keys
+    assert len(set(keys)) == len(keys)
+
+
 def test_default_suite_integrates_each_frame_once(monkeypatch):
     # theta is not a frame input: the 144 distinct surfaces of the default
     # suite share 50 frame integrations, and each IntrinsicData is built only
