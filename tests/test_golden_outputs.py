@@ -96,6 +96,43 @@ GAMMA_TIMELIKE_TRANSVERSAL = {
     "output": {"report_path": "gamma_report.json"},
 }
 
+# k1 and k2 through zero and negative: the suites pass, skip (unsatisfiable
+# ratios, no tuning angle at k1 = 0) and error (a vanishing closed-form
+# denominator, an undefined base drall at k1 = 0)
+MIXED_VERIFY = {
+    "mode": "intrinsic",
+    "k1": "1",
+    "k2": "0",
+    "theta": "1",
+    "s_range": [0.0, 1.0],
+    "step": 0.001,
+    "suite": {
+        "k1_values": [0.0, -1.0, 0.5],
+        "k2_values": [-0.5, 0.0, 1.0],
+        "theta_values": [0.0, 0.3],
+        "step": 0.005,
+    },
+    "output": {"report_path": "mixed_verify.json"},
+}
+
+# a repeated k2 and a step that leaves 3 frames: every case of every suite
+# errors, the striction base surface included ("need at least 7 frames")
+COARSE_VERIFY = {
+    "mode": "intrinsic",
+    "k1": "1",
+    "k2": "0",
+    "theta": "1",
+    "s_range": [0.0, 1.0],
+    "step": 0.001,
+    "suite": {
+        "k1_values": [1.0],
+        "k2_values": [0.5, 0.5],
+        "theta_values": [0.5],
+        "step": 0.4,
+    },
+    "output": {"report_path": "coarse_verify.json"},
+}
+
 # (case id, command, config, {output file: sha256})
 CASES = [
     (
@@ -196,6 +233,18 @@ CASES = [
         "analyze",
         analyze_config(2.0, 1.0, math.atanh(0.5)),
         {"exact_report.json": "5a0e866a4b8d496e1cce20b1baa70abbfa12a1dcfec64ea1a45fcd7bd6d31e33"},
+    ),
+    (
+        "mixed_verify",
+        "verify",
+        MIXED_VERIFY,
+        {"mixed_verify.json": "5f9b82d9a4f0dbb807802b9aa78951afadeb32f202d9e93f399f045f2e6e5f61"},
+    ),
+    (
+        "coarse_verify",
+        "verify",
+        COARSE_VERIFY,
+        {"coarse_verify.json": "6b7cadcba68e9134449cf84182aaab029222408bee18876b9088f8e19f15a5c2"},
     ),
 ]
 

@@ -58,6 +58,19 @@ def test_striction_suite_unsatisfiable_ratio():
     assert asym.verdict == "skip"  # k1/k2 = 2 outside the tanh range
 
 
+def test_striction_base_surface_error_gives_one_error_per_predicate():
+    # a step of 0.4 leaves 3 frames, too few for the grid surface's predicates
+    cfg = SuiteConfig(k1_values=(1.0,), k2_values=(0.5,), theta_values=(0.5,), step=0.4)
+    report = run_striction_suite(cfg)
+    assert [c.check for c in report.cases] == ["asymptotic", "geodesic", "line_of_curvature"]
+    for case in report.cases:
+        assert case.verdict == "error"
+        assert case.family is None
+        assert case.params == {"k1": 1.0, "k2": 0.5, "theta": 0.5}
+        assert case.residuals == {}
+        assert case.note == "need at least 7 frames"
+
+
 def test_coincidence_suite_small():
     report = run_coincidence_suite(SMALL)
     assert len(report.cases) == len(SMALL.families) * 4
