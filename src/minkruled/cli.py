@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ._version import __version__
 from .errors import (
     BaseNotDevelopableError,
     ConfigError,
+    DegenerateDenominatorError,
     ExprError,
     GeometryError,
     ParseError,
@@ -374,16 +375,6 @@ def _envelope(command: str, cfg: Config) -> dict:
     return {"version": __version__, "command": command, "config": cfg.raw}
 
 
-def _condition_dict(report) -> dict:
-    return {
-        "kind": report.kind,
-        "family": report.family,
-        "residuals": report.residuals,
-        "flags": report.flags,
-        "notes": report.notes,
-    }
-
-
 def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
     if cfg.mode != "explicit":
         raise ConfigError("analyze requires mode = 'explicit'")
@@ -422,14 +413,7 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         warnings.append("predicates need at least 7 samples; predicates skipped")
     else:
         report["striction_predicates"] = {
-            r.name: {
-                "geometric_residual": r.geometric_residual,
-                "geometric_pass": r.geometric_pass,
-                "curvature_residual": r.curvature_residual,
-                "curvature_pass": r.curvature_pass,
-                "satisfiable": r.satisfiable,
-                "agree": r.agree,
-            }
+            r.name: {key: value for key, value in asdict(r).items() if key != "name"}
             for r in striction_predicates(track, cfg.tolerances.general_eps * 100).results()
         }
     report["warnings"] = warnings
@@ -508,13 +492,13 @@ def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
         )
     if analysis.suspect:
         warnings.append("closed form disagrees with the sampled oracle beyond 1e-4")
-    report["coincidence"] = _condition_dict(coincidence_condition(analysis))
+    report["coincidence"] = asdict(coincidence_condition(analysis))
     development = developability_condition(analysis)
-    report["developability"] = _condition_dict(development)
+    report["developability"] = asdict(development)
     warnings.extend(development.notes)
     try:
-        report["corollaries"] = _condition_dict(corollary_checks(surf, spec))
-    except BaseNotDevelopableError as err:
+        report["corollaries"] = asdict(corollary_checks(surf, spec))
+    except (BaseNotDevelopableError, DegenerateDenominatorError) as err:
         report["corollaries"] = None
         warnings.append(f"corollary checks skipped: {err}")
     report["warnings"] = warnings
@@ -530,23 +514,33 @@ def _cmd_verify(cfg: Config) -> tuple[dict, None]:
     return report, None
 
 
+def _cmd_mesh(cfg: Config) -> tuple[None, None]:
+    """No report: ``run`` builds the mesh of the configured surface."""
+    return None, None
+
+
 def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
     """Vertex grid of the configured surface; reuses ``surf`` when given.
 
-    Overflow (say a v range too wide for floats) is left to ``export_obj``,
-    which rejects non-finite vertices, so numpy's warnings are silenced.
+    ValueError where a vertex is not finite (say a v range too wide for
+    floats); numpy's overflow warnings are silenced in favour of it.
     """
     with np.errstate(all="ignore"):
         if cfg.mode == "explicit":
             surface = cfg.surface
             u = sample_grid(surface, cfg.samples)
             f = eval_triple(surface._d.f, u)
-            return _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
-        if surf is None:
-            surf = synthesize_surface(cfg.data)
-        if cfg.transversal_spec is not None:
-            return to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
-        return to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
+            grid = _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
+        else:
+            if surf is None:
+                surf = synthesize_surface(cfg.data)
+            if cfg.transversal_spec is not None:
+                grid = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
+            else:
+                grid = to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
+    if not np.isfinite(grid).all():
+        raise ValueError("mesh grid holds non-finite vertices")
+    return grid
 
 
 def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: float | None = None) -> int:
@@ -566,21 +560,20 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
         return path
 
     try:
-        if command == "mesh":
-            if cfg.mesh_path is None:
-                cfg.mesh_path = "mesh.obj"
-            export_obj(_mesh_grid(cfg), resolve(cfg.mesh_path))
-            return 0
         builders = {
             "analyze": _cmd_analyze,
             "synthesize": _cmd_synthesize,
             "transversal": _cmd_transversal,
             "verify": _cmd_verify,
+            "mesh": _cmd_mesh,
         }
         report, surf = builders[command](cfg)
-        export_report(report, resolve(cfg.report_path))
-        if cfg.mesh_path is not None and surf is not None:
-            export_obj(_mesh_grid(cfg, surf), resolve(cfg.mesh_path))
+        # every output is built before any is written, so a run that fails writes no file
+        outputs = [] if report is None else [(export_report, report, cfg.report_path)]
+        if command == "mesh" or (cfg.mesh_path is not None and surf is not None):
+            outputs.append((export_obj, _mesh_grid(cfg, surf), cfg.mesh_path or "mesh.obj"))
+        for export, value, path in outputs:
+            export(value, resolve(path))
         return 0
     except WorkLimitError as err:  # the input asks for too much work
         raise ConfigError(f"config: {err}") from err

@@ -45,7 +45,6 @@ __all__ = [
     "evaluate",
     "differentiate",
     "to_string",
-    "substitute",
     "contains_var",
     "FUNCTIONS",
 ]
@@ -499,18 +498,3 @@ def _fmt(e: Expr, parent_prec: int) -> str:
 def to_string(e: Expr) -> str:
     """Render to text that reparses to an equivalent expression."""
     return _fmt(e, 0)
-
-
-def substitute(e: Expr, replacement: Expr) -> Expr:
-    """Replace every occurrence of the variable with another expression."""
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Var):
-        return replacement
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, replacement))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, replacement), substitute(e.right, replacement))
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, replacement))
-    raise TypeError(f"not an expression: {e!r}")

@@ -183,9 +183,82 @@ def _fd_slope_residual(surf: SampledSurface, angle: ex.Expr, target: float) -> f
     return float(np.max(np.abs(slope - target)))
 
 
+def _run_rows(name: str, cfg: SuiteConfig, surfaces, case, rows) -> SuiteReport:
+    """One record per row ``(check, family, (k1, k2, theta))``, in row order.
+
+    ``case(cfg, surfaces, family or check, k1, k2, theta, residuals, notes)``
+    fills the record's residuals and notes and returns whether the case
+    passed, or None for a skip; a GeometryError, ExprError or ValueError
+    makes the record an error whose last note is the message.  Every
+    surface synthesized is kept in ``surfaces`` (a new dict unless the
+    caller, such as ``run_all``, passes one) and reused on the next request
+    for the same data.
+    """
+    report = SuiteReport(name, cfg.to_dict())
+    surfaces = {} if surfaces is None else surfaces
+    for check, family, (k1, k2, th) in rows:
+        residuals: dict = {}
+        notes: list = []
+        try:
+            ok = case(cfg, surfaces, family or check, k1, k2, th, residuals, notes)
+            verdict = "skip" if ok is None else "pass" if ok else "fail"
+        except (GeometryError, ExprError, ValueError) as exc:
+            verdict = "error"
+            notes.append(str(exc))
+        params = {"k1": k1, "k2": k2, "theta": th}
+        report.cases.append(
+            CaseRecord(
+                name, check, family and family.value, params, residuals, verdict, "; ".join(notes)
+            )
+        )
+    return report
+
+
+def _family_suite(name: str, cfg: SuiteConfig, surfaces, case) -> SuiteReport:
+    """``_run_rows`` over every triple of one family in turn."""
+    rows = [(f"{name}.{family.value}", family, t) for family in cfg.families for t in cfg.grid()]
+    return _run_rows(name, cfg, surfaces, case, rows)
+
+
 # ---------------------------------------------------------------------------
 # striction-curve suite
 # ---------------------------------------------------------------------------
+
+_PREDICATES = ("asymptotic", "geodesic", "line_of_curvature")
+
+
+def _predicates(cfg, surfaces, k1, k2, theta):
+    return striction_predicates(_surface(cfg, surfaces, k1, k2, theta).frames(), cfg.tolerance)
+
+
+def _striction_case(cfg, surfaces, name, k1, k2, th, residuals, notes):
+    """The grid surface's two characterizations of ``name`` must agree; then
+    a tuned instance must have the property and a violated one must not."""
+    tol = cfg.tolerance
+    key = ("predicates", k1, k2, th)  # the triple's three rows share one report
+    if key not in surfaces:
+        surfaces[key] = _predicates(cfg, surfaces, k1, k2, th)
+    result = getattr(surfaces[key], name)
+    residuals["grid_geometric"] = result.geometric_residual
+    residuals["grid_curvature"] = result.curvature_residual
+    if not result.satisfiable:
+        notes.append("curvature condition unsatisfiable (ratio outside tanh range)")
+        return None
+    if name == "geodesic":  # forward: the grid surface itself has constant theta
+        forward = result.geometric_residual
+        violated = _predicates(cfg, surfaces, k1, k2, linear_angle(th, ANGLE_MARGIN)).geodesic
+    else:
+        num, den = (k1, k2) if name == "asymptotic" else (k2, k1)
+        theta_star = math.atanh(num / den)
+        forward = getattr(_predicates(cfg, surfaces, k1, k2, theta_star), name).geometric_residual
+        violated = getattr(_predicates(cfg, surfaces, k1, k2, theta_star + ANGLE_MARGIN), name)
+    residuals["forward_geometric"] = forward
+    residuals["backward_geometric"] = violated.geometric_residual
+    residuals["backward_curvature"] = violated.curvature_residual
+    ok = result.agree is True and forward <= tol and violated.geometric_residual >= 10.0 * tol
+    if violated.curvature_residual is not None:
+        ok = ok and violated.curvature_residual >= 10.0 * tol
+    return ok
 
 
 def run_striction_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> SuiteReport:
@@ -194,87 +267,11 @@ def run_striction_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Suit
     One record per grid triple and predicate.  Each record carries the
     agreement verdict of the two characterizations on the grid surface plus
     targeted forward (condition tuned) and backward (condition violated by
-    0.1) instances where the condition is satisfiable.  Every surface
-    synthesized is kept in ``surfaces`` (a new dict unless the caller, such
-    as ``run_all``, passes one) and reused on the next request for the same
-    data.
+    0.1) instances where the condition is satisfiable.  ``surfaces`` as in
+    ``_run_rows``.
     """
-    report = SuiteReport("striction", cfg.to_dict())
-    tol = cfg.tolerance
-    surfaces = {} if surfaces is None else surfaces
-    for k1, k2, th in cfg.grid():
-        try:
-            base = _surface(cfg, surfaces, k1, k2, th)
-            grid_predicates = striction_predicates(base.frames(), tol)
-        except (GeometryError, ExprError, ValueError) as exc:
-            for name in ("asymptotic", "geodesic", "line_of_curvature"):
-                report.cases.append(
-                    CaseRecord(
-                        "striction", name, None,
-                        {"k1": k1, "k2": k2, "theta": th}, {}, "error", str(exc),
-                    )
-                )
-            continue
-        for name, ratio in (
-            ("asymptotic", (k1, k2)),
-            ("geodesic", None),
-            ("line_of_curvature", (k2, k1)),
-        ):
-            result = getattr(grid_predicates, name)
-            params = {"k1": k1, "k2": k2, "theta": th}
-            residuals = {
-                "grid_geometric": result.geometric_residual,
-                "grid_curvature": result.curvature_residual,
-            }
-            if not result.satisfiable:
-                report.cases.append(
-                    CaseRecord(
-                        "striction", name, None, params, residuals, "skip",
-                        "curvature condition unsatisfiable (ratio outside tanh range)",
-                    )
-                )
-                continue
-            ok = result.agree is True
-            try:
-                if name == "geodesic":
-                    # forward: the grid surface itself has constant theta
-                    forward = result.geometric_residual
-                    drift = linear_angle(th, ANGLE_MARGIN)
-                    back = striction_predicates(
-                        _surface(cfg, surfaces, k1, k2, drift).frames(), tol
-                    ).geodesic
-                    backward = back.geometric_residual
-                    backward_cur = back.curvature_residual
-                else:
-                    num, den = ratio
-                    theta_star = math.atanh(num / den)
-                    tuned = striction_predicates(
-                        _surface(cfg, surfaces, k1, k2, theta_star).frames(), tol
-                    )
-                    violated = striction_predicates(
-                        _surface(cfg, surfaces, k1, k2, theta_star + ANGLE_MARGIN).frames(), tol
-                    )
-                    forward = getattr(tuned, name).geometric_residual
-                    backward = getattr(violated, name).geometric_residual
-                    backward_cur = getattr(violated, name).curvature_residual
-                residuals["forward_geometric"] = forward
-                residuals["backward_geometric"] = backward
-                residuals["backward_curvature"] = backward_cur
-                ok = ok and forward <= tol and backward >= 10.0 * tol
-                if backward_cur is not None:
-                    ok = ok and backward_cur >= 10.0 * tol
-            except (GeometryError, ExprError, ValueError) as exc:
-                report.cases.append(
-                    CaseRecord("striction", name, None, params, residuals, "error", str(exc))
-                )
-                continue
-            report.cases.append(
-                CaseRecord(
-                    "striction", name, None, params, residuals,
-                    "pass" if ok else "fail",
-                )
-            )
-    return report
+    rows = [(name, None, t) for t in cfg.grid() for name in _PREDICATES]
+    return _run_rows("striction", cfg, surfaces, _striction_case, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -287,37 +284,6 @@ _BETA_BOUNDS = (0.1, math.pi / 2.0 - 0.1)
 # beta coincidence reads tanh(theta) (angle' + k2) = k1: at theta = 0 it fails
 # for every angle when k1 != 0 and holds for every angle when k1 = 0
 _BETA_DEGENERATE = "coincidence holds for every angle at theta = 0, k1 = 0"
-
-
-def _family_suite(name: str, cfg: SuiteConfig, surfaces, case) -> SuiteReport:
-    """One record per (family, grid triple), every triple of one family in turn.
-
-    ``case(cfg, surfaces, family, k1, k2, theta, residuals, notes)`` fills
-    the record's residuals and notes and returns whether the case passed, or
-    None for a skip; a GeometryError, ExprError or ValueError makes the
-    record an error whose last note is the message.  ``surfaces`` as in
-    ``run_striction_suite``.
-    """
-    report = SuiteReport(name, cfg.to_dict())
-    surfaces = {} if surfaces is None else surfaces
-    for family in cfg.families:
-        for k1, k2, th in cfg.grid():
-            residuals: dict = {}
-            notes: list = []
-            try:
-                ok = case(cfg, surfaces, family, k1, k2, th, residuals, notes)
-                verdict = "skip" if ok is None else "pass" if ok else "fail"
-            except (GeometryError, ExprError, ValueError) as exc:
-                verdict = "error"
-                notes.append(str(exc))
-            params = {"k1": k1, "k2": k2, "theta": th}
-            report.cases.append(
-                CaseRecord(
-                    name, f"{name}.{family.value}", family.value,
-                    params, residuals, verdict, "; ".join(notes),
-                )
-            )
-    return report
 
 
 def _coincidence_instance(cfg, family, k1, k2, th, surfaces, margin=0.0):
@@ -427,7 +393,7 @@ def run_coincidence_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) -> Su
     One record per (family, grid triple): forward tuned instance (max |v_T|
     small), backward margin-violated instance (min |v_T| bounded away), and
     the applicable specialization identities.  ``surfaces`` as in
-    ``run_striction_suite``.
+    ``_run_rows``.
     """
     return _family_suite("coincidence", cfg, surfaces, _coincidence_case)
 
@@ -503,7 +469,7 @@ def run_developability_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) ->
     One record per (family, grid triple).  On tuned instances the alpha
     family's stated condition is expected to disagree with the (verified)
     drall numerator; that is recorded as a documented discrepancy warning,
-    not a failure.  ``surfaces`` as in ``run_striction_suite``.
+    not a failure.  ``surfaces`` as in ``_run_rows``.
     """
     report = _family_suite("developability", cfg, surfaces, _developability_case)
     if any(_DISCREPANCY in case.note for case in report.cases):
@@ -516,53 +482,33 @@ def run_developability_suite(cfg: SuiteConfig = SuiteConfig(), surfaces=None) ->
 
 def _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) -> bool:
     """Developable-base (theta = 0) corollaries, forward or contrapositive."""
-    tol = cfg.tolerance
-    ok = True
-    if family is Family.ALPHA:
-        spec = TransversalSpec(family, ex.const(cfg.angle_values[0]), Branch.TIMELIKE)
-        surf = _surface(cfg, surfaces, k1, k2, 0.0)
-        cond = corollary_checks(surf, spec, tol)
-        key = "corollary_forward" if k2 == 0.0 else "corollary_backward"
+
+    def holds(key, surf, spec):
+        cond = corollary_checks(surf, spec, cfg.tolerance)
         residuals[key] = cond.residuals["oracle_drall"]
-        ok = cond.flags["equivalent"]
-    elif family is Family.BETA:
-        surf = _surface(
-            cfg, surfaces, k1, k2, 0.0,
-            s_range=_capped_range(cfg, _BETA_ANGLE0, -k2, *_BETA_BOUNDS),
-        )
-        spec = TransversalSpec(family, linear_angle(_BETA_ANGLE0, -k2))
-        cond = corollary_checks(surf, spec, tol)
-        residuals["corollary_forward"] = cond.residuals["oracle_drall"]
-        ok = cond.flags["equivalent"]
-        slope = -k2 + ANGLE_MARGIN
-        surf_b = _surface(
-            cfg, surfaces, k1, k2, 0.0,
-            s_range=_capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS),
-        )
-        cond_b = corollary_checks(
-            surf_b, TransversalSpec(family, linear_angle(_BETA_ANGLE0, slope)), tol
-        )
-        residuals["corollary_backward"] = cond_b.residuals["oracle_drall"]
-        ok = ok and cond_b.flags["equivalent"]
+        return cond.flags["equivalent"]
+
+    if family is Family.BETA:
+        ok = True
+        for key, slope in (("corollary_forward", -k2), ("corollary_backward", -k2 + ANGLE_MARGIN)):
+            rng = _capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS)
+            surf = _surface(cfg, surfaces, k1, k2, 0.0, s_range=rng)
+            ok = holds(key, surf, TransversalSpec(family, linear_angle(_BETA_ANGLE0, slope))) and ok
+        return ok
+    surf = _surface(cfg, surfaces, k1, k2, 0.0)
+    constant = TransversalSpec(family, ex.const(cfg.angle_values[0]), Branch.TIMELIKE)
+    if family is Family.ALPHA:
+        return holds("corollary_forward" if k2 == 0.0 else "corollary_backward", surf, constant)
+    ok = True
+    if k2 != 0.0 and abs(k1 / k2) < 1.0:
+        spec = TransversalSpec(family, ex.const(math.atanh(k1 / k2)), Branch.TIMELIKE)
+        ok = holds("corollary_forward", surf, spec)
+    elif k2 != 0.0 and abs(k2 / k1) < 1.0:
+        spec = TransversalSpec(family, ex.const(math.atanh(k2 / k1)), Branch.SPACELIKE)
+        ok = holds("corollary_forward", surf, spec)
     else:
-        surf = _surface(cfg, surfaces, k1, k2, 0.0)
-        if k2 != 0.0 and abs(k1 / k2) < 1.0:
-            spec = TransversalSpec(family, ex.const(math.atanh(k1 / k2)), Branch.TIMELIKE)
-            cond = corollary_checks(surf, spec, tol)
-            residuals["corollary_forward"] = cond.residuals["oracle_drall"]
-            ok = cond.flags["equivalent"]
-        elif k2 != 0.0 and abs(k2 / k1) < 1.0:
-            spec = TransversalSpec(family, ex.const(math.atanh(k2 / k1)), Branch.SPACELIKE)
-            cond = corollary_checks(surf, spec, tol)
-            residuals["corollary_forward"] = cond.residuals["oracle_drall"]
-            ok = cond.flags["equivalent"]
-        else:
-            notes.append("gamma corollary forward skipped: ratio outside both branches")
-        spec_b = TransversalSpec(family, ex.const(cfg.angle_values[0]), Branch.TIMELIKE)
-        cond_b = corollary_checks(surf, spec_b, tol)
-        residuals["corollary_backward"] = cond_b.residuals["oracle_drall"]
-        ok = ok and cond_b.flags["equivalent"]
-    return ok
+        notes.append("gamma corollary forward skipped: ratio outside both branches")
+    return holds("corollary_backward", surf, constant) and ok
 
 
 def run_all(cfg: SuiteConfig = SuiteConfig()) -> dict:

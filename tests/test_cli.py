@@ -243,6 +243,28 @@ def test_transversal_analyzes_once(tmp_path, monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_transversal_with_undefined_base_drall_nulls_the_corollaries(tmp_path, schema):
+    # theta = 0 makes the base developable, but k1 = 0 leaves its drall
+    # undefined, so the corollary checks cannot run; the rest of the report can
+    payload = {
+        "mode": "intrinsic",
+        "k1": "0",
+        "k2": "-0.5",
+        "theta": "0",
+        "s_range": [0.0, 1.0],
+        "step": 0.01,
+        "transversal": {"kind": "beta", "angle": "0.7"},
+        "output": {"report_path": "beta_report.json"},
+    }
+    config = write_config(tmp_path, "c.json", payload)
+    out_dir = tmp_path / "out"
+    assert main(["transversal", "--config", config, "--output-dir", str(out_dir)]) == 0
+    report = validate_report(out_dir / "beta_report.json", schema)
+    assert report["corollaries"] is None
+    assert "corollary checks skipped: base drall undefined where k1 = 0" in report["warnings"]
+    assert report["coincidence"] is not None and report["developability"] is not None
+
+
 def test_mesh_end_to_end(tmp_path):
     config = os.path.join(CONFIG_DIR, "hyperbolic_mesh.json")
     assert main(["mesh", "--config", config, "--output-dir", str(tmp_path)]) == 0
@@ -550,8 +572,26 @@ BLOWN_UP_FRAME = {
             ),
             "non-finite vertices",
         ),
+        (
+            # the report is built before the mesh, but must not be written
+            "synthesize",
+            dict(
+                load_demo("hyperbolic_mesh"),
+                output={
+                    "report_path": "report.json",
+                    "mesh_path": "surface.obj",
+                    "v_range": [-1e308, 1e308],
+                },
+            ),
+            "non-finite vertices",
+        ),
     ],
-    ids=["synthesize-frame-overflow", "mesh-frame-overflow", "mesh-v-range-overflow"],
+    ids=[
+        "synthesize-frame-overflow",
+        "mesh-frame-overflow",
+        "mesh-v-range-overflow",
+        "synthesize-mesh-v-range-overflow",
+    ],
 )
 def test_non_finite_results_exit_1(tmp_path, command, payload, message):
     result = run_cli(tmp_path, command, payload)
@@ -572,8 +612,17 @@ def test_non_finite_results_exit_1(tmp_path, command, payload, message):
             dict(load_demo("hyperbolic_mesh"), output={"mesh_path": "m.obj", "v_samples": 10**12}),
             "MAX_MESH_VERTICES",
         ),
+        (
+            # the report is built before the mesh, but must not be written
+            "synthesize",
+            dict(
+                load_demo("hyperbolic_mesh"),
+                output={"report_path": "r.json", "mesh_path": "m.obj", "v_samples": 10**12},
+            ),
+            "MAX_MESH_VERTICES",
+        ),
     ],
-    ids=["synthesize-step", "analyze-samples", "mesh-v-samples"],
+    ids=["synthesize-step", "analyze-samples", "mesh-v-samples", "synthesize-mesh-v-samples"],
 )
 def test_oversized_work_exits_2(tmp_path, command, payload, message):
     # each input asks for terabytes in one allocation; without a cap that

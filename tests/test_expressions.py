@@ -12,7 +12,6 @@ from minkruled.expressions import (
     differentiate,
     evaluate,
     parse,
-    substitute,
     to_string,
 )
 
@@ -118,15 +117,6 @@ def test_print_reparse_round_trip():
                 assert evaluate(reparsed, float(s)) == pytest.approx(
                     expected, rel=1e-15, abs=1e-15
                 )
-
-
-def test_substitute_variable():
-    expr = parse("s^2 + cosh(s)")
-    doubled = substitute(expr, parse("2*s"))
-    for s in (0.0, 0.5, -1.2):
-        assert evaluate(doubled, s) == pytest.approx(
-            evaluate(expr, 2 * s), rel=1e-15, abs=1e-15
-        )
 
 
 def test_constant_folding_keeps_values():
