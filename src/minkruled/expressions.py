@@ -46,6 +46,7 @@ __all__ = [
     "differentiate",
     "to_string",
     "contains_var",
+    "structure",
     "FUNCTIONS",
 ]
 
@@ -103,17 +104,64 @@ FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+# Deepest nesting of parentheses, calls, minus signs and ^ exponents ``parse``
+# accepts: the parser takes up to five frames a level; later passes iterate.
+MAX_NESTING = 100
+
+
+def _walk(root: Expr, done=(), checks=False) -> list:
+    """Each distinct node under ``root`` once, by identity, as a post-order
+    ``(node, operand positions)`` step, operands in depth-first evaluation
+    order (divisor first); nodes in ``done`` (by id) are left out with all below
+    them.  ``checks`` adds ``(None, [divisor])`` steps where that order checks one."""
+    steps, seen = [], {}
+    stack = [(root, None)]
+    while stack:
+        node, ops = stack.pop()
+        if ops is False:
+            steps.append((None, [seen[id(node)]]))
+        elif ops is not None:
+            seen[id(node)] = len(steps)
+            steps.append((node, [seen.get(id(op)) for op in ops]))
+        elif id(node) not in seen and id(node) not in done:
+            if isinstance(node, BinOp):
+                ops = (node.right, node.left) if node.op == "/" else (node.left, node.right)
+            else:
+                ops = (node.arg,) if isinstance(node, (Neg, Call)) else ()
+            stack.append((node, ops))
+            stack += [(op, None) for op in reversed(ops)]
+            if checks and isinstance(node, BinOp) and node.op == "/":
+                stack.insert(-1, (ops[0], False))
+    return steps
+
+
+def _run(e: Expr, step, checks=False):
+    """The value of ``e`` by ``step(node, *operand values)`` over its ``_walk``,
+    each value dropped after its last use."""
+    steps = _walk(e, checks=checks)
+    uses = [0] * len(steps)
+    for _, ops in steps:
+        for j in ops:
+            uses[j] += 1
+    values = [None] * len(steps)
+    for i, (node, ops) in enumerate(steps):
+        values[i] = step(node, *[values[j] for j in ops])
+        for j in ops:
+            uses[j] -= 1
+            if not uses[j]:
+                values[j] = None
+    return values[-1]
+
 
 def contains_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return contains_var(e.arg)
-    if isinstance(e, BinOp):
-        return contains_var(e.left) or contains_var(e.right)
-    if isinstance(e, Call):
-        return contains_var(e.arg)
-    return False
+    return any(isinstance(node, Var) for node, _ in _walk(e))
+
+
+def structure(e: Expr) -> tuple:
+    """Flat hashable form of ``e`` (the dataclass hash and equality recurse):
+    per ``_walk`` step, the node's type, non-node fields, operand positions."""
+    return tuple((type(node), *[v for v in vars(node).values() if not isinstance(v, Expr)], *ops)
+                 for node, ops in _walk(e))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +286,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -283,11 +332,19 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
+        # each parenthesis, call, minus sign and exponent nests one unary deeper
+        if self.depth > MAX_NESTING:  # the error names the token opening the level
+            message = f"nesting deeper than MAX_NESTING = {MAX_NESTING}"
+            raise ParseError(message, self.tokens[self.i - 1][2])
+        self.depth += 1
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            e = Neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -344,36 +401,35 @@ def _require(ok: bool, message: str):
         raise EvalDomainError(message)
 
 
-def _eval(e: Expr, s):
+def _apply(e: Expr, s, x=None, y=None):
+    """Value at ``s`` of a checked ``_walk`` step; a None step checks a divisor."""
+    if e is None:
+        _require(bool(np.all(x != 0.0)), "division by zero")
+        return None
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
         return s
     if isinstance(e, Neg):
-        return -_eval(e.arg, s)
+        return -x
     if isinstance(e, BinOp):
         if e.op == "+":
-            return _eval(e.left, s) + _eval(e.right, s)
+            return x + y
         if e.op == "-":
-            return _eval(e.left, s) - _eval(e.right, s)
+            return x - y
         if e.op == "*":
-            return _eval(e.left, s) * _eval(e.right, s)
+            return x * y
         if e.op == "/":
-            den = _eval(e.right, s)
-            _require(bool(np.all(den != 0.0)), "division by zero")
-            return _eval(e.left, s) / den
+            return y / x
         if e.op == "^":
-            base = _eval(e.left, s)
-            c = float(_eval(e.right, 0.0))
+            c = float(y)  # parse and powc keep s out of exponents: y is its value at 0.0
             if c.is_integer():
-                if c < 0.0:
-                    _require(bool(np.all(base != 0.0)), "zero base with negative exponent")
+                _require(c >= 0.0 or bool(np.all(x != 0.0)), "zero base with negative exponent")
             else:
-                _require(bool(np.all(base > 0.0)), "negative base with non-integer exponent")
-            return np.power(base, c)
+                _require(bool(np.all(x > 0.0)), "negative base with non-integer exponent")
+            return np.power(x, c)
         raise ValueError(f"unknown operator {e.op!r}")
     if isinstance(e, Call):
-        x = _eval(e.arg, s)
         if e.func == "log":
             _require(bool(np.all(x > 0.0)), "log of a non-positive value")
         elif e.func == "sqrt":
@@ -387,12 +443,12 @@ def _eval(e: Expr, s):
 
 
 def evaluate(e: Expr, s):
-    """Evaluate at a scalar or array argument; never returns NaN/inf."""
+    """Evaluate at a scalar or array argument, each distinct node once; never returns NaN/inf."""
     arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise EvalDomainError("evaluation point must be finite")
     with np.errstate(all="ignore"):
-        out = _eval(e, arr)
+        out = _run(e, lambda node, *values: _apply(node, arr, *values), checks=True)
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalDomainError("expression evaluated to a non-finite value")
@@ -426,75 +482,72 @@ _DERIVATIVES = {
 }
 
 
-def differentiate(e: Expr) -> Expr:
-    """Exact symbolic derivative with light constant folding."""
+def _derivative(e: Expr, d) -> Expr:
+    """Derivative of node ``e``, given ``d(operand)``, each operand's derivative."""
     if isinstance(e, Num):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0)
     if isinstance(e, Neg):
-        return neg(differentiate(e.arg))
+        return neg(d(e.arg))
     if isinstance(e, BinOp):
         if e.op == "+":
-            return add(differentiate(e.left), differentiate(e.right))
+            return add(d(e.left), d(e.right))
         if e.op == "-":
-            return sub(differentiate(e.left), differentiate(e.right))
+            return sub(d(e.left), d(e.right))
         if e.op == "*":
-            return add(
-                mul(differentiate(e.left), e.right),
-                mul(e.left, differentiate(e.right)),
-            )
+            return add(mul(d(e.left), e.right), mul(e.left, d(e.right)))
         if e.op == "/":
-            return div(
-                sub(
-                    mul(differentiate(e.left), e.right),
-                    mul(e.left, differentiate(e.right)),
-                ),
-                powc(e.right, const(2.0)),
-            )
+            top = sub(mul(d(e.left), e.right), mul(e.left, d(e.right)))
+            return div(top, powc(e.right, const(2.0)))
         if e.op == "^":
             c = evaluate(e.right, 0.0)
-            return mul(
-                mul(const(c), powc(e.left, const(c - 1.0))),
-                differentiate(e.left),
-            )
+            return mul(mul(const(c), powc(e.left, const(c - 1.0))), d(e.left))
         raise ValueError(f"unknown operator {e.op!r}")
     if isinstance(e, Call):
-        return mul(_DERIVATIVES[e.func](e.arg), differentiate(e.arg))
+        return mul(_DERIVATIVES[e.func](e.arg), d(e.arg))
     raise TypeError(f"not an expression: {e!r}")
 
 
+def differentiate(e: Expr, memo: dict | None = None) -> Expr:
+    """Exact symbolic derivative with light constant folding; each distinct node
+    once, to one shared derivative, across calls given one ``memo`` dict."""
+    memo = {} if memo is None else memo
+    for node, _ in _walk(e, done=memo):
+        memo[id(node)] = (node, _derivative(node, lambda op: memo[id(op)][1]))
+    return memo[id(e)][1]
+
+
 # ---------------------------------------------------------------------------
-# printing and substitution
+# printing
 # ---------------------------------------------------------------------------
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
-def _fmt(e: Expr, parent_prec: int) -> str:
+def _wrap(operand, prec: float) -> str:
+    return f"({operand[0]})" if prec > operand[1] else operand[0]
+
+
+def _format(e: Expr, x=None, y=None) -> tuple:
+    """(text, precedence) of node ``e`` from those of its ``_walk`` operands."""
     if isinstance(e, Num):
-        if e.value < 0.0:
-            inner = repr(e.value)
-            return f"({inner})" if parent_prec > 1 else inner
-        return repr(e.value)
+        return repr(e.value), 1 if e.value < 0.0 else math.inf
     if isinstance(e, Var):
-        return "s"
+        return "s", math.inf
     if isinstance(e, Neg):
-        inner = f"-{_fmt(e.arg, _PRECEDENCE['neg'])}"
-        return f"({inner})" if parent_prec > _PRECEDENCE["neg"] else inner
+        return f"-{_wrap(x, _PRECEDENCE['neg'])}", _PRECEDENCE["neg"]
     if isinstance(e, Call):
-        return f"{e.func}({_fmt(e.arg, 0)})"
+        return f"{e.func}({x[0]})", math.inf
     prec = _PRECEDENCE[e.op]
-    if e.op == "^":
-        # right-associative; exponent is constant by construction
-        text = f"{_fmt(e.left, prec + 1)}^{_fmt(e.right, prec)}"
-    elif e.op in "-/":
-        text = f"{_fmt(e.left, prec)} {e.op} {_fmt(e.right, prec + 1)}"
-    else:
-        text = f"{_fmt(e.left, prec)} {e.op} {_fmt(e.right, prec)}"
-    return f"({text})" if parent_prec > prec else text
+    if e.op == "/":
+        x, y = y, x
+    if e.op == "^":  # right-associative; exponent is constant by construction
+        return f"{_wrap(x, prec + 1)}^{_wrap(y, prec)}", prec
+    right = prec + 1 if e.op in "-/" else prec
+    return f"{_wrap(x, prec)} {e.op} {_wrap(y, right)}", prec
 
 
 def to_string(e: Expr) -> str:
     """Render to text that reparses to an equivalent expression."""
-    return _fmt(e, 0)
+    return _run(e, _format)[0]

@@ -79,8 +79,8 @@ def _add_expr(x: ExprTriple, y: ExprTriple) -> ExprTriple:
     return (ex.add(x[0], y[0]), ex.add(x[1], y[1]), ex.add(x[2], y[2]))
 
 
-def _diff_triple(x: ExprTriple) -> ExprTriple:
-    return tuple(ex.differentiate(c) for c in x)
+def _diff_triple(x: ExprTriple, memo: dict) -> ExprTriple:
+    return tuple(ex.differentiate(c, memo) for c in x)
 
 
 def eval_triple(triple: ExprTriple, u):
@@ -132,6 +132,7 @@ class _Derived:
     """Symbolic derivatives and frame expressions, built once per surface."""
 
     def __init__(self, surf: ExplicitSurface):
+        memo = {}  # one for the surface: a subtree that fields share is derived once
         if surf.normalize_q:
             qq = _dot_expr(surf.q, surf.q)
             inv = ex.div(ex.const(1.0), ex.call("sqrt", ex.call("abs", qq)))
@@ -140,21 +141,21 @@ class _Derived:
             self.q = surf.q
             self._check_unit(surf)
         self.f = surf.f
-        self.fdot = _diff_triple(self.f)
-        self.qdot = _diff_triple(self.q)
+        self.fdot = _diff_triple(self.f, memo)
+        self.qdot = _diff_triple(self.q, memo)
         self.qdqd = _dot_expr(self.qdot, self.qdot)
         v0 = ex.neg(ex.div(_dot_expr(self.qdot, self.fdot), self.qdqd))
         self.v0 = v0
         self.c = _add_expr(self.f, _scale_expr(v0, self.q))
-        self.cdot = _diff_triple(self.c)
+        self.cdot = _diff_triple(self.c, memo)
         self.speed = ex.call("sqrt", ex.call("abs", _dot_expr(self.cdot, self.cdot)))
         inv_qd = ex.div(ex.const(1.0), ex.call("sqrt", ex.call("abs", self.qdqd)))
         self.a_raw = _scale_expr(inv_qd, _cross_expr(self.qdot, self.q))
         self.h_raw = _cross_expr(self.a_raw, self.q)
-        self.adot_raw = _diff_triple(self.a_raw)
-        self.hdot_raw = _diff_triple(self.h_raw)
+        self.adot_raw = _diff_triple(self.a_raw, memo)
+        self.hdot_raw = _diff_triple(self.h_raw, memo)
         self.t = _scale_expr(ex.div(ex.const(1.0), self.speed), self.cdot)
-        self.tdot = _diff_triple(self.t)
+        self.tdot = _diff_triple(self.t, memo)
 
     @staticmethod
     def _check_unit(surf: ExplicitSurface, tol: Tolerances = DEFAULT_TOLERANCES):

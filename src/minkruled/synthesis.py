@@ -283,8 +283,8 @@ def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
             "surface synthesis requires epsilon = -1 (timelike ruling)"
         )
     frames = {} if frames is None else frames
-    key = (data.k1, data.k2, data.epsilon, tuple(data.s_range), data.step,
-           np.asarray(data.initial_frame, dtype=float).tobytes())
+    key = (ex.structure(data.k1), ex.structure(data.k2), data.epsilon, tuple(data.s_range),
+           data.step, np.asarray(data.initial_frame, dtype=float).tobytes())
     if key not in frames:
         frames[key] = _integrate_frames(data)
     s, s_half, tables, track = frames[key]

@@ -632,3 +632,36 @@ def test_oversized_work_exits_2(tmp_path, command, payload, message):
     assert "config error" in result.stderr and message in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "k1", ["(" * 3000 + "1" + ")" * 3000, "-" * 5000 + "1"], ids=["parentheses", "minus-signs"]
+)
+def test_nesting_past_the_cap_exits_2(tmp_path, k1):
+    result = run_cli(tmp_path, "synthesize", dict(load_demo("hyperbolic_synthesize"), k1=k1))
+    assert result.returncode == 2
+    assert "config.k1: nesting deeper than MAX_NESTING = 100 at offset 100" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("synthesize", dict(load_demo("hyperbolic_synthesize"), k1="+".join(["0.001*s"] * 3000))),
+        ("analyze", dict(load_demo("helicoid_analyze"), f=["+".join(["0.001*s"] * 3000), "0", "s"])),
+    ],
+    ids=["synthesize-k1", "analyze-f0"],
+)
+def test_long_flat_sums_run_end_to_end(tmp_path, command, payload):
+    # 3000 terms nest 3000 deep on the left; every pass after parsing iterates
+    result = run_cli(tmp_path, command, payload)
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
+    assert os.listdir(tmp_path / "out")
+
+
+def test_parse_config_builds_no_derived_surface(tmp_path):
+    # the derivatives are built on first use, outside the setup every run pays
+    cfg = parse_config(write_config(tmp_path, "c.json", load_demo("helicoid_analyze")))
+    assert "_d" not in cfg.surface.__dict__
