@@ -97,8 +97,8 @@ GAMMA_TIMELIKE_TRANSVERSAL = {
 }
 
 # k1 and k2 through zero and negative: the suites pass, skip (unsatisfiable
-# ratios, no tuning angle at k1 = 0) and error (a vanishing closed-form
-# denominator, an undefined base drall at k1 = 0)
+# ratios, no tuning angle and no base drall at k1 = 0) and error (a vanishing
+# closed-form denominator)
 MIXED_VERIFY = {
     "mode": "intrinsic",
     "k1": "1",
@@ -238,7 +238,7 @@ CASES = [
         "mixed_verify",
         "verify",
         MIXED_VERIFY,
-        {"mixed_verify.json": "5f9b82d9a4f0dbb807802b9aa78951afadeb32f202d9e93f399f045f2e6e5f61"},
+        {"mixed_verify.json": "2ab33c5a34b3e9f6e8d78302112b2dc96c6fb8912181623504dd7cd9e7cd106f"},
     ),
     (
         "coarse_verify",

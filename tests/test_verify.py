@@ -182,6 +182,10 @@ def test_zero_k1_skips_developable_tuning():
     notes = {case["family"]: case["note"] for case in developability["cases"]}
     for family in ("alpha", "beta"):
         assert "forward skipped: k1 = 0 leaves no tuning angle" in notes[family]
+    # at theta = 0 the base drall -sinh(theta)/k1 is undefined: no corollary to test
+    assert [case["verdict"] for case in developability["cases"]] == ["skip"] * 3
+    for note in notes.values():
+        assert "corollary_backward skipped: base drall undefined where k1 = 0" in note
 
 
 def test_zero_k1_zero_theta_beta_coincidence_is_skipped_not_failed():
