@@ -104,40 +104,41 @@ FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-# Deepest nesting of parentheses, calls, minus signs and ^ exponents ``parse``
-# accepts: the parser takes up to five frames a level; later passes iterate.
+# Deepest nesting (parentheses, calls, minus signs, ^) ``parse`` accepts; five frames a level
 MAX_NESTING = 100
 
 
 def _walk(root: Expr, done=(), checks=False) -> list:
-    """Each distinct node under ``root`` once, by identity, as a post-order
-    ``(node, operand positions)`` step, operands in depth-first evaluation
-    order (divisor first); nodes in ``done`` (by id) are left out with all below
-    them.  ``checks`` adds ``(None, [divisor])`` steps where that order checks one."""
+    """Each distinct node under ``root`` once, by identity, as post-order ``(node, operand
+    positions)`` steps, divisors before dividends; ``done`` ids are left out with all below
+    them.  ``checks`` adds a ``(None, [divisor])`` step between each divisor and dividend."""
     steps, seen = [], {}
     stack = [(root, None)]
     while stack:
         node, ops = stack.pop()
-        if ops is False:
-            steps.append((None, [seen[id(node)]]))
-        elif ops is not None:
-            seen[id(node)] = len(steps)
-            steps.append((node, [seen.get(id(op)) for op in ops]))
-        elif id(node) not in seen and id(node) not in done:
+        if ops is None:
+            if id(node) in seen or id(node) in done:
+                continue
             if isinstance(node, BinOp):
                 ops = (node.right, node.left) if node.op == "/" else (node.left, node.right)
             else:
                 ops = (node.arg,) if isinstance(node, (Neg, Call)) else ()
-            stack.append((node, ops))
-            stack += [(op, None) for op in reversed(ops)]
-            if checks and isinstance(node, BinOp) and node.op == "/":
-                stack.insert(-1, (ops[0], False))
+            if ops:  # operands first; a leaf is listed at once
+                stack.append((node, ops))
+                stack += zip(ops[::-1], (None, None))
+                if checks and isinstance(node, BinOp) and node.op == "/":
+                    stack.insert(-1, (ops[0], False))
+                continue
+        if ops is False:
+            steps.append((None, [seen[id(node)]]))
+        else:
+            seen[id(node)] = len(steps)
+            steps.append((node, list(map(seen.get, map(id, ops)))))
     return steps
 
 
 def _run(e: Expr, step, checks=False):
-    """The value of ``e`` by ``step(node, *operand values)`` over its ``_walk``,
-    each value dropped after its last use."""
+    """Value of ``e``: ``step(node, *operand values)`` per ``_walk`` step, freed after last use."""
     steps = _walk(e, checks=checks)
     uses = [0] * len(steps)
     for _, ops in steps:
@@ -145,7 +146,7 @@ def _run(e: Expr, step, checks=False):
             uses[j] += 1
     values = [None] * len(steps)
     for i, (node, ops) in enumerate(steps):
-        values[i] = step(node, *[values[j] for j in ops])
+        values[i] = step(node, *map(values.__getitem__, ops))
         for j in ops:
             uses[j] -= 1
             if not uses[j]:
