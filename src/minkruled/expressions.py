@@ -119,16 +119,15 @@ def _walk(root: Expr, done=(), checks=False) -> list:
         if ops is None:
             if id(node) in seen or id(node) in done:
                 continue
-            if isinstance(node, BinOp):
+            if isinstance(node, BinOp):  # operands first, then the node itself
                 ops = (node.right, node.left) if node.op == "/" else (node.left, node.right)
-            else:
-                ops = (node.arg,) if isinstance(node, (Neg, Call)) else ()
-            if ops:  # operands first; a leaf is listed at once
-                stack.append((node, ops))
-                stack += zip(ops[::-1], (None, None))
-                if checks and isinstance(node, BinOp) and node.op == "/":
-                    stack.insert(-1, (ops[0], False))
+                check = ((ops[0], False),) if checks and node.op == "/" else ()
+                stack += ((node, ops), (ops[1], None), *check, (ops[0], None))
                 continue
+            if isinstance(node, (Neg, Call)):
+                stack += ((node, (node.arg,)), (node.arg, None))
+                continue
+            ops = ()  # a leaf is listed at once
         if ops is False:
             steps.append((None, [seen[id(node)]]))
         else:
@@ -137,8 +136,8 @@ def _walk(root: Expr, done=(), checks=False) -> list:
     return steps
 
 
-def _run(e: Expr, step, checks=False):
-    """Value of ``e``: ``step(node, *operand values)`` per ``_walk`` step, freed after last use."""
+def _run(e: Expr, step, *args, checks=False):
+    """``e``'s value by ``step(node, *args, *operand values)`` per ``_walk`` step."""
     steps = _walk(e, checks=checks)
     uses = [0] * len(steps)
     for _, ops in steps:
@@ -146,11 +145,11 @@ def _run(e: Expr, step, checks=False):
             uses[j] += 1
     values = [None] * len(steps)
     for i, (node, ops) in enumerate(steps):
-        values[i] = step(node, *map(values.__getitem__, ops))
+        values[i] = step(node, *args, *map(values.__getitem__, ops))
         for j in ops:
             uses[j] -= 1
             if not uses[j]:
-                values[j] = None
+                values[j] = None  # after its last use, so only live values are held
     return values[-1]
 
 
@@ -407,12 +406,6 @@ def _apply(e: Expr, s, x=None, y=None):
     if e is None:
         _require(bool(np.all(x != 0.0)), "division by zero")
         return None
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return s
-    if isinstance(e, Neg):
-        return -x
     if isinstance(e, BinOp):
         if e.op == "+":
             return x + y
@@ -430,6 +423,12 @@ def _apply(e: Expr, s, x=None, y=None):
                 _require(bool(np.all(x > 0.0)), "negative base with non-integer exponent")
             return np.power(x, c)
         raise ValueError(f"unknown operator {e.op!r}")
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return s
+    if isinstance(e, Neg):
+        return -x
     if isinstance(e, Call):
         if e.func == "log":
             _require(bool(np.all(x > 0.0)), "log of a non-positive value")
@@ -449,7 +448,7 @@ def evaluate(e: Expr, s):
     if not np.all(np.isfinite(arr)):
         raise EvalDomainError("evaluation point must be finite")
     with np.errstate(all="ignore"):
-        out = _run(e, lambda node, *values: _apply(node, arr, *values), checks=True)
+        out = _run(e, _apply, arr, checks=True)
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalDomainError("expression evaluated to a non-finite value")
