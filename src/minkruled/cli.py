@@ -36,7 +36,6 @@ from .ruled import (
     ExplicitSurface,
     classify,
     distribution_parameter,
-    eval_triple,
     sample_frames,
     sample_grid,
     sampled_ruled_invariants,
@@ -529,8 +528,8 @@ def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
         if cfg.mode == "explicit":
             surface = cfg.surface
             u = sample_grid(surface, cfg.samples)
-            f = eval_triple(surface._d.f, u)
-            grid = _ruled_grid(f, eval_triple(surface._d.q, u), cfg.v_range, cfg.v_samples)
+            f, q = surface._d.fields(u, "f", "q")
+            grid = _ruled_grid(f, q, cfg.v_range, cfg.v_samples)
         else:
             if surf is None:
                 surf = synthesize_surface(cfg.data)

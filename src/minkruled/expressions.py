@@ -10,9 +10,13 @@ Grammar (standard infix, whitespace insensitive):
 
 Functions: sin cos tan sinh cosh tanh asinh acosh atanh exp log sqrt abs.
 Exponents must be constant (no ``s``); non-integer exponents require a
-positive base.  Evaluation is numpy-aware: scalars in, floats out; arrays
-in, arrays out.  Domain violations raise EvalDomainError instead of
-producing NaN or infinities.
+positive base.  ``compile(roots)`` walks the union of the roots' DAGs once,
+by identity, and ``run(program, s)`` gives each root's array at ``s`` in root
+order, computing each distinct node once.  ``evaluate`` is a one-root run:
+scalars in, floats out; arrays in, arrays out.  Domain violations and
+non-finite values raise EvalDomainError, first where a root-by-root
+evaluation would.  Nodes compare and hash by identity, so nothing recurses;
+``structure`` is the hashable value of a tree.
 """
 
 from __future__ import annotations
@@ -26,59 +30,45 @@ import numpy as np
 from .errors import EvalDomainError, ParseError
 
 __all__ = [
-    "Expr",
-    "Num",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "VAR",
-    "const",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "powc",
-    "neg",
-    "call",
-    "parse",
-    "evaluate",
-    "differentiate",
-    "to_string",
-    "contains_var",
-    "structure",
-    "FUNCTIONS",
+    "Expr", "Num", "Var", "Neg", "BinOp", "Call", "VAR", "const", "add", "sub", "mul", "div",
+    "powc", "neg", "call", "parse", "evaluate", "compile", "run", "differentiate", "to_string",
+    "contains_var", "structure", "FUNCTIONS",
 ]
 
+_node = dataclass(frozen=True, eq=False, repr=False)
 
-@dataclass(frozen=True)
+
+@_node
 class Expr:
     """Base class of the immutable expression-tree nodes."""
 
+    def __repr__(self):
+        return f"{type(self).__name__}<{to_string(self)}>"
 
-@dataclass(frozen=True)
+
+@_node
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Expr):
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Call(Expr):
     func: str
     arg: Expr
@@ -108,60 +98,78 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 MAX_NESTING = 100
 
 
-def _walk(root: Expr, done=(), checks=False) -> list:
-    """Each distinct node under ``root`` once, by identity, as post-order ``(node, operand
+def _walk(roots, done=(), checks=False) -> tuple[list, list]:
+    """Each distinct node under ``roots`` once, by identity, as post-order ``(node, operand
     positions)`` steps, divisors before dividends; ``done`` ids are left out with all below
-    them.  ``checks`` adds a ``(None, [divisor])`` step between each divisor and dividend."""
-    steps, seen = [], {}
-    stack = [(root, None)]
-    while stack:
-        node, ops = stack.pop()
-        if ops is None:
-            if id(node) in seen or id(node) in done:
-                continue
-            if isinstance(node, BinOp):  # operands first, then the node itself
-                ops = (node.right, node.left) if node.op == "/" else (node.left, node.right)
-                check = ((ops[0], False),) if checks and node.op == "/" else ()
-                stack += ((node, ops), (ops[1], None), *check, (ops[0], None))
-                continue
-            if isinstance(node, (Neg, Call)):
-                stack += ((node, (node.arg,)), (node.arg, None))
-                continue
-            ops = ()  # a leaf is listed at once
-        if ops is False:
-            steps.append((None, [seen[id(node)]]))
-        else:
-            seen[id(node)] = len(steps)
-            steps.append((node, list(map(seen.get, map(id, ops)))))
-    return steps
+    them.  ``checks`` adds a ``(None, [divisor])`` step between each divisor and dividend.
+    Also gives, per root, the number of steps up to its last and its position."""
+    steps, seen, ends = [], {}, []
+    for root in roots:
+        stack = [(root, None)]
+        while stack:
+            node, ops = stack.pop()
+            if ops is None:
+                if id(node) in seen or id(node) in done:
+                    continue
+                if isinstance(node, BinOp):  # operands first, then the node itself
+                    ops = (node.right, node.left) if node.op == "/" else (node.left, node.right)
+                    check = ((ops[0], False),) if checks and node.op == "/" else ()
+                    stack += ((node, ops), (ops[1], None), *check, (ops[0], None))
+                    continue
+                if isinstance(node, (Neg, Call)):
+                    stack += ((node, (node.arg,)), (node.arg, None))
+                    continue
+                ops = ()  # a leaf is listed at once
+            if ops is False:
+                steps.append((None, [seen[id(node)]]))
+            else:
+                seen[id(node)] = len(steps)
+                steps.append((node, list(map(seen.get, map(id, ops)))))
+        ends.append((len(steps), seen.get(id(root))))
+    return steps, ends
 
 
-def _run(e: Expr, step, *args, checks=False):
-    """``e``'s value by ``step(node, *args, *operand values)`` per ``_walk`` step."""
-    steps = _walk(e, checks=checks)
+def compile(roots, checks=True) -> tuple:
+    """Program of ``roots`` on one grid: the ``_walk`` of them all, so each distinct node of
+    their union is one step, with each step's use count and each root's end and position."""
+    steps, ends = _walk(roots, checks=checks)
     uses = [0] * len(steps)
-    for _, ops in steps:
-        for j in ops:
-            uses[j] += 1
+    for j in [j for _, ops in steps for j in ops] + [at for _, at in ends]:
+        uses[j] += 1
+    return steps, uses, ends
+
+
+def _run(program, step, finish, *args):
+    """``finish`` of each root's value by ``step(node, *args, *operand values)`` per program
+    step, in root order; a root's steps run when its value is asked for."""
+    steps, uses, ends = program
+    uses = uses.copy()
     values = [None] * len(steps)
-    for i, (node, ops) in enumerate(steps):
-        values[i] = step(node, *args, *map(values.__getitem__, ops))
-        for j in ops:
-            uses[j] -= 1
-            if not uses[j]:
-                values[j] = None  # after its last use, so only live values are held
-    return values[-1]
+    start = 0
+    for end, at in ends:
+        with np.errstate(all="ignore"):
+            for i in range(start, end):
+                node, ops = steps[i]
+                values[i] = step(node, *args, *map(values.__getitem__, ops))
+                for j in ops:
+                    uses[j] -= 1
+                    if not uses[j]:
+                        values[j] = None  # after its last use, so only live values are held
+        start = end
+        uses[at] -= 1
+        yield finish(values[at], *args)
+        if not uses[at]:
+            values[at] = None
 
 
 def contains_var(e: Expr) -> bool:
-    return any(isinstance(node, Var) for node, _ in _walk(e))
+    return any(isinstance(node, Var) for node, _ in _walk([e])[0])
 
 
 def structure(e: Expr) -> tuple:
-    """Flat hashable form of ``e`` (the dataclass hash and equality recurse):
-    per ``_walk`` step, the node's type, non-node fields, operand positions."""
+    """Flat hashable value of ``e``: per ``_walk`` step, its type, non-node fields, operands."""
     return tuple((type(node), *[v for v in vars(node).values() if not isinstance(v, Expr)], *ops)
-                 for node, ops in _walk(e))
+                 for node, ops in _walk([e])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +317,13 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {value!r}", pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                e = BinOp(value, e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.unary()
-                e = BinOp(value, e, rhs)
-            else:
-                return e
+    def expr(self, ops="+-") -> Expr:
+        """Terms joined by + and -; with ``ops`` "*/", unaries joined by * and /."""
+        e = self.expr("*/") if ops == "+-" else self.unary()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            op = self.advance()[1]
+            e = BinOp(op, e, self.expr("*/") if ops == "+-" else self.unary())
+        return e
 
     def unary(self) -> Expr:
         # each parenthesis, call, minus sign and exponent nests one unary deeper
@@ -442,23 +436,31 @@ def _apply(e: Expr, s, x=None, y=None):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def evaluate(e: Expr, s):
-    """Evaluate at a scalar or array argument, each distinct node once; never returns NaN/inf."""
-    arr = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise EvalDomainError("evaluation point must be finite")
-    with np.errstate(all="ignore"):
-        out = _run(e, _apply, arr, checks=True)
+def _finish(out, arr):
+    """A root's value as an array of ``arr``'s shape; EvalDomainError if not finite."""
     out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise EvalDomainError("expression evaluated to a non-finite value")
-    if arr.ndim == 0:
-        return float(out)
     if out.shape != arr.shape:
-        out = np.broadcast_to(out, arr.shape).copy()
-    elif out is arr:  # the bare variable: never hand back the caller's array
-        out = arr.copy()
-    return out
+        return np.broadcast_to(out, arr.shape).copy()
+    return arr.copy() if out is arr else out  # the bare variable: never the caller's array
+
+
+def run(program, s):
+    """Each root of a ``compile``d program at a scalar or array ``s``, in root order, as an
+    array of ``s``'s shape.  A root's steps run when it is asked for, and EvalDomainError is
+    raised at the first domain violation or non-finite root, as evaluating the roots one by
+    one would raise it."""
+    arr = np.asarray(s, dtype=float)
+    if not np.isfinite(arr).all():
+        raise EvalDomainError("evaluation point must be finite")
+    return _run(program, _apply, _finish, arr)
+
+
+def evaluate(e: Expr, s):
+    """A one-root ``run`` at a scalar or array argument, a float for a scalar; never NaN/inf."""
+    out = next(run(compile([e]), s))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +515,7 @@ def differentiate(e: Expr, memo: dict | None = None) -> Expr:
     """Exact symbolic derivative with light constant folding; each distinct node
     once, to one shared derivative, across calls given one ``memo`` dict."""
     memo = {} if memo is None else memo
-    for node, _ in _walk(e, done=memo):
+    for node, _ in _walk([e], done=memo)[0]:
         memo[id(node)] = (node, _derivative(node, lambda op: memo[id(op)][1]))
     return memo[id(e)][1]
 
@@ -550,4 +552,4 @@ def _format(e: Expr, x=None, y=None) -> tuple:
 
 def to_string(e: Expr) -> str:
     """Render to text that reparses to an equivalent expression."""
-    return _run(e, _format)[0]
+    return next(_run(compile([e], checks=False), _format, lambda text: text))[0]

@@ -44,7 +44,6 @@ from .lorentz import (
     Vec3,
     lorentz_cross,
     lorentz_dot,
-    norm_and_character,
 )
 from .numerics import adaptive_simpson, central_diff1, central_diff2, uniform_arclength_nodes
 
@@ -81,15 +80,6 @@ def _add_expr(x: ExprTriple, y: ExprTriple) -> ExprTriple:
 
 def _diff_triple(x: ExprTriple, memo: dict) -> ExprTriple:
     return tuple(ex.differentiate(c, memo) for c in x)
-
-
-def eval_triple(triple: ExprTriple, u):
-    """Evaluate an expression triple at scalar or array u -> (..., 3)."""
-    arr = np.asarray(u, dtype=float)
-    comps = [ex.evaluate(t, arr) for t in triple]
-    if arr.ndim == 0:
-        return np.array(comps, dtype=float)
-    return np.stack(comps, axis=-1)
 
 
 @dataclass(eq=False)
@@ -132,6 +122,7 @@ class _Derived:
     """Symbolic derivatives and frame expressions, built once per surface."""
 
     def __init__(self, surf: ExplicitSurface):
+        self._programs = {}  # field names -> their compiled program, built on first use
         memo = {}  # one for the surface: a subtree that fields share is derived once
         if surf.normalize_q:
             qq = _dot_expr(surf.q, surf.q)
@@ -156,6 +147,19 @@ class _Derived:
         self.hdot_raw = _diff_triple(self.h_raw, memo)
         self.t = _scale_expr(ex.div(ex.const(1.0), self.speed), self.cdot)
         self.tdot = _diff_triple(self.t, memo)
+
+    def fields(self, u, *names):
+        """The named fields at ``u``, lazily in order: (..., 3) per triple, ``u``'s shape
+        per scalar.  One program per list of names evaluates them all in one walk."""
+        if names not in self._programs:
+            fields = [getattr(self, name) for name in names]
+            roots = [e for f in fields for e in (f if isinstance(f, tuple) else (f,))]
+            self._programs[names] = ex.compile(roots)
+        values = ex.run(self._programs[names], u)
+        for name in names:
+            field = getattr(self, name)
+            is_triple = isinstance(field, tuple)
+            yield np.stack([next(values) for _ in field], -1) if is_triple else next(values)
 
     @staticmethod
     def _check_unit(surf: ExplicitSurface, tol: Tolerances = DEFAULT_TOLERANCES):
@@ -187,22 +191,27 @@ def sample_grid(surface: ExplicitSurface, samples: int) -> np.ndarray:
 
 def surface_point(surface: ExplicitSurface, u: float, v: float) -> Vec3:
     """r(u, v) = f(u) + v q(u) (with the normalized ruling if requested)."""
-    d = surface._d
-    return eval_triple(d.f, u) + v * eval_triple(d.q, u)
+    f, q = surface._d.fields(u, "f", "q")
+    return f + v * q
 
 
-def _ruling_derivative_checked(d: _Derived, u: np.ndarray, tol: Tolerances):
-    """q' at 1-d ``u`` as an (n, 3) array; raises at the first point where
-    it vanishes (cylindrical) or is null at unit scale.
+def _unit_square(v: np.ndarray):
+    """Euclidean norm of each row of ``v`` and <v, v> at unit Euclidean scale (NaN at 0)."""
+    scale = np.linalg.norm(v, axis=-1)
+    with np.errstate(all="ignore"):
+        unit = v / scale[..., None]
+    return scale, lorentz_dot(unit, unit)
+
+
+def _ruling_derivative_checked(qdot: np.ndarray, u: np.ndarray, tol: Tolerances):
+    """``qdot``, q' at 1-d ``u`` as an (n, 3) array; raises at the first point
+    where it vanishes (cylindrical) or is null at unit scale.
 
     The one q' degeneracy rule of every explicit-surface function.
     """
-    qdot = eval_triple(d.qdot, u)
-    scale = np.linalg.norm(qdot, axis=-1)
+    scale, unit_square = _unit_square(qdot)
     cylindrical = scale <= CYLINDRICAL_EPS
-    with np.errstate(all="ignore"):
-        unit = qdot / scale[..., None]
-    null = ~cylindrical & (np.abs(lorentz_dot(unit, unit)) <= tol.causal_eps)
+    null = ~cylindrical & (np.abs(unit_square) <= tol.causal_eps)
     if np.any(cylindrical | null):
         i = int(np.argmax(cylindrical | null))
         if cylindrical[i]:
@@ -217,22 +226,22 @@ def distribution_parameter(surface: ExplicitSurface, u, tol: Tolerances = DEFAUL
     An array ``u`` gives an array; the checks run over the whole array and
     an error names the first failing parameter.
     """
-    d = surface._d
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    qdot = _ruling_derivative_checked(d, uu, tol)
-    det = np.linalg.det(np.stack([eval_triple(d.fdot, uu), eval_triple(d.q, uu), qdot], axis=1))
-    drall = det / lorentz_dot(qdot, qdot)
+    fields = surface._d.fields(uu, "qdot", "fdot", "q")
+    qdot = _ruling_derivative_checked(next(fields), uu, tol)
+    drall = _drall(*fields, qdot)
     return float(drall[0]) if np.ndim(u) == 0 else drall
+
+
+def _drall(fdot, q, qdot):
+    return np.linalg.det(np.stack([fdot, q, qdot], axis=1)) / lorentz_dot(qdot, qdot)
 
 
 def unit_normal(
     surface: ExplicitSurface, u: float, v: float, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> Vec3:
     """Unit (spacelike) surface normal at (u, v)."""
-    d = surface._d
-    fdot = eval_triple(d.fdot, u)
-    qdot = eval_triple(d.qdot, u)
-    q = eval_triple(d.q, u)
+    fdot, qdot, q = surface._d.fields(u, "fdot", "qdot", "q")
     ru = fdot + v * qdot
     radicand = float(lorentz_dot(fdot, q)) ** 2 - float(lorentz_dot(q, q)) * float(
         lorentz_dot(ru, ru)
@@ -253,9 +262,10 @@ def asymptotic_normal(
     This is the frame's ungauged ``a``: the k1 > 0 gauge of the moving frame
     may reverse it.
     """
-    d = surface._d
-    _ruling_derivative_checked(d, np.atleast_1d(float(u)), tol)
-    return eval_triple(d.a_raw, float(u))
+    uu = np.atleast_1d(float(u))
+    fields = surface._d.fields(uu, "qdot", "a_raw")
+    _ruling_derivative_checked(next(fields), uu, tol)
+    return next(fields)[0]
 
 
 def normal_limit_agreement(
@@ -282,11 +292,11 @@ def striction(surface: ExplicitSurface, u, tol: Tolerances = DEFAULT_TOLERANCES)
     Scalar ``u`` gives ``(float, (3,) array)``; an array gives arrays of
     shapes ``(n,)`` and ``(n, 3)``, checked as in ``distribution_parameter``.
     """
-    d = surface._d
     uu = np.atleast_1d(np.asarray(u, dtype=float))
-    qdot = _ruling_derivative_checked(d, uu, tol)
-    v0 = -lorentz_dot(qdot, eval_triple(d.fdot, uu)) / lorentz_dot(qdot, qdot)
-    point = eval_triple(d.f, uu) + v0[:, None] * eval_triple(d.q, uu)
+    fields = surface._d.fields(uu, "qdot", "fdot", "f", "q")
+    qdot = _ruling_derivative_checked(next(fields), uu, tol)
+    v0 = -lorentz_dot(qdot, next(fields)) / lorentz_dot(qdot, qdot)
+    point = next(fields) + v0[:, None] * next(fields)
     if np.ndim(u) == 0:
         return float(v0[0]), point[0]
     return v0, point
@@ -294,12 +304,9 @@ def striction(surface: ExplicitSurface, u, tol: Tolerances = DEFAULT_TOLERANCES)
 
 def arc_length(surface: ExplicitSurface, u: float, tol_quad: float = 1e-10) -> float:
     """Striction-curve arc length from the start of the range to u."""
-    d = surface._d
-
-    def speed(x):
-        return ex.evaluate(d.speed, x)
-
-    return adaptive_simpson(speed, surface.u_range[0], u, tol_quad)
+    return adaptive_simpson(
+        lambda x: next(surface._d.fields(x, "speed")), surface.u_range[0], u, tol_quad
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -307,33 +314,39 @@ def arc_length(surface: ExplicitSurface, u: float, tol_quad: float = 1e-10) -> f
 # ---------------------------------------------------------------------------
 
 
-def _curvatures(d: _Derived, u: np.ndarray, tol: Tolerances):
-    """q, speed, ungauged h, gauge sign, epsilon, k1 and k2 at u: only what k1, k2 need.
+def _curvatures(qdot: np.ndarray, q: np.ndarray, fields, tol: Tolerances):
+    """speed, ungauged h, gauge sign, epsilon, k1 and k2 from checked q' and q, reading
+    speed, h_raw and adot_raw from ``fields``: only what k1, k2 need.
 
     The gauge sign makes k1 = <q', sign h>/speed positive; it multiplies a
     and h alike, so k2 = epsilon <a', h>/speed does not depend on it.
     """
-    qdot = _ruling_derivative_checked(d, u, tol)
-    q = eval_triple(d.q, u)
     qq = lorentz_dot(q, q)
     if not (np.all(qq < 0.0) or np.all(qq > 0.0)):
         raise ValueError("ruling changes causal character on the range")
     epsilon = -1 if qq[0] < 0.0 else 1
 
-    speed = ex.evaluate(d.speed, u)
-    h = eval_triple(d.h_raw, u)
+    speed, h = next(fields), next(fields)
     k1_raw = lorentz_dot(qdot, h) / speed
-    k2 = epsilon * lorentz_dot(eval_triple(d.adot_raw, u), h) / speed
-    return q, speed, h, np.where(k1_raw < 0.0, -1.0, 1.0), epsilon, np.abs(k1_raw), k2
+    k2 = epsilon * lorentz_dot(next(fields), h) / speed
+    return speed, h, np.where(k1_raw < 0.0, -1.0, 1.0), epsilon, np.abs(k1_raw), k2
+
+
+# every field of a frame, in the order of its checks: q' is checked before q is read, and
+# q's causal character before any other field
+_FRAME_FIELDS = (
+    "qdot", "q", "speed", "h_raw", "adot_raw", "a_raw", "hdot_raw", "c", "cdot", "tdot"
+)
 
 
 def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> SampledSurface:
-    d = surface._d
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    q, speed, h, sign, epsilon, k1, k2 = _curvatures(d, u, tol)
-    h, a, hdot = sign[:, None] * np.array([h, eval_triple(d.a_raw, u), eval_triple(d.hdot_raw, u)])
-    c = eval_triple(d.c, u)
-    cdot = eval_triple(d.cdot, u)
+    fields = surface._d.fields(u, *_FRAME_FIELDS)
+    qdot = _ruling_derivative_checked(next(fields), u, tol)
+    q = next(fields)
+    speed, h, sign, epsilon, k1, k2 = _curvatures(qdot, q, fields, tol)
+    a, hdot, c, cdot, tdot = fields
+    h, a, hdot = sign[:, None] * np.array([h, a, hdot])
 
     cc = lorentz_dot(cdot, cdot)
     cc_unit = cc / np.maximum(1e-300, np.sum(cdot * cdot, axis=-1))
@@ -355,7 +368,7 @@ def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> Sample
         k2=k2,
         theta=theta,
         epsilon=epsilon,
-        c2=eval_triple(d.tdot, u) / speed[..., None],
+        c2=tdot / speed[..., None],
         hprime=hdot / speed[..., None],
     )
 
@@ -387,13 +400,8 @@ def sample_frames(
     """Frames at n points equally spaced in striction arc length; WorkLimitError
     past MAX_SAMPLES."""
     _check_samples(n)
-    d = surface._d
-
-    def speed(x):
-        return ex.evaluate(d.speed, x)
-
     u_nodes, s_nodes = uniform_arclength_nodes(
-        speed, surface.u_range[0], surface.u_range[1], n
+        lambda x: next(surface._d.fields(x, "speed")), surface.u_range[0], surface.u_range[1], n
     )
     return _frames_at(surface, u_nodes, s_nodes, tol)
 
@@ -418,15 +426,17 @@ def classify(
     surface: ExplicitSurface, samples: int = 201, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SurfaceClassification:
     """Evaluate ruling character and developable/conoid/cylindrical flags."""
-    d = surface._d
     u = sample_grid(surface, samples)
-    q = eval_triple(d.q, u)
-    characters = {norm_and_character(q[i], tol)[1] for i in range(samples)}
+    fields = surface._d.fields(u, "q", "qdot", "fdot", "speed", "h_raw", "adot_raw")
+    q = next(fields)
+    scale, vv = _unit_square(q)  # norm_and_character's rules, on every row at once
+    kinds = np.where((scale == 0.0) | (vv > tol.causal_eps), "spacelike", "timelike")
+    characters = set(np.where(np.abs(vv) <= tol.causal_eps, "null", kinds).tolist())
     if len(characters) != 1:
         raise ValueError("ruling changes causal character on the range")
-    ruling_character = characters.pop()
+    ruling_character = CausalCharacter(characters.pop())
 
-    qdot = eval_triple(d.qdot, u)
+    qdot = next(fields)
     cylindrical = bool(np.max(np.linalg.norm(qdot, axis=-1)) <= CYLINDRICAL_EPS)
 
     developable = True if cylindrical else None  # constant tangent plane along each ruling
@@ -434,10 +444,10 @@ def classify(
     conoid = None
     if not cylindrical:
         try:
-            drall = distribution_parameter(surface, u, tol)
-            max_abs_drall = float(np.max(np.abs(drall)))
+            _ruling_derivative_checked(qdot, u, tol)
+            max_abs_drall = float(np.max(np.abs(_drall(next(fields), q, qdot))))
             developable = max_abs_drall <= tol.general_eps
-            k1, k2 = _curvatures(d, u, tol)[-2:]
+            k1, k2 = _curvatures(qdot, q, fields, tol)[-2:]
             conoid = bool(
                 np.min(np.abs(k1)) > tol.general_eps and np.max(np.abs(k2)) <= tol.general_eps
             )
@@ -517,14 +527,8 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
         raise ValueError("frames must be uniformly spaced in arc length")
 
     cprime, sl = central_diff1(c, step)
-    if frames.c2 is not None:
-        c2 = frames.c2[sl]
-    else:
-        c2, _ = central_diff2(c, step)
-    if frames.hprime is not None:
-        hprime = frames.hprime[sl]
-    else:
-        hprime, _ = central_diff1(h, step)
+    c2 = frames.c2[sl] if frames.c2 is not None else central_diff2(c, step)[0]
+    hprime = frames.hprime[sl] if frames.hprime is not None else central_diff1(h, step)[0]
     theta_prime, _ = central_diff1(theta, step)
 
     h_i, k1_i, k2_i, theta_i = h[sl], k1[sl], k2[sl], theta[sl]
@@ -566,13 +570,7 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
                 else verdicts_agree(geo_pass, geo, cur_pass, cur_res, tol)
             ),
         )
-    return PredicateReport(
-        asymptotic=results["asymptotic"],
-        geodesic=results["geodesic"],
-        line_of_curvature=results["line_of_curvature"],
-        tol=tol,
-        n_samples=len(frames),
-    )
+    return PredicateReport(**results, tol=tol, n_samples=len(frames))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from minkruled import cli, transversal
+from minkruled import expressions as ex
 from minkruled.cli import main, parse_config
 from minkruled.errors import ConfigError
 
@@ -204,6 +205,19 @@ def test_analyze_helicoid_end_to_end(tmp_path, schema):
     first = (tmp_path / "helicoid_report.json").read_bytes()
     assert main(["analyze", "--config", config, "--output-dir", str(tmp_path)]) == 0
     assert (tmp_path / "helicoid_report.json").read_bytes() == first
+
+
+def test_analyze_evaluates_each_field_node_once_per_grid(tmp_path, monkeypatch):
+    """An analyze job of the benchmark's seed-71 T1 surface makes at most 900 node
+    evaluations; evaluating each field component in a walk of its own made 1,733."""
+    nodes, apply = [], ex._apply
+    monkeypatch.setattr(ex, "_apply", lambda node, *args: nodes.append(node is not None) or apply(node, *args))
+    config = write_config(tmp_path, "t1.json", {
+        "mode": "explicit", "f": ["0.94*s", "0", "0.78*s"], "q": ["cosh(0.76*s)", "sinh(0.76*s)", "0"],
+        "u_range": [0.0, 0.92], "samples": 101, "output": {"report_path": "report.json"},
+    })
+    assert main(["analyze", "--config", config, "--output-dir", str(tmp_path)]) == 0
+    assert 0 < sum(nodes) <= 900
 
 
 def test_synthesize_end_to_end(tmp_path, schema):

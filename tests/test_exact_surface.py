@@ -14,7 +14,7 @@ import pytest
 from exact_surface import analyze_config, exact_surface
 from minkruled import expressions as ex
 from minkruled.cli import main
-from minkruled.ruled import ExplicitSurface, eval_triple, frame_consistency, sample_frames
+from minkruled.ruled import ExplicitSurface, frame_consistency, sample_frames
 from minkruled.synthesis import from_constants, synthesize_surface
 
 CASES = [
@@ -30,7 +30,7 @@ CASES = [
 def exact_values(k1, k2, theta, s):
     """The exact c, q, h and a at arc lengths ``s``, each of shape (n, 3)."""
     return {
-        name: eval_triple(tuple(ex.parse(t) for t in triple), s)
+        name: np.stack(list(ex.run(ex.compile([ex.parse(t) for t in triple]), s)), axis=-1)
         for name, triple in exact_surface(k1, k2, theta).items()
     }
 

@@ -18,13 +18,15 @@ from minkruled.expressions import (
     Num,
     add,
     call,
+    compile,
     differentiate,
     evaluate,
     parse,
+    run,
     structure,
     to_string,
 )
-from minkruled.ruled import ExplicitSurface
+from minkruled.ruled import _FRAME_FIELDS, ExplicitSurface
 
 
 def central_fd(expr, s, h=1e-5):
@@ -192,10 +194,12 @@ def test_surface_fields_match_the_recursive_reference(name):
     assert distinct_nodes(*d.tdot) < 300
 
 
-@pytest.mark.parametrize(
-    "text", ["sqrt(s-5)/log(s-5)", "log(s)/s", "log(s)/(s-s) + 1/s", "sqrt(s-2)^0.5 + log(s-3)",
-             "(s-1)^0.5/sqrt(s-2)", "acosh(s) * atanh(s+2)", "1/(s-s) + log(s-3)"],
-)
+# expressions with two domain faults on [0, 1], each a binary node at the top
+TWO_FAULTS = ["sqrt(s-5)/log(s-5)", "log(s)/s", "log(s)/(s-s) + 1/s", "sqrt(s-2)^0.5 + log(s-3)",
+              "(s-1)^0.5/sqrt(s-2)", "acosh(s) * atanh(s+2)", "1/(s-s) + log(s-3)"]
+
+
+@pytest.mark.parametrize("text", TWO_FAULTS)
 def test_first_domain_error_matches_the_recursive_reference(text):
     expr = parse(text)
     with pytest.raises(EvalDomainError) as expected:
@@ -242,3 +246,61 @@ def test_nesting_past_max_nesting_is_a_parse_error(opening, closing, token):
         parse(opening * (MAX_NESTING + 1) + "1" + closing * (MAX_NESTING + 1))
     # the offset of the token that opens level MAX_NESTING + 1
     assert err.value.position == MAX_NESTING * len(opening) + opening.index(token)
+
+
+def test_long_sum_compares_hashes_and_prints_without_recursion():
+    expr = parse("+".join(["0.001*s"] * 3000))
+    assert expr == expr and expr != parse(to_string(expr))  # nodes compare by identity
+    assert hash(expr) == hash(expr) and {expr: 1}[expr] == 1
+    assert repr(expr) == f"BinOp<{to_string(expr)}>"
+    assert repr(parse("2*s")) == "BinOp<2.0 * s>"
+
+
+# (f, q, u_range) of the T1 and H3 analyze jobs the benchmark draws at seed 71
+SEED_71 = {
+    "T1": (("0.94*s", "0", "0.78*s"), ("cosh(0.76*s)", "sinh(0.76*s)", "0"), (0.0, 0.92)),
+    "H3": (("0", "0", "1.20*s"), ("cosh(0.86*s+0.10*s^2)", "sinh(0.86*s+0.10*s^2)", "0"), (0.0, 1.06)),
+}
+FIELDS = ("f", "q", "qdqd", "v0", "c", "speed", "a_raw", "h_raw", "t", *DERIVED)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_71))
+def test_surface_programs_match_per_root_evaluate(name):
+    f, q, u_range = SEED_71[name]
+    d = ExplicitSurface.from_strings(f, q, u_range)._d
+    for u in (np.linspace(*u_range, 101), 0.37):
+        for names in (FIELDS, FIELDS[::-1], _FRAME_FIELDS, ("speed",)):
+            values = list(d.fields(u, *names))
+            assert len(values) == len(names)
+            for field, value in zip(names, values):
+                e = getattr(d, field)
+                expected = np.stack([evaluate(c, u) for c in e], -1) if isinstance(e, tuple) else evaluate(e, u)
+                assert np.shape(value) == np.shape(expected)
+                assert_same_bits(value, expected)
+
+
+def test_one_program_over_the_corpus_matches_per_root_evaluate():
+    exprs = [parse(text) for text, _ in DERIVATIVE_CORPUS]
+    memo = {}  # the derivatives share subtrees with each other and with the expressions
+    roots = exprs + [differentiate(e, memo) for e in exprs]
+    program = compile(roots)
+    assert sum(node is not None for node, _ in program[0]) == distinct_nodes(*roots)
+    grid = np.linspace(0.2, 0.6, 41)  # inside every corpus window
+    values = list(run(program, grid))
+    assert len(values) == len(roots)
+    for value, root in zip(values, roots):
+        assert_same_bits(value, evaluate(root, grid))
+        assert_same_bits(value, reference.evaluate(root, grid))
+
+
+@pytest.mark.parametrize("text", TWO_FAULTS)
+def test_program_raises_the_first_error_of_root_by_root_evaluation(text):
+    e, overflow = parse(text), parse("exp(1000*s)")  # finite checks, but not finite at 1
+    grid = np.array([0.0, 1.0])
+    for roots in ([e.left, e], [e, e.left], [e.right, e], [e, e.right], [overflow, e], [e, overflow]):
+        with pytest.raises(EvalDomainError) as expected:
+            for root in roots:
+                reference.evaluate(root, grid)
+        with pytest.raises(EvalDomainError) as got:
+            list(run(compile(roots), grid))
+        assert str(got.value) == str(expected.value)

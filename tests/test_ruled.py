@@ -13,7 +13,13 @@ from minkruled.errors import (
     NullDerivativeError,
     WorkLimitError,
 )
-from minkruled.lorentz import DEFAULT_TOLERANCES, CausalCharacter, frame_check, lorentz_dot
+from minkruled.lorentz import (
+    DEFAULT_TOLERANCES,
+    CausalCharacter,
+    frame_check,
+    lorentz_dot,
+    norm_and_character,
+)
 from minkruled.ruled import (
     MAX_SAMPLES,
     ExplicitSurface,
@@ -125,14 +131,12 @@ def test_unit_normal(helicoid):
     assert np.allclose(unit_normal(helicoid, 0.0, 0.0), [0.0, -1.0, 0.0], atol=1e-15)
     rng = np.random.default_rng(5)
     d = helicoid._d
-    from minkruled.ruled import eval_triple
-
     for _ in range(100):
         u = float(rng.uniform(0.0, 1.0))
         v = float(rng.uniform(-2.0, 2.0))
         m = unit_normal(helicoid, u, v)
-        ru = eval_triple(d.fdot, u) + v * eval_triple(d.qdot, u)
-        rv = eval_triple(d.q, u)
+        fdot, qdot, rv = d.fields(u, "fdot", "qdot", "q")
+        ru = fdot + v * qdot
         assert abs(lorentz_dot(m, ru)) <= 1e-10 * (1 + np.linalg.norm(ru))
         assert abs(lorentz_dot(m, rv)) <= 1e-10
         assert abs(lorentz_dot(m, m) - 1.0) <= 1e-10
@@ -153,11 +157,9 @@ def test_asymptotic_normal(helicoid):
     assert np.allclose(a, [0.0, 0.0, 1.0], atol=1e-15)
     for u in (0.0, 0.4, 1.0):
         a = asymptotic_normal(helicoid, u)
-        d = helicoid._d
-        from minkruled.ruled import eval_triple
-
-        assert abs(lorentz_dot(a, eval_triple(d.q, u))) <= 1e-10
-        assert abs(lorentz_dot(a, eval_triple(d.qdot, u))) <= 1e-10
+        q, qdot = helicoid._d.fields(u, "q", "qdot")
+        assert abs(lorentz_dot(a, q)) <= 1e-10
+        assert abs(lorentz_dot(a, qdot)) <= 1e-10
 
 
 def test_normal_limit_agreement(helicoid):
@@ -307,29 +309,57 @@ def test_classify_reads_only_what_the_conoid_test_needs(monkeypatch, name):
     surface = ExplicitSurface.from_strings(f, q, u_range)
     d = surface._d
     unread = {id(e) for e in (*d.tdot, *d.hdot_raw)}
-    seen = []
-    original_triple, original_evaluate = ruled_module.eval_triple, ex.evaluate
+    seen, curvatures = [], []
+    original_compile, original_evaluate = ex.compile, ex.evaluate
+    original_curvatures = ruled_module._curvatures
 
-    def eval_triple(triple, u):
-        seen.append(triple)
-        return original_triple(triple, u)
+    def compile(roots, *args):
+        seen.extend(roots)
+        return original_compile(roots, *args)
 
     def evaluate(e, s):
         seen.append(e)
         return original_evaluate(e, s)
 
-    monkeypatch.setattr(ruled_module, "eval_triple", eval_triple)
+    monkeypatch.setattr(ex, "compile", compile)
     monkeypatch.setattr(ex, "evaluate", evaluate)
+    monkeypatch.setattr(
+        ruled_module, "_curvatures", lambda *a: curvatures.append(original_curvatures(*a)) or curvatures[-1]
+    )
     cls = classify(surface, samples=101)
     monkeypatch.undo()
-    assert seen and not [e for e in seen if e is d.tdot or e is d.hdot_raw or id(e) in unread]
+    assert seen and not [e for e in seen if id(e) in unread]
     assert cls == expected
     if expected.conoid is not None:
         # the curvatures the conoid test reads have the bits of the full frames
         u = np.linspace(u_range[0], u_range[1], 101)
         track = ruled_module._frames_at(surface, u, np.zeros_like(u), DEFAULT_TOLERANCES)
-        k1, k2 = ruled_module._curvatures(d, u, DEFAULT_TOLERANCES)[-2:]
+        k1, k2 = curvatures[0][-2:]
         assert k1.tolist() == track.k1.tolist() and k2.tolist() == track.k2.tolist()
+
+
+# rulings of other characters, normalized: a unit timelike ruling near cosh 12 is null at
+# unit Euclidean scale, and one that starts at cosh 11 becomes null on the range
+CHARACTER_SURFACES = {
+    "spacelike": (("0", "0", "s"), ("sinh(s)", "cosh(s)", "0"), (0.0, 1.0)),
+    "null": (("s", "0", "0"), ("cosh(s+12)", "sinh(s+12)", "0"), (0.0, 1.0)),
+    "changing": (("s", "0", "0"), ("cosh(s+11)", "sinh(s+11)", "0"), (0.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_SURFACES) + sorted(CHARACTER_SURFACES))
+def test_classify_ruling_character_is_norm_and_character_of_every_sample(name):
+    f, q, u_range = {**CLASSIFY_SURFACES, **CHARACTER_SURFACES}[name][:3]
+    surface = ExplicitSurface.from_strings(f, q, u_range, normalize_q=name in CHARACTER_SURFACES)
+    rows = next(surface._d.fields(sample_grid(surface, 101), "q"))
+    expected = {norm_and_character(row)[1] for row in rows}
+    assert (len(expected) == 2) == (name == "changing")
+    if name == "changing":
+        with pytest.raises(ValueError, match="changes causal character"):
+            classify(surface, samples=101)
+    else:
+        assert {classify(surface, samples=101).ruling_character} == expected
+    assert name != "null" or expected == {CausalCharacter.NULL}
 
 
 def test_normalize_q_flag():
