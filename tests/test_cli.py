@@ -209,7 +209,7 @@ def test_analyze_helicoid_end_to_end(tmp_path, schema):
 
 def test_analyze_evaluates_each_field_node_once_per_grid(tmp_path, monkeypatch):
     """An analyze job of the benchmark's seed-71 T1 surface makes at most 900 node
-    evaluations; evaluating each field component in a walk of its own made 1,733."""
+    evaluations: each grid evaluates a node its fields share once."""
     nodes, apply = [], ex._apply
     monkeypatch.setattr(ex, "_apply", lambda node, *args: nodes.append(node is not None) or apply(node, *args))
     config = write_config(tmp_path, "t1.json", {
