@@ -241,10 +241,11 @@ def parse_config(path: str) -> Config:
         if not isinstance(block, dict):
             raise ConfigError("config.output: expected an object")
         _reject_unknown(block, _OUTPUT_KEYS, "config.output")
-        if "report_path" in block:
-            cfg.report_path = str(block["report_path"])
-        if "mesh_path" in block:
-            cfg.mesh_path = str(block["mesh_path"])
+        for key in ("report_path", "mesh_path"):
+            if key in block:
+                if not isinstance(block[key], str) or not block[key]:
+                    raise ConfigError(f"config.output.{key}: expected a non-empty path string")
+                setattr(cfg, key, block[key])
         if "v_range" in block:
             # no library type owns the mesh's v range
             cfg.v_range = _pair(block["v_range"], "config.output.v_range")
@@ -295,18 +296,21 @@ def parse_config(path: str) -> Config:
 # ---------------------------------------------------------------------------
 
 
-# rows per string block when streaming an OBJ: one ``%`` per block keeps the
-# formatting in C without holding the whole file as one string
-OBJ_CHUNK_ROWS = 4096
+# rows per block when streaming an OBJ: a block's text is built and written
+# before the next block is read, so a large mesh is never held as one string,
+# and a block's scratch arrays (about 1.2 kB per vertex row) stay small
+OBJ_CHUNK_ROWS = 256
+
+_VERTEX_LINE = b"v %.17g %.17g %.17g\n"
 
 
 def _atomic_write(path: str, chunks):
-    """Write the strings of ``chunks`` to a temp file, then rename it to ``path``."""
+    """Write the bytes-like ``chunks`` to a temp file, then rename it to ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
@@ -315,28 +319,159 @@ def _atomic_write(path: str, chunks):
         raise
 
 
-def _format_rows(*tables):
-    """Yield ``fmt % row`` over each ``(fmt, rows)`` table, OBJ_CHUNK_ROWS rows per string."""
-    for fmt, rows in tables:
-        for start in range(0, len(rows), OBJ_CHUNK_ROWS):
-            block = rows[start:start + OBJ_CHUNK_ROWS]
-            yield (fmt * len(block)) % tuple(block.reshape(-1).tolist())
+def _format_rows(fmt: bytes, rows):
+    """Yield ``fmt % row`` over the rows, OBJ_CHUNK_ROWS rows per bytes block."""
+    for start in range(0, len(rows), OBJ_CHUNK_ROWS):
+        block = rows[start:start + OBJ_CHUNK_ROWS]
+        yield (fmt * len(block)) % tuple(block.reshape(-1).tolist())
+
+
+def _split(a):
+    """Veltkamp's split of doubles into 26-bit halves, ``hi + lo == a``."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _scaled(a, k, pow10):
+    """``(p, e)``: p = fl(a * 10**k) and p + e == a * 10**k exactly (Dekker's TwoProduct)."""
+    b, bh, bl = np.take(pow10, k, axis=1)
+    p = a * b
+    ah, al = _split(a)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _vertex_tables():
+    """The lookup tables of ``_vertex_text``, built per mesh in a fraction of a millisecond.
+
+    * ``quad[g]``: the four digits of g < 10**4 as one uint64, "d.d.d.d.".
+    * ``zeros[g]``: the trailing zeros of g written with four digits, so
+      that ``zeros[g] >> 2`` is 1 for g = 0 only.
+    * ``keep[key]``: which bytes of a 48-byte field ``%.17g`` writes, for
+      key = (sign, exponent + 4, trailing zeros of the 17 digits).
+    * ``pow10[:, k]``: 10**k (exact in a double for k < 22) and its split.
+    """
+    digit = np.arange(ord("0"), ord("0") + 10, dtype=np.uint8)
+    quad = np.full((10, 10, 10, 10, 8), ord("."), dtype=np.uint8)
+    for place in range(4):
+        quad[..., 2 * place] = digit.reshape((10,) + (1,) * (3 - place))
+    zeros = np.zeros((10, 10, 10, 10), dtype=np.int8)
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[:, 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    # A field is "v -", three unused bytes, then the stream "0000" and the
+    # 17 digits with a point after each character: S_i at byte 6 + 2i.  The
+    # grids are floats, as integers would load numpy's integer compare loops.
+    negative, exp, tz = np.ix_(np.arange(2.0), np.arange(-4.0, 16.0), np.arange(17.0))
+    i = np.arange(21.0)
+    first = (4 + np.minimum(exp, 0))[..., None]  # S_0 is the "0" of "0.000..."
+    last = (20 - np.minimum(tz, 16 - exp))[..., None]  # trailing zeros dropped
+    keep = np.zeros((2, 20, 17, 48), dtype=bool)
+    keep[..., 0] = keep[..., 1] = True  # "v " (the caller drops the "v" of y and z)
+    keep[..., 2] = negative == 1  # "-"
+    keep[..., 6::2] = (first <= i) & (i <= last)
+    keep[..., 7::2] = (i == 4 + exp[..., None]) & (tz < 16 - exp)[..., None]
+    pow10 = np.array([float(10**k) for k in range(22)])
+    return quad.reshape(-1).view(np.uint64), zeros.reshape(-1), keep.reshape(-1, 48), np.stack([pow10, *_split(pow10)])
+
+
+def _vertex_text(rows, tables):
+    """The bytes of ``_VERTEX_LINE % row`` for the rows of an (n, 3) block in range.
+
+    Returns ``(text, fallback, ends)``.  ``text`` is a uint8 array holding
+    the lines of the rows whose coordinates all have 1e-4 <= |x| < 1e16,
+    which ``%.17g`` writes in positional notation.  ``fallback`` indexes the
+    other rows, for the caller to format with ``%``, and ``ends[i]`` is the
+    length of the lines in ``text`` up to row i (None if there are none).
+
+    A coordinate x with decimal exponent X (10**X <= |x| < 10**(X+1)) has
+    the 17 significant digits D = round-half-even(|x| * 10**(16-X)).  The
+    product is exact as p + e; p >= 2**53 is an even integer, so D = p +
+    rint(e).  X is read from log10, then settled by comparing p + e with
+    10**16 and 10**17.  D never rounds up to 10**17 (where C would take
+    X + 1): no double in the range lies within half a unit of the 17th
+    digit below a power of ten.  The digits are rendered four at a time
+    from ``quad``, and ``keep`` picks the bytes written.
+
+    Compares are on floats and integer arithmetic on int64 through divmod:
+    numpy's other loops for them would add about 0.3 MB of resident code.
+    """
+    quad, zeros, keep_of, pow10 = tables
+    n = len(rows)
+    a = np.abs(rows.reshape(-1))
+    inside = (a >= 1e-4) & (a < 1e16)
+    a[~inside] = 1.0
+    exp = np.floor(np.log10(a)).astype(np.int64)
+    p, e = _scaled(a, 16 - exp, pow10)
+    low = (p < 1e16) | ((p == 1e16) & (e < 0))
+    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
+    wrong = np.flatnonzero(low | high)
+    if wrong.size:
+        exp[wrong] += high[wrong].astype(np.int64) - low[wrong]
+        p[wrong], e[wrong] = _scaled(a[wrong], 16 - exp[wrong], pow10)
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+    lead, rest = np.divmod(digits, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = (lead, *np.divmod(upper, 10**4), *np.divmod(lower, 10**4))
+    field = np.empty((3 * n, 6), dtype=np.uint64)
+    field[:, 0] = np.frombuffer(b"v -   0.", dtype=np.uint64)
+    for j, g in enumerate(groups, 1):
+        np.take(quad, g, out=field[:, j], mode="clip")  # "raise" would buffer
+    text = field.view(np.uint8).reshape(n, 144)
+    text[:, 143] = ord("\n")  # in place of the point after S_20 of z
+    z0, z1, z2, z3 = (zeros[g].astype(np.int64) for g in groups[1:])
+    tz = z3 + (z3 >> 2) * (z2 + (z2 >> 2) * (z1 + (z1 >> 2) * z0))
+    key = 340 * np.signbit(rows.reshape(-1)) + 17 * exp + tz + 68
+    keep = np.take(keep_of, key, axis=0).reshape(n, 144)
+    keep[:, 48] = keep[:, 96] = False
+    keep[:, 143] = True
+    if inside.all():
+        return np.compress(keep.reshape(-1), text.reshape(-1)), (), None
+    fallback = np.flatnonzero(~inside.reshape(n, 3).all(axis=1))
+    keep[fallback] = False
+    return np.compress(keep.reshape(-1), text.reshape(-1)), fallback, np.cumsum(keep.sum(axis=1))
+
+
+def _vertex_lines(vertices):
+    """Yield ``_VERTEX_LINE % row`` over an (n, 3) array, in bytes-like blocks."""
+    tables = _vertex_tables()
+    for start in range(0, len(vertices), OBJ_CHUNK_ROWS):
+        rows = vertices[start:start + OBJ_CHUNK_ROWS]
+        text, fallback, ends = _vertex_text(rows, tables)
+        done = 0
+        for i in fallback:
+            yield text[done:ends[i]]
+            yield _VERTEX_LINE % tuple(rows[i].tolist())
+            done = ends[i]
+        yield text[done:]
+
+
+def _face_lines(ns: int, nv: int):
+    """Yield the quad faces of an (ns, nv) vertex grid as OBJ lines, in bytes blocks.
+
+    A generator, so the face table is built only once the vertex lines are written.
+    """
+    base = (np.arange(ns - 1)[:, None] * nv + np.arange(1, nv)).reshape(-1)
+    yield from _format_rows(b"f %d %d %d %d\n", base[:, None] + np.array([0, nv, nv + 1, 1]))
 
 
 def export_obj(grid: np.ndarray, path: str):
-    """Write a quad-mesh Wavefront OBJ for a (ns, nv, 3) vertex grid."""
+    """Write a quad-mesh Wavefront OBJ for a (ns, nv, 3) vertex grid.
+
+    Vertex lines are ``v %.17g %.17g %.17g`` byte for byte: ``_vertex_text``
+    writes every row whose coordinates lie in 1e-4 <= |x| < 1e16, and rows
+    holding a zero, a smaller or a larger coordinate are formatted with
+    ``%``.  Face lines are ``f a b c d``, 1-based, one ``%`` per block.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[0] < 2 or grid.shape[1] < 2:
         raise ValueError("mesh grid must have shape (ns >= 2, nv >= 2, 3)")
     if not np.isfinite(grid).all():
         raise ValueError("mesh grid holds non-finite vertices")
-    ns, nv, _ = grid.shape
-    base = (np.arange(ns - 1)[:, None] * nv + np.arange(1, nv)).reshape(-1)
-    faces = np.stack([base, base + nv, base + nv + 1, base + 1], axis=1)
-    _atomic_write(
-        path,
-        _format_rows(("v %.17g %.17g %.17g\n", grid.reshape(-1, 3)), ("f %d %d %d %d\n", faces)),
-    )
+    parts = (_vertex_lines(grid.reshape(-1, 3)), _face_lines(*grid.shape[:2]))
+    _atomic_write(path, (chunk for part in parts for chunk in part))
 
 
 def _sanitize(value, warnings: list, context: str):
@@ -362,7 +497,7 @@ def export_report(report: dict, path: str):
     warnings = report.setdefault("warnings", [])
     body = {k: _sanitize(v, warnings, k) for k, v in report.items() if k != "warnings"}
     body["warnings"] = list(warnings)
-    _atomic_write(path, (json.dumps(body, indent=2, allow_nan=False), "\n"))
+    _atomic_write(path, (json.dumps(body, indent=2, allow_nan=False).encode(), b"\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkruled import cli, transversal
 from minkruled import expressions as ex
@@ -120,6 +122,10 @@ BAD_VALUE_CONFIGS = [
     ),
     pytest.param(dict(MINIMAL_INTRINSIC, tolerances={"general_eps": True}), id="tolerance-boolean"),
     pytest.param(dict(MINIMAL_INTRINSIC, step=10**400), id="step-integer-overflows-float"),
+    # output paths are used as given: str() of anything else made a file named "None"
+    pytest.param(dict(MINIMAL_INTRINSIC, output={"report_path": None}), id="report-path-null"),
+    pytest.param(dict(MINIMAL_INTRINSIC, output={"mesh_path": ["a"]}), id="mesh-path-list"),
+    pytest.param(dict(MINIMAL_INTRINSIC, output={"report_path": ""}), id="report-path-empty"),
 ]
 
 
@@ -470,6 +476,92 @@ def test_export_obj_matches_per_vertex_writer(tmp_path, monkeypatch, shape, chun
     grid = obj_grid(*shape, seed=sum(shape) + (chunk or 0))
     cli.export_obj(grid, str(tmp_path / "m.obj"))
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(grid).encode("utf-8")
+
+
+def grid_of(values, nv=2):
+    """The values, cycled, as an (ns, nv, 3) vertex grid with ns >= 2."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    rows = max(2, -(-values.size // (3 * nv)))
+    return np.resize(values, (rows, nv, 3))
+
+
+def ulps_around(centre, count):
+    """Every double within ``count`` ulps of ``centre``, centre included."""
+    below, above = [centre], [centre]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def both_signs(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+# the digit kernel's edges: decimal exponents settled exactly, ties rounded
+# to even, the 1e-4 and 1e16 ends of its range, and values it leaves to %.
+# The doubles just below each power of ten are the only ones whose 17 digits
+# could round up to 10**17; these show that none in the range does.
+OBJ_EDGE_VALUES = {
+    "powers-of-ten": both_signs([x for j in range(-6, 19) for x in ulps_around(10.0**j, 5)]),
+    "halfway-ties": both_signs(
+        (np.random.default_rng(17).integers(2 * 10**15, 44 * 10**14, 3000) * 2 + 1) / 4
+    ),
+    "halfway-ties-scaled": both_signs(
+        (np.random.default_rng(18).integers(2 * 10**15, 44 * 10**14, 3000) * 2 + 1) / 4 * 1e-13
+    ),
+    "range-ends": both_signs(ulps_around(1e-4, 5) + ulps_around(1e16, 5)),
+    "zeros-subnormals-huge": [
+        0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.2250738585072009e-308,
+        2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJ_EDGE_VALUES))
+def test_export_obj_edge_values_match_per_vertex_writer(tmp_path, name):
+    grid = grid_of(OBJ_EDGE_VALUES[name])
+    cli.export_obj(grid, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(grid).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "fallback_rows",
+    [(0,), (3,), (0, 1, 2, 3), (0, 4, 8), (3, 7, 11), (5, 6), tuple(range(12))],
+    ids=["first", "last", "whole-block", "every-first", "every-last", "across-blocks", "all"],
+)
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_export_obj_fallback_rows_keep_their_place(tmp_path, monkeypatch, fallback_rows, column):
+    # a (3, 4) grid in blocks of 4 rows; the fallback rows hold a zero, a tiny or a huge coordinate
+    monkeypatch.setattr(cli, "OBJ_CHUNK_ROWS", 4)
+    grid = obj_grid(3, 4, seed=column)
+    grid[np.abs(grid) < 1e-4] = 0.5
+    grid[np.abs(grid) >= 1e16] = -2.0
+    rows = grid.reshape(-1, 3)
+    for k, row in enumerate(fallback_rows):
+        rows[row, column] = (0.0, -0.0, 3e-5, -2e17, 5e-324)[k % 5]
+    cli.export_obj(grid, str(tmp_path / "m.obj"))
+    assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(grid).encode("utf-8")
+
+
+VERTEX_TABLES = cli._vertex_tables()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+def test_vertex_kernel_writes_the_percent_format(inside, anywhere, negative):
+    # in its range the kernel itself writes the line; any finite value gets the same bytes
+    x = -inside if negative else inside
+    text, fallback, _ = cli._vertex_text(np.array([[x, -x, x]]), VERTEX_TABLES)
+    assert len(fallback) == 0
+    assert bytes(text) == b"v %.17g %.17g %.17g\n" % (x, -x, x)
+    row = np.array([[x, anywhere, -anywhere]])
+    assert b"".join(cli._vertex_lines(row)) == b"v %.17g %.17g %.17g\n" % (x, anywhere, -anywhere)
 
 
 def with_non_finite(array, index, value):
