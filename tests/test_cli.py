@@ -545,9 +545,6 @@ def test_export_obj_fallback_rows_keep_their_place(tmp_path, monkeypatch, fallba
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(grid).encode("utf-8")
 
 
-VERTEX_TABLES = cli._vertex_tables()
-
-
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(
     st.floats(min_value=1e-4, max_value=1e16, exclude_max=True),
@@ -557,7 +554,7 @@ VERTEX_TABLES = cli._vertex_tables()
 def test_vertex_kernel_writes_the_percent_format(inside, anywhere, negative):
     # in its range the kernel itself writes the line; any finite value gets the same bytes
     x = -inside if negative else inside
-    text, fallback, _ = cli._vertex_text(np.array([[x, -x, x]]), VERTEX_TABLES)
+    text, fallback, _ = cli._vertex_text(np.array([[x, -x, x]]), cli._vertex_tables())
     assert len(fallback) == 0
     assert bytes(text) == b"v %.17g %.17g %.17g\n" % (x, -x, x)
     row = np.array([[x, anywhere, -anywhere]])
