@@ -28,6 +28,7 @@ from .errors import (
     DegenerateDenominatorError,
     ExprError,
     GeometryError,
+    NonTimelikeStrictionError,
     ParseError,
     WorkLimitError,
 )
@@ -56,35 +57,21 @@ from .transversal import (
 )
 from .verify import SuiteConfig, run_all
 
-COMMANDS = ("analyze", "synthesize", "transversal", "verify", "mesh")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "mode",
-    "f",
-    "q",
-    "u_range",
-    "samples",
-    "normalize_q",
-    "k1",
-    "k2",
-    "theta",
-    "epsilon",
-    "s_range",
-    "step",
-    "initial_frame",
-    "transversal",
-    "output",
-    "tolerances",
-    "suite",
+# the top-level keys each mode reads; any other key is a config error
+_MODE_KEYS = {
+    "explicit": {"mode", "output", "f", "q", "u_range", "samples", "normalize_q", "tolerances"},
+    "intrinsic": {
+        "mode", "output", "k1", "k2", "theta", "epsilon", "s_range", "step", "initial_frame",
+        "transversal", "suite",
+    },
 }
 _TRANSVERSAL_KEYS = {"kind", "angle", "branch"}
 _OUTPUT_KEYS = {"report_path", "mesh_path", "v_range", "v_samples"}
-_TOLERANCE_KEYS = {"causal_eps", "frame_eps", "general_eps"}
+_TOLERANCE_KEYS = {"causal_eps", "general_eps"}
 _SUITE_KEYS = {
     "k1_values",
     "k2_values",
@@ -175,10 +162,10 @@ def parse_config(path: str) -> Config:
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
     mode = _require(raw, "mode", "config")
     if mode not in ("explicit", "intrinsic"):
         raise ConfigError(f"config: mode must be 'explicit' or 'intrinsic', got {mode!r}")
+    _reject_unknown(raw, _MODE_KEYS[mode], f"config ({mode} mode)")
     cfg = Config(mode=mode, raw=raw)
 
     if mode == "explicit":
@@ -510,8 +497,6 @@ def _envelope(command: str, cfg: Config) -> dict:
 
 
 def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
-    if cfg.mode != "explicit":
-        raise ConfigError("analyze requires mode = 'explicit'")
     surface = cfg.surface
     report = _envelope("analyze", cfg)
     warnings: list = []
@@ -539,24 +524,27 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
         # NaN theta (striction tangent not timelike) is reported as null
         "theta": [None if math.isnan(x) else x for x in track.theta.tolist()],
     }
+    report["striction_predicates"] = None
+    not_timelike = "striction tangent is not timelike; predicates skipped"
     if np.any(np.isnan(track.theta)):
-        report["striction_predicates"] = None
-        warnings.append("striction tangent is not timelike; predicates skipped")
+        warnings.append(not_timelike)
     elif len(track) < 7:
-        report["striction_predicates"] = None
         warnings.append("predicates need at least 7 samples; predicates skipped")
     else:
-        report["striction_predicates"] = {
-            r.name: {key: value for key, value in asdict(r).items() if key != "name"}
-            for r in striction_predicates(track, cfg.tolerances.general_eps * 100).results()
-        }
+        try:  # the stencil's tangent may fail to be timelike where theta is finite
+            predicates = striction_predicates(track, cfg.tolerances.general_eps * 100)
+        except NonTimelikeStrictionError:
+            warnings.append(not_timelike)
+        else:
+            report["striction_predicates"] = {
+                r.name: {key: value for key, value in asdict(r).items() if key != "name"}
+                for r in predicates.results()
+            }
     report["warnings"] = warnings
     return report, None
 
 
 def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
-    if cfg.mode != "intrinsic":
-        raise ConfigError("synthesize requires mode = 'intrinsic'")
     surf = synthesize_surface(cfg.data)
     report = _envelope("synthesize", cfg)
     qq = lorentz_dot(surf.q, surf.q)
@@ -589,8 +577,6 @@ def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
 
 
 def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
-    if cfg.mode != "intrinsic":
-        raise ConfigError("transversal requires mode = 'intrinsic'")
     if cfg.transversal_spec is None:
         raise ConfigError("transversal requires a 'transversal' config block")
     surf = synthesize_surface(cfg.data)
@@ -677,14 +663,29 @@ def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
     return grid
 
 
+# command: (report builder, config modes it accepts, config field --tolerance sets)
+COMMAND_TABLE = {
+    "analyze": (_cmd_analyze, ("explicit",), "tolerances.general_eps"),
+    "synthesize": (_cmd_synthesize, ("intrinsic",), None),
+    "transversal": (_cmd_transversal, ("intrinsic",), None),
+    "verify": (_cmd_verify, ("intrinsic",), "suite.tolerance"),
+    "mesh": (_cmd_mesh, ("explicit", "intrinsic"), None),
+}
+
+
 def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: float | None = None) -> int:
     """Dispatch a command; returns the process exit code."""
-    if command not in COMMANDS:
+    if command not in COMMAND_TABLE:
         raise ConfigError(f"unknown command {command!r}")
+    build, modes, field = COMMAND_TABLE[command]
+    if cfg.mode not in modes:
+        raise ConfigError(f"{command} requires mode = {' or '.join(map(repr, modes))}")
     if tolerance is not None:
-        try:  # Tolerances and SuiteConfig own the range rule
-            cfg.tolerances = replace(cfg.tolerances, general_eps=tolerance)
-            cfg.suite = replace(cfg.suite or SuiteConfig(), tolerance=tolerance)
+        if field is None:
+            raise ConfigError(f"--tolerance: {command} reads no tolerance")
+        block, key = field.split(".")
+        try:  # Tolerances and SuiteConfig own the range rule; no suite block is the default suite
+            setattr(cfg, block, replace(getattr(cfg, block) or SuiteConfig(), **{key: tolerance}))
         except ValueError as err:
             raise ConfigError("--tolerance must be a positive finite number") from err
 
@@ -694,14 +695,7 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
         return path
 
     try:
-        builders = {
-            "analyze": _cmd_analyze,
-            "synthesize": _cmd_synthesize,
-            "transversal": _cmd_transversal,
-            "verify": _cmd_verify,
-            "mesh": _cmd_mesh,
-        }
-        report, surf = builders[command](cfg)
+        report, surf = build(cfg)
         # every output is built before any is written, so a run that fails writes no file
         outputs = [] if report is None else [(export_report, report, cfg.report_path)]
         if command == "mesh" or (cfg.mesh_path is not None and surf is not None):
@@ -723,11 +717,13 @@ def main(argv=None) -> int:
         "synthesis, transversal families, verification and mesh export.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, _, field) in COMMAND_TABLE.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--output-dir", default=None, help="directory for relative output paths")
-        p.add_argument("--tolerance", type=float, default=None, help="override the general tolerance")
+        p.add_argument(
+            "--tolerance", type=float, default=None, help=f"override config {field}" if field else "not accepted"
+        )
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)

@@ -512,10 +512,11 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
     """Test asymptotic / geodesic / line-of-curvature along the striction curve.
 
     The track ``frames`` must be uniformly spaced in arc length with a
-    timelike striction tangent (theta finite).  Second derivatives use the
-    track's symbolic ``c2``/``hprime`` when it carries them, otherwise
-    4th-order central differences; either way residuals are evaluated on the
-    interior samples the stencil supports.
+    timelike striction tangent: NonTimelikeStrictionError where theta is
+    NaN or the stencil's <c', c'> is not negative on an interior sample.
+    Second derivatives use the track's symbolic ``c2``/``hprime`` when it
+    carries them, otherwise 4th-order central differences; either way
+    residuals are evaluated on the interior samples the stencil supports.
     """
     if len(frames) < 7:
         raise ValueError("need at least 7 frames")
@@ -527,6 +528,9 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
         raise ValueError("frames must be uniformly spaced in arc length")
 
     cprime, sl = central_diff1(c, step)
+    cc = lorentz_dot(cprime, cprime)
+    if not np.all(cc < 0.0):  # theta can be finite where the stencil's tangent is not timelike
+        raise NonTimelikeStrictionError("stencil striction tangent is not timelike on the interior")
     c2 = frames.c2[sl] if frames.c2 is not None else central_diff2(c, step)[0]
     hprime = frames.hprime[sl] if frames.hprime is not None else central_diff1(h, step)[0]
     theta_prime, _ = central_diff1(theta, step)
@@ -537,7 +541,7 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
     geo_asym = float(np.max(np.abs(lorentz_dot(h_i, c2))))
     proj = lorentz_dot(c2, h_i)[..., None] * h_i
     geo_geod = float(np.max(np.linalg.norm(c2 - proj, axis=-1)))
-    coeff = lorentz_dot(hprime, cprime) / lorentz_dot(cprime, cprime)
+    coeff = lorentz_dot(hprime, cprime) / cc
     geo_locus = float(np.max(np.linalg.norm(hprime - coeff[..., None] * cprime, axis=-1)))
 
     def curvature_side(num, den):

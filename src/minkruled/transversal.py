@@ -89,6 +89,9 @@ def drall_law(k1, theta):
 
 
 def _mu_eta(spec: TransversalSpec, angle):
+    """The ruling's weights: q_T = mu q + eta h (alpha), mu h + eta a (beta), mu q + eta a (gamma)."""
+    if spec.family is Family.BETA:
+        return np.cos(angle), np.sin(angle)
     if spec.branch is Branch.TIMELIKE:
         return np.cosh(angle), np.sinh(angle)
     return np.sinh(angle), np.cosh(angle)
@@ -102,48 +105,48 @@ def _ell(spec: TransversalSpec) -> int:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Pointwise scalar data entering every closed form."""
+    """Pointwise scalar data entering every closed form.
+
+    ``mu`` and ``eta`` are the ruling's weights, ``_mu_eta`` of the angle.
+    """
 
     k1: np.ndarray
     k2: np.ndarray
     theta: np.ndarray
     angle: np.ndarray
     angle_d: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
 
 
 def coefficients(surf: SampledSurface, spec: TransversalSpec) -> Coefficients:
     """The surface's k1, k2 and theta with the angle evaluated exactly on ``surf.s``."""
-    s = surf.s
-    return Coefficients(
-        k1=surf.k1,
-        k2=surf.k2,
-        theta=surf.theta,
-        angle=np.asarray(ex.evaluate(spec.angle, s), dtype=float),
-        angle_d=np.asarray(ex.evaluate(ex.differentiate(spec.angle), s), dtype=float),
-    )
-
-
-def _check_nontrivial(spec: TransversalSpec, angle):
-    if spec.family is Family.BETA:
-        bad = (np.abs(np.cos(angle)) <= TRIVIAL_EPS) | (np.abs(np.sin(angle)) <= TRIVIAL_EPS)
-        if np.any(bad):
-            raise TrivialRulingError("beta angle hits a multiple of pi/2 on the range")
-    else:
-        mu, eta = _mu_eta(spec, angle)
-        if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
-            raise TrivialRulingError("mu or eta vanishes on the range")
-
-
-def ruling_samples(surf: SampledSurface, spec: TransversalSpec) -> tuple[np.ndarray, int]:
-    """Vectorized transversal ruling along the whole sample grid."""
     angle = np.asarray(ex.evaluate(spec.angle, surf.s), dtype=float)
-    _check_nontrivial(spec, angle)
+    angle_d = np.asarray(ex.evaluate(ex.differentiate(spec.angle), surf.s), dtype=float)
+    return Coefficients(surf.k1, surf.k2, surf.theta, angle, angle_d, *_mu_eta(spec, angle))
+
+
+def _check_nontrivial(spec: TransversalSpec, mu, eta):
+    if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
+        what = "beta angle hits a multiple of pi/2" if spec.family is Family.BETA else "mu or eta vanishes"
+        raise TrivialRulingError(f"{what} on the range")
+
+
+def ruling_samples(surf: SampledSurface, spec: TransversalSpec, weights=None) -> tuple[np.ndarray, int]:
+    """Vectorized transversal ruling along the whole sample grid.
+
+    ``weights`` is ``(mu, eta)`` of the angle on ``surf.s`` where the caller
+    has them, already through ``_check_nontrivial``.
+    """
+    if weights is None:
+        weights = _mu_eta(spec, np.asarray(ex.evaluate(spec.angle, surf.s), dtype=float))
+        _check_nontrivial(spec, *weights)
+    mu, eta = weights
     if spec.family is Family.BETA:
-        q_t = np.cos(angle)[:, None] * surf.h + np.sin(angle)[:, None] * surf.a
+        first, second = surf.h, surf.a
     else:
-        mu, eta = _mu_eta(spec, angle)
-        other = surf.h if spec.family is Family.ALPHA else surf.a
-        q_t = mu[:, None] * surf.q + eta[:, None] * other
+        first, second = surf.q, surf.h if spec.family is Family.ALPHA else surf.a
+    q_t = mu[:, None] * first + eta[:, None] * second
     ell = _ell(spec)
     norms = lorentz_dot(q_t, q_t)
     if np.max(np.abs(norms - ell)) > 1e-8:
@@ -160,15 +163,13 @@ def _denominator(spec, co: Coefficients):
     """Common denominator <q_T', q_T'> and the magnitudes of its two terms."""
     ell = _ell(spec)
     if spec.family is Family.ALPHA:
-        _, eta = _mu_eta(spec, co.angle)
-        t1 = eta**2 * co.k2**2
+        t1 = co.eta**2 * co.k2**2
         t2 = ell * (co.angle_d + co.k1) ** 2
     elif spec.family is Family.BETA:
         t1 = (co.angle_d + co.k2) ** 2
-        t2 = co.k1**2 * np.cos(co.angle) ** 2
+        t2 = co.k1**2 * co.mu**2
     else:
-        mu, eta = _mu_eta(spec, co.angle)
-        t1 = (mu * co.k1 - eta * co.k2) ** 2
+        t1 = (co.mu * co.k1 - co.eta * co.k2) ** 2
         t2 = ell * co.angle_d**2
     return t1 - t2, np.abs(t1) + np.abs(t2)
 
@@ -185,17 +186,14 @@ def _closed_factors(spec, co: Coefficients):
     ch, sh = np.cosh(co.theta), np.sinh(co.theta)
     with np.errstate(all="ignore"):
         if spec.family is Family.ALPHA:
-            _, eta = _mu_eta(spec, co.angle)
-            pre, lead, lag = eta, ch * (co.angle_d + co.k1), sh * co.k2
-            numerator = _ell(spec) * (co.angle_d + co.k1) * sh - eta**2 * co.k2 * ch
+            pre, lead, lag = co.eta, ch * (co.angle_d + co.k1), sh * co.k2
+            numerator = _ell(spec) * (co.angle_d + co.k1) * sh - co.eta**2 * co.k2 * ch
         elif spec.family is Family.BETA:
-            cb = np.cos(co.angle)
-            pre, lead, lag = cb, co.k1 * ch, (co.angle_d + co.k2) * sh
-            numerator = co.k1 * cb**2 * sh - (co.angle_d + co.k2) * ch
+            pre, lead, lag = co.mu, co.k1 * ch, (co.angle_d + co.k2) * sh
+            numerator = co.k1 * co.mu**2 * sh - (co.angle_d + co.k2) * ch
         else:
-            mu, eta = _mu_eta(spec, co.angle)
-            pre, lead, lag = co.angle_d, eta * ch, mu * sh
-            numerator = (lead - lag) * (mu * co.k1 - eta * co.k2)
+            pre, lead, lag = co.angle_d, co.eta * ch, co.mu * sh
+            numerator = (lead - lag) * (co.mu * co.k1 - co.eta * co.k2)
     return pre, lead, lag, numerator, den, scale
 
 
@@ -206,13 +204,11 @@ def _via_base_values(spec, co: Coefficients, den):
     d_base = drall_law(co.k1, co.theta)
     with np.errstate(all="ignore"):
         if spec.family is Family.ALPHA:
-            _, eta = _mu_eta(spec, co.angle)
-            num = -(ell * d_base * co.k1 * (co.angle_d + co.k1) + eta**2 * co.k2 * ch)
+            num = -(ell * d_base * co.k1 * (co.angle_d + co.k1) + co.eta**2 * co.k2 * ch)
         elif spec.family is Family.BETA:
-            num = -(d_base * co.k1**2 * np.cos(co.angle) ** 2 + (co.angle_d + co.k2) * ch)
+            num = -(d_base * co.k1**2 * co.mu**2 + (co.angle_d + co.k2) * ch)
         else:
-            mu, eta = _mu_eta(spec, co.angle)
-            num = (eta * ch + co.k1 * d_base * mu) * (mu * co.k1 - eta * co.k2)
+            num = (co.eta * ch + co.k1 * d_base * co.mu) * (co.mu * co.k1 - co.eta * co.k2)
         return num / den
 
 
@@ -230,11 +226,13 @@ class TransversalAnalysis:
     ``suspect`` marks closed forms that disagree with the oracle beyond
     1e-4 relative.  ``printed_sign_flip`` reports that the commonly printed
     strictional distance matches the oracle only after a sign change.
-    ``coefficients`` holds the pointwise data the closed forms were built from.
+    ``coefficients`` holds the pointwise data the closed forms were built
+    from and ``factors`` their ``_closed_factors``.
     """
 
     spec: TransversalSpec
     coefficients: Coefficients
+    factors: tuple
     s: np.ndarray
     q_t: np.ndarray
     ell: int
@@ -269,15 +267,15 @@ def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> 
 def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     """Evaluate closed forms on the grid and cross-check with the oracle."""
     co = coefficients(surf, spec)
-    _check_nontrivial(spec, co.angle)
-    pre, lead, lag, numerator, den, scale = _closed_factors(spec, co)
+    _check_nontrivial(spec, co.mu, co.eta)
+    pre, lead, lag, numerator, den, scale = factors = _closed_factors(spec, co)
     if np.any(np.abs(den) <= DENOM_EPS * np.maximum(1.0, scale)):
         raise DegenerateDenominatorError("closed-form denominator vanishes on the range")
     with np.errstate(all="ignore"):
         v, d = pre * (lead - lag) / den, numerator / den
         # the printed beta and gamma forms subtract the same two terms the other way
         v_printed = v if spec.family is Family.ALPHA else pre * (lag - lead) / den
-    q_t, ell = ruling_samples(surf, spec)
+    q_t, ell = ruling_samples(surf, spec, (co.mu, co.eta))
     oracle = sampled_ruled_invariants(surf.c, q_t, surf.step)
     sl = oracle.sl
     rel_v = _relative_gap(v[sl], oracle.v0, oracle.valid)
@@ -288,6 +286,7 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     return TransversalAnalysis(
         spec=spec,
         coefficients=co,
+        factors=factors,
         s=surf.s,
         q_t=q_t,
         ell=ell,
@@ -337,10 +336,9 @@ def coincidence_condition(
     max |v_T| (closed form and sampled oracle).
     """
     spec, co = analysis.spec, analysis.coefficients
-    pre, lead, lag, _, _, _ = _closed_factors(spec, co)
+    pre, lead, lag = analysis.factors[:3]
     residuals = {}
     flags = {}
-    notes = []
     res = np.abs(lead - lag)
     if spec.family is Family.GAMMA:
         residuals["angle_derivative"] = float(np.max(np.abs(co.angle_d)))
@@ -367,7 +365,7 @@ def coincidence_condition(
             "agree": verdicts_agree(holds, condition, coincides, max_v, tol),
         }
     )
-    return ConditionReport("coincidence", spec.family.value, residuals, flags, notes)
+    return ConditionReport("coincidence", spec.family.value, residuals, flags, [])
 
 
 def developability_condition(
@@ -381,18 +379,16 @@ def developability_condition(
     Disagreements are flagged; the oracle wins.
     """
     spec, co = analysis.spec, analysis.coefficients
-    _, _, _, numerator, _, _ = _closed_factors(spec, co)
+    numerator = analysis.factors[3]
     tanh_theta = np.tanh(co.theta)
     with np.errstate(all="ignore"):
         if spec.family is Family.ALPHA:
-            mu, _ = _mu_eta(spec, co.angle)
-            stated = np.abs(tanh_theta - _ell(spec) * (co.angle_d + co.k1) / (mu**2 * co.k2))
+            stated = np.abs(tanh_theta - _ell(spec) * (co.angle_d + co.k1) / (co.mu**2 * co.k2))
         elif spec.family is Family.BETA:
-            stated = np.abs(tanh_theta - (co.angle_d + co.k2) / (co.k1 * np.cos(co.angle) ** 2))
+            stated = np.abs(tanh_theta - (co.angle_d + co.k2) / (co.k1 * co.mu**2))
         else:
-            mu, eta = _mu_eta(spec, co.angle)
-            first = np.abs(tanh_theta - eta / mu)
-            second = np.abs(co.k1 / np.where(co.k2 == 0.0, np.nan, co.k2) - eta / mu)
+            first = np.abs(tanh_theta - co.eta / co.mu)
+            second = np.abs(co.k1 / np.where(co.k2 == 0.0, np.nan, co.k2) - co.eta / co.mu)
             stated = np.fmin(first, np.where(np.isnan(second), np.inf, second))
     stated = np.where(np.isfinite(stated), stated, np.inf)
     num_res = float(np.max(np.abs(numerator)))
@@ -452,14 +448,14 @@ def corollary_checks(
     elif spec.family is Family.BETA:
         condition = float(np.max(np.abs(co.angle_d + co.k2)))
     else:
-        mu, eta = _mu_eta(spec, co.angle)
-        condition = float(np.max(np.abs(mu * co.k1 - eta * co.k2)))
+        condition = float(np.max(np.abs(co.mu * co.k1 - co.eta * co.k2)))
     holds = condition <= tol
     notes = []
 
     # a vanishing gamma condition with constant angle freezes the ruling:
     # the transversal is a cylinder, developable with no drall to sample
-    q_t, _ = ruling_samples(surf, spec)
+    _check_nontrivial(spec, co.mu, co.eta)
+    q_t, _ = ruling_samples(surf, spec, (co.mu, co.eta))
     q_t_step = float(np.max(np.linalg.norm(np.diff(q_t, axis=0), axis=-1))) / surf.step
     cylindrical = q_t_step <= 1e-6
     if cylindrical:

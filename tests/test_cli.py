@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from minkruled import cli, transversal
 from minkruled import expressions as ex
 from minkruled.cli import main, parse_config
-from minkruled.errors import ConfigError
+from minkruled.errors import ConfigError, NonTimelikeStrictionError
 
 HERE = os.path.dirname(__file__)
 SCHEMA_PATH = os.path.join(HERE, "..", "docs", "report.schema.json")
@@ -157,6 +157,7 @@ NON_UNIT_EXPLICIT = {
     [
         pytest.param(dict(NON_UNIT_EXPLICIT, normalize_q="false"), id="normalize-q-string"),
         pytest.param(dict(NON_UNIT_EXPLICIT, u_range=[False, True]), id="u-range-boolean"),
+        pytest.param(dict(NON_UNIT_EXPLICIT, tolerances={"general_eps": True}), id="tolerance-boolean"),
     ],
 )
 def test_bad_explicit_values_exit_2(tmp_path, capsys, command, payload):
@@ -177,6 +178,34 @@ def test_transversal_branch_rules_exit_2(tmp_path, capsys, block):
     path = write_config(tmp_path, "c.json", dict(MINIMAL_INTRINSIC, transversal=block))
     assert main(["transversal", "--config", path, "--output-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+# each mode reads its own keys: a key of the other mode, or one no command reads, exits 2
+OTHER_MODE_KEYS = [
+    pytest.param(NON_UNIT_EXPLICIT, key, value, key, id=f"explicit-{key}")
+    for key, value in [
+        ("k1", "banana("), ("k2", "0"), ("theta", "1"), ("epsilon", -1), ("s_range", [0.0, 1.0]),
+        ("step", -5), ("initial_frame", "x"), ("transversal", {"kind": "beta", "angle": "pi/4"}),
+        ("suite", {"k1_values": [1.0]}),
+    ]
+] + [
+    pytest.param(MINIMAL_INTRINSIC, key, value, key, id=f"intrinsic-{key}")
+    for key, value in [
+        ("f", "nonsense"), ("q", ["1", "0", "0"]), ("u_range", [0.0, 1.0]), ("samples", -3),
+        ("normalize_q", "maybe"), ("tolerances", {"general_eps": 1e-6}),
+    ]
+] + [pytest.param(NON_UNIT_EXPLICIT, "tolerances", {"frame_eps": 1e-10}, "frame_eps", id="explicit-frame_eps")]
+
+
+@pytest.mark.parametrize("payload,key,value,named", OTHER_MODE_KEYS)
+def test_keys_a_mode_does_not_read_exit_2(tmp_path, capsys, payload, key, value, named):
+    command = "analyze" if payload["mode"] == "explicit" else "synthesize"
+    payload = dict(payload, output={"report_path": "r.json", "mesh_path": "m.obj"}, **{key: value})
+    path = write_config(tmp_path, "c.json", payload)
+    assert main([command, "--config", path, "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(named) in err
     assert os.listdir(tmp_path) == ["c.json"]
 
 
@@ -224,6 +253,18 @@ def test_analyze_evaluates_each_field_node_once_per_grid(tmp_path, monkeypatch):
     })
     assert main(["analyze", "--config", config, "--output-dir", str(tmp_path)]) == 0
     assert 0 < sum(nodes) <= 900
+
+
+def test_analyze_skips_predicates_where_the_stencil_tangent_is_not_timelike(tmp_path, schema, monkeypatch):
+    def not_timelike(track, tol):
+        raise NonTimelikeStrictionError("stencil striction tangent is not timelike on the interior")
+
+    monkeypatch.setattr(cli, "striction_predicates", not_timelike)
+    config = write_config(tmp_path, "c.json", dict(NON_UNIT_EXPLICIT, output={"report_path": "r.json"}))
+    assert main(["analyze", "--config", config, "--output-dir", str(tmp_path)]) == 0
+    report = validate_report(tmp_path / "r.json", schema)
+    assert report["striction_predicates"] is None
+    assert report["warnings"] == ["striction tangent is not timelike; predicates skipped"]
 
 
 def test_synthesize_end_to_end(tmp_path, schema):
@@ -362,6 +403,34 @@ def test_transversal_requires_intrinsic(tmp_path, capsys):
     path = write_config(tmp_path, "c.json", payload)
     assert main(["transversal", "--config", path]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("analyze", MINIMAL_INTRINSIC),
+        ("synthesize", NON_UNIT_EXPLICIT),
+        ("transversal", NON_UNIT_EXPLICIT),
+        ("verify", NON_UNIT_EXPLICIT),
+    ],
+    ids=["analyze", "synthesize", "transversal", "verify"],
+)
+def test_commands_reject_the_other_mode(tmp_path, capsys, command, payload):
+    path = write_config(tmp_path, "c.json", dict(payload, output={"report_path": "r.json"}))
+    assert main([command, "--config", path, "--output-dir", str(tmp_path)]) == 2
+    assert f"{command} requires mode" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize(
+    "command,config",
+    [("synthesize", "hyperbolic_synthesize"), ("transversal", "beta_transversal"), ("mesh", "hyperbolic_mesh")],
+)
+def test_tolerance_flag_on_a_command_that_reads_none_exits_2(tmp_path, capsys, command, config):
+    config = os.path.join(CONFIG_DIR, f"{config}.json")
+    assert main([command, "--config", config, "--output-dir", str(tmp_path), "--tolerance", "1e-2"]) == 2
+    assert f"--tolerance: {command} reads no tolerance" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_tolerance_flag(tmp_path, schema):

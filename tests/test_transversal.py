@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minkruled import expressions as ex
+from minkruled import transversal
 from minkruled.errors import (
     BaseNotDevelopableError,
     DegenerateDenominatorError,
@@ -199,6 +200,25 @@ def test_closed_vs_oracle_constant_instances_all_families():
         assert analysis.rel_v <= 1e-5, (spec.family, k1, k2, th, analysis.rel_v)
         assert analysis.rel_d <= 1e-5, (spec.family, k1, k2, th, analysis.rel_d)
         assert not analysis.suspect
+
+
+@pytest.mark.parametrize(
+    "family,branch", [("alpha", "timelike"), ("alpha", "spacelike"), ("beta", None), ("gamma", "spacelike")]
+)
+def test_analysis_and_its_conditions_compute_each_array_once(monkeypatch, family, branch):
+    # q_T is built from the analysis' angle and both conditions read its closed factors
+    spec = spec_for(family, "0.7+0.02*s", branch)
+    surf = surf_const(1.3, 0.2, 0.5)
+    evaluated, evaluate = [], ex.evaluate
+    monkeypatch.setattr(ex, "evaluate", lambda e, s: evaluated.append(e) or evaluate(e, s))
+    factors, closed_factors = [], transversal._closed_factors
+    monkeypatch.setattr(transversal, "_closed_factors", lambda *a: factors.append(a) or closed_factors(*a))
+    analysis = analyze(surf, spec)
+    coincidence_condition(analysis)
+    developability_condition(analysis)
+    assert sum(e is spec.angle for e in evaluated) == 1
+    assert len(evaluated) == 2  # the angle and its derivative
+    assert len(factors) == 1
 
 
 def test_degenerate_denominator():

@@ -71,6 +71,15 @@ def test_striction_base_surface_error_gives_one_error_per_predicate():
         assert case.note == "need at least 7 frames"
 
 
+def test_striction_stencil_tangent_not_timelike_is_an_error_not_a_pass():
+    # at theta = 30 the stencil's <c', c'>, -1 in exact arithmetic, changes sign
+    # along the curve; dividing by it read an inf residual as a line-of-curvature pass
+    cfg = SuiteConfig(k1_values=(1.0,), k2_values=(0.5,), theta_values=(30.0,))
+    report = run_striction_suite(cfg)
+    assert [c.verdict for c in report.cases] == ["error"] * 3
+    assert {c.note for c in report.cases} == {"stencil striction tangent is not timelike on the interior"}
+
+
 def test_coincidence_suite_small():
     report = run_coincidence_suite(SMALL)
     assert len(report.cases) == len(SMALL.families) * 4
