@@ -410,10 +410,9 @@ def test_transversal_requires_intrinsic(tmp_path, capsys):
     [
         ("analyze", MINIMAL_INTRINSIC),
         ("synthesize", NON_UNIT_EXPLICIT),
-        ("transversal", NON_UNIT_EXPLICIT),
         ("verify", NON_UNIT_EXPLICIT),
     ],
-    ids=["analyze", "synthesize", "transversal", "verify"],
+    ids=["analyze", "synthesize", "verify"],
 )
 def test_commands_reject_the_other_mode(tmp_path, capsys, command, payload):
     path = write_config(tmp_path, "c.json", dict(payload, output={"report_path": "r.json"}))
