@@ -43,7 +43,7 @@ from .ruled import (
     striction,
     striction_predicates,
 )
-from .synthesis import IntrinsicData, SampledSurface, _ruled_grid, synthesize_surface, to_explicit_grid
+from .synthesis import IntrinsicData, _ruled_grid, synthesize_surface, to_explicit_grid
 from .transversal import (
     Branch,
     Family,
@@ -53,6 +53,7 @@ from .transversal import (
     corollary_checks,
     developability_condition,
     drall_law,
+    ruling_samples,
     to_explicit,
 )
 from .verify import SuiteConfig, run_all
@@ -496,7 +497,13 @@ def _envelope(command: str, cfg: Config) -> dict:
     return {"version": __version__, "command": command, "config": cfg.raw}
 
 
-def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
+def _explicit_grid(cfg: Config, u: np.ndarray) -> np.ndarray:
+    """Vertex grid f(u_i) + v_j q(u_i) of the explicit surface on the samples ``u``."""
+    f, q = cfg.surface._d.fields(u, "f", "q")
+    return _ruled_grid(f, q, cfg.v_range, cfg.v_samples)
+
+
+def _cmd_analyze(cfg: Config) -> tuple[dict, np.ndarray | None]:
     surface = cfg.surface
     report = _envelope("analyze", cfg)
     warnings: list = []
@@ -541,10 +548,10 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, None]:
                 for r in predicates.results()
             }
     report["warnings"] = warnings
-    return report, None
+    return report, None if cfg.mesh_path is None else _explicit_grid(cfg, u)
 
 
-def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
+def _cmd_synthesize(cfg: Config) -> tuple[dict, np.ndarray | None]:
     surf = synthesize_surface(cfg.data)
     report = _envelope("synthesize", cfg)
     qq = lorentz_dot(surf.q, surf.q)
@@ -573,10 +580,10 @@ def _cmd_synthesize(cfg: Config) -> tuple[dict, SampledSurface]:
         "striction_curve": surf.c,
     }
     report["warnings"] = []
-    return report, surf
+    return report, None if cfg.mesh_path is None else to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
 
 
-def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
+def _cmd_transversal(cfg: Config) -> tuple[dict, np.ndarray | None]:
     if cfg.transversal_spec is None:
         raise ConfigError("transversal requires a 'transversal' config block")
     surf = synthesize_surface(cfg.data)
@@ -622,7 +629,7 @@ def _cmd_transversal(cfg: Config) -> tuple[dict, SampledSurface]:
         report["corollaries"] = None
         warnings.append(f"corollary checks skipped: {err}")
     report["warnings"] = warnings
-    return report, surf
+    return report, None if cfg.mesh_path is None else to_explicit(surf, analysis.q_t, cfg.v_range, cfg.v_samples)
 
 
 def _cmd_verify(cfg: Config) -> tuple[dict, None]:
@@ -634,36 +641,20 @@ def _cmd_verify(cfg: Config) -> tuple[dict, None]:
     return report, None
 
 
-def _cmd_mesh(cfg: Config) -> tuple[None, None]:
-    """No report: ``run`` builds the mesh of the configured surface."""
-    return None, None
+def _cmd_mesh(cfg: Config) -> tuple[None, np.ndarray]:
+    """No report, only the mesh; a transversal ruling comes from its angle alone."""
+    if cfg.mode == "explicit":
+        return None, _explicit_grid(cfg, sample_grid(cfg.surface, cfg.samples))
+    surf = synthesize_surface(cfg.data)
+    if cfg.transversal_spec is None:
+        return None, to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
+    q_t, _ = ruling_samples(surf, cfg.transversal_spec)
+    return None, to_explicit(surf, q_t, cfg.v_range, cfg.v_samples)
 
 
-def _mesh_grid(cfg: Config, surf: SampledSurface | None = None) -> np.ndarray:
-    """Vertex grid of the configured surface; reuses ``surf`` when given.
-
-    ValueError where a vertex is not finite (say a v range too wide for
-    floats); numpy's overflow warnings are silenced in favour of it.
-    """
-    with np.errstate(all="ignore"):
-        if cfg.mode == "explicit":
-            surface = cfg.surface
-            u = sample_grid(surface, cfg.samples)
-            f, q = surface._d.fields(u, "f", "q")
-            grid = _ruled_grid(f, q, cfg.v_range, cfg.v_samples)
-        else:
-            if surf is None:
-                surf = synthesize_surface(cfg.data)
-            if cfg.transversal_spec is not None:
-                grid = to_explicit(surf, cfg.transversal_spec, cfg.v_range, cfg.v_samples)
-            else:
-                grid = to_explicit_grid(surf, cfg.v_range, cfg.v_samples)
-    if not np.isfinite(grid).all():
-        raise ValueError("mesh grid holds non-finite vertices")
-    return grid
-
-
-# command: (report builder, config modes it accepts, config field --tolerance sets)
+# command: (builder, config modes it accepts, config field --tolerance sets); a
+# builder returns the report (None for mesh) and, where the config names a mesh,
+# the vertex grid of the surface it already holds (else None)
 COMMAND_TABLE = {
     "analyze": (_cmd_analyze, ("explicit",), "tolerances.general_eps"),
     "synthesize": (_cmd_synthesize, ("intrinsic",), None),
@@ -695,11 +686,11 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
         return path
 
     try:
-        report, surf = build(cfg)
+        report, grid = build(cfg)
         # every output is built before any is written, so a run that fails writes no file
         outputs = [] if report is None else [(export_report, report, cfg.report_path)]
-        if command == "mesh" or (cfg.mesh_path is not None and surf is not None):
-            outputs.append((export_obj, _mesh_grid(cfg, surf), cfg.mesh_path or "mesh.obj"))
+        if grid is not None:
+            outputs.append((export_obj, grid, cfg.mesh_path or "mesh.obj"))
         for export, value, path in outputs:
             export(value, resolve(path))
         return 0

@@ -13,7 +13,7 @@ from .lorentz import Vec3
 class SampledSurface:
     """Striction curve, frame and curvatures sampled along arc length.
 
-    One struct of arrays serves explicit and synthesized surfaces alike:
+    One struct of arrays serves explicit, synthesized and recovered surfaces:
     row i holds arc length ``s``, the striction point ``c``, the frame
     (``q``, ``h``, ``a``), the curvatures ``k1`` and ``k2`` and the hyperbolic
     angle ``theta`` between striction tangent and ruling.  ``theta`` is NaN

@@ -618,21 +618,23 @@ def sampled_ruled_invariants(base: np.ndarray, ruling: np.ndarray, step: float) 
     return SampledInvariants(v0=v0, drall=drall, valid=valid, sl=sl)
 
 
-def recover_frame_data(s: np.ndarray, striction_curve: np.ndarray, ruling: np.ndarray):
+def recover_frame_data(s: np.ndarray, striction_curve: np.ndarray, ruling: np.ndarray) -> SampledSurface:
     """Finite-difference twin of ``frenet_frame_at`` for sampled surfaces.
 
     ``striction_curve`` must already be the striction curve sampled at arc
-    length ``s`` (uniform) with a unit non-null ruling.  Returns a dict of
-    interior arrays (k1, k2, theta, a, h, plus the interior slice) computed
-    purely from the samples; ``theta`` is NaN where the striction tangent
-    is not timelike.  The frame orientation follows the k1 > 0 gauge of the
-    symbolic path.
+    length ``s`` (uniform) with a unit non-null ruling.  Returns the
+    interior rows the two difference stencils leave as a ``SampledSurface``
+    whose h, a, k1, k2 and theta are computed purely from the samples;
+    ``theta`` is NaN where the striction tangent is not timelike.  The frame
+    orientation follows the k1 > 0 gauge of the symbolic path.
     """
     s = np.asarray(s, dtype=float)
+    striction_curve = np.asarray(striction_curve, dtype=float)
+    ruling = np.asarray(ruling, dtype=float)
     step = float(s[1] - s[0])
-    cdot, sl = central_diff1(np.asarray(striction_curve, dtype=float), step)
-    qdot, _ = central_diff1(np.asarray(ruling, dtype=float), step)
-    q = np.asarray(ruling, dtype=float)[sl]
+    cdot, sl = central_diff1(striction_curve, step)
+    qdot, _ = central_diff1(ruling, step)
+    q = ruling[sl]
     qq = lorentz_dot(q, q)
     if not (np.all(qq < 0.0) or np.all(qq > 0.0)):
         raise ValueError("ruling changes causal character on the range")
@@ -655,12 +657,6 @@ def recover_frame_data(s: np.ndarray, striction_curve: np.ndarray, ruling: np.nd
         t = cdot / np.sqrt(np.abs(cc))[..., None]
         theta = np.where(cc < 0.0, np.arcsinh(-epsilon * lorentz_dot(t, a)), np.nan)
     outer = slice(sl.start + sl2.start, sl.start + sl2.start + k2.shape[0])
-    return {
-        "slice": outer,
-        "epsilon": epsilon,
-        "k1": k1[sl2],
-        "k2": k2,
-        "theta": theta[sl2],
-        "a": a[sl2],
-        "h": h[sl2],
-    }
+    return SampledSurface(
+        s[outer], striction_curve[outer], ruling[outer], h[sl2], a[sl2], k1[sl2], k2, theta[sl2], epsilon
+    )

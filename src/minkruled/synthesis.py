@@ -115,8 +115,8 @@ def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, frame0):
 
     Tables are plain lists (node values, length n+1; half-step values,
     length n).  Scalar float arithmetic keeps the sequential loop an order
-    of magnitude faster than small-array numpy.  Returns the frames as a
-    float array of shape (n+1, 3, 3), rows (q, h, a).
+    of magnitude faster than small-array numpy.  Returns the frames as
+    three float arrays (q, h, a) of shape (n+1, 3).
     """
     (qx, qy, qz), (hx, hy, hz), (ax, ay, az) = (
         (float(v[0]), float(v[1]), float(v[2])) for v in frame0
@@ -199,11 +199,11 @@ def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, frame0):
         rows_h.append((hx, hy, hz))
         rows_a.append((ax, ay, az))
 
-    return np.stack([np.array(rows_q), np.array(rows_h), np.array(rows_a)], axis=1)
+    return np.array(rows_q), np.array(rows_h), np.array(rows_a)
 
 
 def _striction_curve(frames, dt, eps, k1n, k2n, k1h, k2h, thn, thh):
-    """Striction curve with c(s0) = 0 from the stored ``_rk4_core`` frames.
+    """Striction curve with c(s0) = 0 from the stored ``_rk4_core`` frames (q, h, a).
 
     The RK4 stages of c for every step are recomputed from the frame at its
     start node, with the kernel's operations in the kernel's order, and the
@@ -220,7 +220,7 @@ def _striction_curve(frames, dt, eps, k1n, k2n, k1h, k2h, thn, thh):
 
     # each stage's (q_j, h_j, a_j) replaces the last one's, so few (n, 3)
     # temporaries are alive at once
-    q, h, a = frames[:-1, 0], frames[:-1, 1], frames[:-1, 2]
+    q, h, a = (x[:-1] for x in frames)
     dq, dh, da = deriv(k1n[:-1], k2n[:-1], q, h, a)
     dc1 = chn[:-1] * q + shn[:-1] * a
     qj, hj, aj = q + half * dq, h + half * dh, a + half * da
@@ -240,7 +240,7 @@ def _integrate_frames(data: IntrinsicData):
 
     ``s`` and ``s_half`` are the n+1 node and n half-step arc lengths,
     ``tables`` the arrays ``(k1n, k2n, k1h, k2h)`` of k1 and k2 on them, and
-    ``frames`` the ``(n+1, 3, 3)`` output of ``_rk4_core``.  Raises
+    ``frames`` the ``(q, h, a)`` output of ``_rk4_core``.  Raises
     FrameDegenerateError if a frame is not finite (the step is too coarse
     for the curvatures).
     """
@@ -252,7 +252,7 @@ def _integrate_frames(data: IntrinsicData):
         for expr, grid in ((data.k1, s), (data.k2, s), (data.k1, s_half), (data.k2, s_half))
     )
     frames = _rk4_core(n, dt, data.epsilon, *(t.tolist() for t in tables), data.initial_frame)
-    if not np.isfinite(frames).all():
+    if not all(np.isfinite(x).all() for x in frames):
         raise FrameDegenerateError("frame integration overflowed to non-finite values")
     return s, s_half, tables, frames
 
@@ -264,8 +264,8 @@ def integrate_frame(data: IntrinsicData):
     re-orthonormalized after every step, so residuals stay below ~1e-12
     for the ranges used here.
     """
-    s, _, _, frames = _integrate_frames(data)
-    return s, frames[:, 0, :], frames[:, 1, :], frames[:, 2, :]
+    s, _, _, (q, h, a) = _integrate_frames(data)
+    return s, q, h, a
 
 
 def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
@@ -287,30 +287,34 @@ def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
            data.step, np.asarray(data.initial_frame, dtype=float).tobytes())
     if key not in frames:
         frames[key] = _integrate_frames(data)
-    s, s_half, tables, track = frames[key]
+    s, s_half, tables, (q, h, a) = frames[key]
     thn = np.asarray(ex.evaluate(data.theta, s), dtype=float)
     thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
     with np.errstate(all="ignore"):
-        c = _striction_curve(track, data.actual_step, data.epsilon, *tables, thn, thh)
+        c = _striction_curve((q, h, a), data.actual_step, data.epsilon, *tables, thn, thh)
     if not np.isfinite(c).all():
         raise FrameDegenerateError("striction curve overflowed to non-finite values")
     return SampledSurface(
-        s=s, c=c, q=track[:, 0, :], h=track[:, 1, :], a=track[:, 2, :],
+        s=s, c=c, q=q, h=h, a=a,
         k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon,
     )
 
 
 def _ruled_grid(base: np.ndarray, ruling: np.ndarray, v_range, nv: int) -> np.ndarray:
-    """Tensor grid base(s_i) + v_j ruling(s_i), shape (n_s, nv, 3); WorkLimitError
-    past MAX_MESH_VERTICES vertices."""
+    """Tensor grid base(s_i) + v_j ruling(s_i), shape (n_s, nv, 3); WorkLimitError past
+    MAX_MESH_VERTICES vertices, ValueError (no numpy warning) where a vertex is not finite."""
     if nv < 2:
         raise ValueError("need at least two v samples")
     if len(base) * nv > MAX_MESH_VERTICES:
         raise WorkLimitError(
             f"a {len(base)} x {nv} mesh has more than MAX_MESH_VERTICES = {MAX_MESH_VERTICES} vertices"
         )
-    v = np.linspace(v_range[0], v_range[1], nv)
-    return base[:, None, :] + v[None, :, None] * ruling[:, None, :]
+    with np.errstate(all="ignore"):
+        v = np.linspace(v_range[0], v_range[1], nv)
+        grid = base[:, None, :] + v[None, :, None] * ruling[:, None, :]
+    if not np.isfinite(grid).all():
+        raise ValueError("mesh grid holds non-finite vertices")
+    return grid
 
 
 def to_explicit_grid(surf: SampledSurface, v_range: tuple[float, float], nv: int) -> np.ndarray:

@@ -105,9 +105,10 @@ def _ell(spec: TransversalSpec) -> int:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Pointwise scalar data entering every closed form.
+    """Pointwise scalar data entering every closed form, and the ruling.
 
-    ``mu`` and ``eta`` are the ruling's weights, ``_mu_eta`` of the angle.
+    ``mu`` and ``eta`` are the ruling's weights, ``_mu_eta`` of the angle;
+    ``q_t`` is the ruling itself on the sample grid and ``ell`` its norm.
     """
 
     k1: np.ndarray
@@ -117,41 +118,44 @@ class Coefficients:
     angle_d: np.ndarray
     mu: np.ndarray
     eta: np.ndarray
+    q_t: np.ndarray
+    ell: int
 
 
-def coefficients(surf: SampledSurface, spec: TransversalSpec) -> Coefficients:
-    """The surface's k1, k2 and theta with the angle evaluated exactly on ``surf.s``."""
-    angle = np.asarray(ex.evaluate(spec.angle, surf.s), dtype=float)
-    angle_d = np.asarray(ex.evaluate(ex.differentiate(spec.angle), surf.s), dtype=float)
-    return Coefficients(surf.k1, surf.k2, surf.theta, angle, angle_d, *_mu_eta(spec, angle))
+def _ruling(surf: SampledSurface, spec: TransversalSpec, angle: np.ndarray):
+    """``(mu, eta, q_t)`` of the angle evaluated on ``surf.s``.
 
-
-def _check_nontrivial(spec: TransversalSpec, mu, eta):
-    if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
-        what = "beta angle hits a multiple of pi/2" if spec.family is Family.BETA else "mu or eta vanishes"
-        raise TrivialRulingError(f"{what} on the range")
-
-
-def ruling_samples(surf: SampledSurface, spec: TransversalSpec, weights=None) -> tuple[np.ndarray, int]:
-    """Vectorized transversal ruling along the whole sample grid.
-
-    ``weights`` is ``(mu, eta)`` of the angle on ``surf.s`` where the caller
-    has them, already through ``_check_nontrivial``.
+    TrivialRulingError where mu or eta vanishes; ValueError where
+    <q_T, q_T> misses the branch's norm ``_ell(spec)`` or is not finite
+    (an angle too large for cosh), with numpy's warnings silenced.
     """
-    if weights is None:
-        weights = _mu_eta(spec, np.asarray(ex.evaluate(spec.angle, surf.s), dtype=float))
-        _check_nontrivial(spec, *weights)
-    mu, eta = weights
     if spec.family is Family.BETA:
         first, second = surf.h, surf.a
     else:
         first, second = surf.q, surf.h if spec.family is Family.ALPHA else surf.a
-    q_t = mu[:, None] * first + eta[:, None] * second
-    ell = _ell(spec)
-    norms = lorentz_dot(q_t, q_t)
-    if np.max(np.abs(norms - ell)) > 1e-8:
+    with np.errstate(all="ignore"):
+        mu, eta = _mu_eta(spec, angle)
+        q_t = mu[:, None] * first + eta[:, None] * second
+        norm = lorentz_dot(q_t, q_t)
+    if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
+        what = "beta angle hits a multiple of pi/2" if spec.family is Family.BETA else "mu or eta vanishes"
+        raise TrivialRulingError(f"{what} on the range")
+    if not np.all(np.abs(norm - _ell(spec)) <= 1e-8):
         raise ValueError("ruling norm does not match its causal branch label")
-    return q_t, ell
+    return mu, eta, q_t
+
+
+def coefficients(surf: SampledSurface, spec: TransversalSpec) -> Coefficients:
+    """The surface's k1, k2 and theta with the angle, its derivative and the ruling on ``surf.s``."""
+    angle = np.asarray(ex.evaluate(spec.angle, surf.s), dtype=float)
+    angle_d = np.asarray(ex.evaluate(ex.differentiate(spec.angle), surf.s), dtype=float)
+    return Coefficients(surf.k1, surf.k2, surf.theta, angle, angle_d, *_ruling(surf, spec, angle), _ell(spec))
+
+
+def ruling_samples(surf: SampledSurface, spec: TransversalSpec) -> tuple[np.ndarray, int]:
+    """Transversal ruling on the whole grid and its norm, from the angle alone (never its derivative)."""
+    angle = np.asarray(ex.evaluate(spec.angle, surf.s), dtype=float)
+    return _ruling(surf, spec, angle)[2], _ell(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +270,11 @@ def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> 
 
 def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     """Evaluate closed forms on the grid and cross-check with the oracle."""
-    co = coefficients(surf, spec)
-    _check_nontrivial(spec, co.mu, co.eta)
+    return _analyze(surf, spec, coefficients(surf, spec))
+
+
+def _analyze(surf: SampledSurface, spec: TransversalSpec, co: Coefficients) -> TransversalAnalysis:
+    """``analyze`` from the ``coefficients(surf, spec)`` the caller already holds."""
     pre, lead, lag, numerator, den, scale = factors = _closed_factors(spec, co)
     if np.any(np.abs(den) <= DENOM_EPS * np.maximum(1.0, scale)):
         raise DegenerateDenominatorError("closed-form denominator vanishes on the range")
@@ -275,8 +282,7 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
         v, d = pre * (lead - lag) / den, numerator / den
         # the printed beta and gamma forms subtract the same two terms the other way
         v_printed = v if spec.family is Family.ALPHA else pre * (lag - lead) / den
-    q_t, ell = ruling_samples(surf, spec, (co.mu, co.eta))
-    oracle = sampled_ruled_invariants(surf.c, q_t, surf.step)
+    oracle = sampled_ruled_invariants(surf.c, co.q_t, surf.step)
     sl = oracle.sl
     rel_v = _relative_gap(v[sl], oracle.v0, oracle.valid)
     rel_d = _relative_gap(d[sl], oracle.drall, oracle.valid)
@@ -288,8 +294,8 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
         coefficients=co,
         factors=factors,
         s=surf.s,
-        q_t=q_t,
-        ell=ell,
+        q_t=co.q_t,
+        ell=co.ell,
         v_closed=v,
         v_printed=v_printed,
         d_closed=d,
@@ -302,11 +308,8 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
     )
 
 
-def to_explicit(
-    surf: SampledSurface, spec: TransversalSpec, v_range: tuple[float, float], nv: int
-) -> np.ndarray:
-    """Sampled parametrization r_T(s_i, v_j) = c(s_i) + v_j q_T(s_i), shape (n_s, nv, 3)."""
-    q_t, _ = ruling_samples(surf, spec)
+def to_explicit(surf: SampledSurface, q_t: np.ndarray, v_range: tuple[float, float], nv: int) -> np.ndarray:
+    """r_T(s_i, v_j) = c(s_i) + v_j q_T(s_i), shape (n_s, nv, 3), for the ruling ``q_t`` on the grid."""
     return _ruled_grid(surf.c, q_t, v_range, nv)
 
 
@@ -432,10 +435,10 @@ def corollary_checks(
     Requires the base drall -sinh(theta)/k1 to vanish within tolerance
     (theta = 0 in synthesis).  The family conditions are then: k2 = 0
     (alpha), angle' = -k2 (beta), mu k1 = eta k2 (gamma); each is compared
-    against the transversal drall oracle in both directions.
+    against the transversal drall oracle in both directions.  The base is
+    checked before the angle is evaluated.
     """
-    co = coefficients(surf, spec)
-    d_base = drall_law(co.k1, co.theta)
+    d_base = drall_law(surf.k1, surf.theta)
     if np.any(np.isnan(d_base)):
         raise DegenerateDenominatorError("base drall undefined where k1 = 0")
     base_drall = float(np.max(np.abs(d_base)))
@@ -443,6 +446,7 @@ def corollary_checks(
         raise BaseNotDevelopableError(
             f"base surface is not developable (max |d| = {base_drall:.3e})"
         )
+    co = coefficients(surf, spec)
     if spec.family is Family.ALPHA:
         condition = float(np.max(np.abs(co.k2)))
     elif spec.family is Family.BETA:
@@ -454,15 +458,13 @@ def corollary_checks(
 
     # a vanishing gamma condition with constant angle freezes the ruling:
     # the transversal is a cylinder, developable with no drall to sample
-    _check_nontrivial(spec, co.mu, co.eta)
-    q_t, _ = ruling_samples(surf, spec, (co.mu, co.eta))
-    q_t_step = float(np.max(np.linalg.norm(np.diff(q_t, axis=0), axis=-1))) / surf.step
+    q_t_step = float(np.max(np.linalg.norm(np.diff(co.q_t, axis=0), axis=-1))) / surf.step
     cylindrical = q_t_step <= 1e-6
     if cylindrical:
         notes.append("transversal ruling is constant (cylinder); developable by definition")
         oracle_res, closed_res, developable = 0.0, 0.0, True
     else:
-        analysis = analyze(surf, spec)
+        analysis = _analyze(surf, spec, co)
         oracle_res = _oracle_abs(analysis.oracle.drall, analysis.oracle.valid)
         closed_res = float(np.max(np.abs(analysis.d_closed)))
         developable = bool(oracle_res <= tol)

@@ -53,8 +53,9 @@ class SuiteConfig:
     """Grids and tolerances for the verification suites.
 
     ValueError unless every value grid is a non-empty tuple of finite
-    numbers, ``tolerance`` lies in (0, inf) and ``step`` and ``s_range``
-    pass ``IntrinsicData``'s rules: step in (0, inf), range finite and
+    numbers, ``families`` holds at least one ``Family`` and none twice,
+    ``tolerance`` lies in (0, inf) and ``step`` and ``s_range`` pass
+    ``IntrinsicData``'s rules: step in (0, inf), range finite and
     increasing.
     """
 
@@ -71,6 +72,9 @@ class SuiteConfig:
         grids = (self.k1_values, self.k2_values, self.theta_values, self.angle_values)
         if not all(grid and all(map(math.isfinite, grid)) for grid in grids):
             raise ValueError("value grids must be non-empty and finite")
+        families = self.families
+        if not (families and all(isinstance(f, Family) for f in families) and len(set(families)) == len(families)):
+            raise ValueError("families must name at least one family, each once")
         if not 0.0 < self.tolerance < math.inf:
             raise ValueError("tolerance must be a positive finite number")
         # every suite surface is an IntrinsicData with this step and s_range

@@ -63,3 +63,34 @@ def test_expected_calls_are_traced_targets(bench):
     targets = {f"{module}.{path}" for module, path in bench["tracing"].TARGETS}
     for workload, names in bench["run"].EXPECTED_CALLS.items():
         assert set(names) <= targets, workload
+
+
+# the fewest seeded jobs that reach every name the benchmark expects a
+# workload to call: the smallest verify sub-grid, a T1 analysis (its
+# striction predicates run) and the explicit mesh, and one transversal job,
+# whose config names a mesh
+FEWEST_JOBS = {"verify-grid": (0,), "explicit-analyze": (1, 5), "intrinsic-pipeline": (1,)}
+
+
+def test_every_expected_call_is_reached_by_a_traced_job(bench, tmp_path):
+    """A reroute that skips a layer the benchmark traces (say the transversal
+    mesh no longer going through ``transversal.to_explicit``) fails here, not
+    only as the benchmark's "traced layers recorded no calls".  A guard: every
+    tree that keeps the contract passes it."""
+    workloads = bench["workloads"]
+    assert set(FEWEST_JOBS) == set(workloads.WORKLOADS)
+    for workload, indices in FEWEST_JOBS.items():
+        tracer = bench["tracing"].Tracer()
+        tracer.install()
+        try:
+            for index in indices:
+                command, config = workloads.job(workload, SEED, index)
+                job_dir = tmp_path / f"{workload}{index}"
+                job_dir.mkdir()
+                (job_dir / "config.json").write_bytes(workloads.config_bytes(config))
+                argv = [command, "--config", str(job_dir / "config.json"), "--output-dir", str(job_dir)]
+                assert cli.main(argv) == 0, (workload, index)
+        finally:
+            tracer.uninstall()
+        missed = [name for name in bench["run"].EXPECTED_CALLS[workload] if not tracer.calls[name]]
+        assert not missed, workload

@@ -93,6 +93,9 @@ def test_main_exit_code_2_on_config_error(tmp_path, capsys):
 BAD_VALUE_CONFIGS = [
     pytest.param(dict(MINIMAL_INTRINSIC, suite={"k1_values": ["x"]}), id="suite-k1-not-number"),
     pytest.param(dict(MINIMAL_INTRINSIC, suite={"families": 5}), id="suite-families-not-list"),
+    # an empty list made verify pass vacuously; a repeat wrote each record twice
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"families": []}), id="suite-families-empty"),
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"families": ["alpha", "alpha"]}), id="suite-families-repeated"),
     pytest.param(dict(MINIMAL_INTRINSIC, suite={"tolerance": "big"}), id="suite-tolerance-not-number"),
     pytest.param(
         dict(MINIMAL_INTRINSIC, initial_frame=[[1, 0, 0], [0, "x", 0], [0, 0, -1]]),
@@ -340,6 +343,77 @@ def test_mesh_end_to_end(tmp_path):
     first = (tmp_path / "surface.obj").read_bytes()
     assert main(["mesh", "--config", config, "--output-dir", str(tmp_path)]) == 0
     assert (tmp_path / "surface.obj").read_bytes() == first
+
+
+def test_analyze_writes_the_mesh_that_mesh_writes(tmp_path, schema):
+    payload = dict(
+        NON_UNIT_EXPLICIT, output={"report_path": "r.json", "mesh_path": "m.obj", "v_samples": 5}
+    )
+    config = write_config(tmp_path, "c.json", payload)
+    for command in ("analyze", "mesh"):
+        assert main([command, "--config", config, "--output-dir", str(tmp_path / command)]) == 0
+    validate_report(tmp_path / "analyze" / "r.json", schema)
+    mesh = (tmp_path / "mesh" / "m.obj").read_bytes()
+    assert mesh.count(b"\nv ") + 1 == 11 * 5
+    assert (tmp_path / "analyze" / "m.obj").read_bytes() == mesh
+
+
+def count_angle_work(monkeypatch, cfg):
+    """Counters of evaluations of the configured angle (not of its derivative)
+    and of transversal rulings built, each build checked once by its norm."""
+    counts = {"evaluations": 0, "builds": 0}
+    angle, evaluate, lorentz_dot = cfg.transversal_spec.angle, ex.evaluate, transversal.lorentz_dot
+
+    def counted_evaluate(expr, s):
+        counts["evaluations"] += expr is angle
+        return evaluate(expr, s)
+
+    def counted_lorentz_dot(x, y):
+        counts["builds"] += 1
+        return lorentz_dot(x, y)
+
+    monkeypatch.setattr(ex, "evaluate", counted_evaluate)
+    monkeypatch.setattr(transversal, "lorentz_dot", counted_lorentz_dot)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "theta,evaluations,builds",
+    [
+        # the base is not developable: the corollaries stop before the angle
+        ("1", 1, 1),
+        # a developable base: the corollaries build their own analysis, once
+        ("0", 2, 2),
+    ],
+)
+def test_transversal_builds_the_ruling_once_for_report_and_mesh(
+    tmp_path, monkeypatch, theta, evaluations, builds
+):
+    payload = dict(load_demo("beta_transversal"), theta=theta)
+    payload["output"] = dict(payload["output"], mesh_path="m.obj")
+    cfg = parse_config(write_config(tmp_path, "c.json", payload))
+    counts = count_angle_work(monkeypatch, cfg)
+    assert cli.run("transversal", cfg, str(tmp_path)) == 0
+    assert (tmp_path / "m.obj").exists()
+    assert counts == {"evaluations": evaluations, "builds": builds}
+
+
+def test_transversal_mesh_evaluates_the_angle_but_not_its_derivative(tmp_path, monkeypatch):
+    # 0.7 + 0.1 sqrt(s) has no finite derivative at s = 0; the mesh needs none.
+    # A guard: the mesh path has never evaluated the derivative.
+    payload = dict(
+        load_demo("beta_transversal"),
+        transversal={"kind": "beta", "angle": "0.7+0.1*sqrt(s)"},
+        output={"mesh_path": "m.obj"},
+    )
+    config = write_config(tmp_path, "c.json", payload)
+    assert main(["mesh", "--config", config, "--output-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "m.obj").exists()
+    cfg = parse_config(config)
+    counts = count_angle_work(monkeypatch, cfg)
+    monkeypatch.setattr(ex, "differentiate", lambda expr: pytest.fail("the mesh differentiated the angle"))
+    assert cli.run("mesh", cfg, str(tmp_path / "again")) == 0
+    assert counts == {"evaluations": 1, "builds": 1}
 
 
 def test_verify_end_to_end_small(tmp_path, schema):
@@ -730,6 +804,14 @@ BLOWN_UP_FRAME = {
 }
 
 
+OVERFLOWING_ANGLE = dict(
+    MINIMAL_INTRINSIC,
+    step=0.01,
+    transversal={"kind": "alpha", "angle": "800", "branch": "timelike"},
+    output={"report_path": "r.json", "mesh_path": "m.obj"},
+)
+
+
 @pytest.mark.parametrize(
     "command,payload,message",
     [
@@ -756,12 +838,17 @@ BLOWN_UP_FRAME = {
             ),
             "non-finite vertices",
         ),
+        # cosh(800) overflows: the ruling's norm check fails, not a later step
+        ("transversal", OVERFLOWING_ANGLE, "ruling norm does not match"),
+        ("mesh", OVERFLOWING_ANGLE, "ruling norm does not match"),
     ],
     ids=[
         "synthesize-frame-overflow",
         "mesh-frame-overflow",
         "mesh-v-range-overflow",
         "synthesize-mesh-v-range-overflow",
+        "transversal-angle-overflow",
+        "mesh-transversal-angle-overflow",
     ],
 )
 def test_non_finite_results_exit_1(tmp_path, command, payload, message):

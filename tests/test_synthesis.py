@@ -204,10 +204,14 @@ def test_round_trip_variable_data():
     )
     surf = synthesize_surface(data)
     rec = recover_frame_data(surf.s, surf.c, surf.q)
-    sl = rec["slice"]
-    assert np.max(np.abs(rec["k1"] - surf.k1[sl])) < 1e-6
-    assert np.max(np.abs(rec["k2"] - surf.k2[sl])) < 1e-6
-    assert np.max(np.abs(rec["theta"] - surf.theta[sl])) < 1e-6
+    # the interior rows the two difference stencils leave
+    k = (len(surf) - len(rec)) // 2
+    sl = slice(k, k + len(rec))
+    assert k > 0 and np.array_equal(rec.s, surf.s[sl]) and rec.epsilon == -1
+    assert np.array_equal(rec.c, surf.c[sl]) and np.array_equal(rec.q, surf.q[sl])
+    assert np.max(np.abs(rec.k1 - surf.k1[sl])) < 1e-6
+    assert np.max(np.abs(rec.k2 - surf.k2[sl])) < 1e-6
+    assert np.max(np.abs(rec.theta - surf.theta[sl])) < 1e-6
 
 
 def test_step_divides_range_evenly():

@@ -470,10 +470,10 @@ def test_corollary_gamma():
 def test_to_explicit_grid():
     surf = surf_const(1.0, 0.0, 1.0, step=1e-2)
     spec = spec_for("beta", "pi/4")
-    grid = to_explicit(surf, spec, (-1.0, 1.0), 5)
+    q_t, _ = ruling_samples(surf, spec)
+    grid = to_explicit(surf, q_t, (-1.0, 1.0), 5)
     assert grid.shape == (len(surf), 5, 3)
     assert np.array_equal(grid[:, 2, :], surf.c)
-    q_t, _ = ruling_samples(surf, spec)
     assert np.allclose(grid[:, 4, :], surf.c + q_t, rtol=0.0, atol=1e-15)
 
 

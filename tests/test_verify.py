@@ -148,6 +148,12 @@ def test_config_validation():
     assert Family.ALPHA in SuiteConfig().families
 
 
+@pytest.mark.parametrize("families", [(), (Family.ALPHA, Family.ALPHA), ("alpha",)], ids=["empty", "repeated", "string"])
+def test_suite_config_rejects_bad_families(families):
+    with pytest.raises(ValueError, match="families"):
+        SuiteConfig(families=families)
+
+
 ONE = ex.const(1.0)
 # every step, range end, grid value and tolerance field of the four input
 # types, each built with one value replaced
