@@ -62,40 +62,6 @@ from .verify import SuiteConfig, run_all
 # configuration
 # ---------------------------------------------------------------------------
 
-# the top-level keys each mode reads; any other key is a config error
-_MODE_KEYS = {
-    "explicit": {"mode", "output", "f", "q", "u_range", "samples", "normalize_q", "tolerances"},
-    "intrinsic": {
-        "mode", "output", "k1", "k2", "theta", "epsilon", "s_range", "step", "initial_frame",
-        "transversal", "suite",
-    },
-}
-_TRANSVERSAL_KEYS = {"kind", "angle", "branch"}
-_OUTPUT_KEYS = {"report_path", "mesh_path", "v_range", "v_samples"}
-_TOLERANCE_KEYS = {"causal_eps", "general_eps"}
-_SUITE_KEYS = {
-    "k1_values",
-    "k2_values",
-    "theta_values",
-    "angle_values",
-    "families",
-    "tolerance",
-    "s_range",
-    "step",
-}
-
-
-def _reject_unknown(obj: dict, allowed: set, context: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{context}: unknown key {key!r}")
-
-
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return obj[key]
-
 
 def _parse_expr(text, context: str) -> ex.Expr:
     if not isinstance(text, str):
@@ -107,7 +73,7 @@ def _parse_expr(text, context: str) -> ex.Expr:
 
 
 def _number(value, context: str) -> float:
-    """A JSON number (not a boolean) as a float; the value's owner checks its range."""
+    """A JSON number (not a boolean) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context}: expected a number")
     try:
@@ -116,10 +82,75 @@ def _number(value, context: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _items(value, context: str, item, count=None) -> tuple:
+    """A JSON list, of ``count`` entries if given, as the tuple of ``item`` of each entry."""
+    if not isinstance(value, list) or count not in (None, len(value)):
+        raise ConfigError(f"{context}: expected a list" + (f" of {count} values" if count else ""))
+    return tuple(item(x, f"{context}[{i}]") for i, x in enumerate(value))
+
+
 def _pair(value, context: str) -> tuple:
-    if not isinstance(value, list) or len(value) != 2:
-        raise ConfigError(f"{context}: expected a pair [lo, hi] of numbers")
-    return tuple(_number(x, context) for x in value)
+    return _items(value, context, _number, 2)
+
+
+def _v_range(value, context: str) -> tuple:
+    """A pair, finite and increasing: no library type owns the mesh's v range."""
+    lo, hi = _pair(value, context)
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"{context}: range must be finite and increasing")
+    return lo, hi
+
+
+def _vector(value, context: str) -> np.ndarray:
+    return np.array(_items(value, context, _number, 3))
+
+
+def _count(value, context: str) -> int:
+    if not isinstance(value, int) or value < 2:
+        raise ConfigError(f"{context}: expected an integer >= 2")
+    return value
+
+
+def _flag(value, context: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{context}: expected true or false")
+    return value
+
+
+def _path(value, context: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{context}: expected a non-empty path string")
+    return value
+
+
+def _member(value, context: str, enum=Family):
+    """The member of ``enum`` (Family by default) that the JSON value names."""
+    try:
+        return enum(value)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}") from err
+
+
+def _block(obj, table: dict, context: str, scope: str | None = None) -> dict:
+    """The keys of a config object, each parsed by its rule in ``table``.
+
+    ``table`` maps each key the object may hold to ``(rule, required)``.  A
+    rule maps a JSON value and its context to the value the key's owner type
+    takes, or raises ConfigError; the owner checks its range, through _build.
+    ``scope`` names the object in an unknown-key error (default ``context``).
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context}: expected an object")
+    for key in obj:
+        if key not in table:
+            raise ConfigError(f"{scope or context}: unknown key {key!r}")
+    values = {}
+    for key, (rule, required) in table.items():
+        if key in obj:
+            values[key] = rule(obj[key], f"{context}.{key}")
+        elif required:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+    return values
 
 
 def _build(context: str, owner, **kwargs):
@@ -130,13 +161,67 @@ def _build(context: str, owner, **kwargs):
         raise ConfigError(f"{context}: {err}") from err
 
 
+def _transversal(value, context: str) -> TransversalSpec:
+    spec = _block(value, _TRANSVERSAL, context)  # the config's kind is the spec's family
+    return _build(context, TransversalSpec, family=spec.pop("kind"), **spec)
+
+
+# each config block's keys, key -> (parse rule, required); a key its table
+# does not hold is a config error
+_OUTPUT = {
+    "report_path": (_path, False),
+    "mesh_path": (_path, False),
+    "v_range": (_v_range, False),
+    "v_samples": (_count, False),
+}
+_TRANSVERSAL = {
+    "kind": (_member, True),
+    "angle": (_parse_expr, True),
+    "branch": (lambda v, c: None if v is None else _member(v, c, Branch), False),
+}
+_TOLERANCES = {"causal_eps": (_number, False), "general_eps": (_number, False)}
+_SUITE = {
+    "k1_values": (lambda v, c: _items(v, c, _number), False),
+    "k2_values": (lambda v, c: _items(v, c, _number), False),
+    "theta_values": (lambda v, c: _items(v, c, _number), False),
+    "angle_values": (lambda v, c: _items(v, c, _number), False),
+    "families": (lambda v, c: _items(v, c, _member), False),
+    "tolerance": (_number, False),
+    "step": (_number, False),
+    "s_range": (_pair, False),
+}
+# each mode's top-level keys; those naming a field of the mode's surface type
+# (ExplicitSurface, IntrinsicData) build it, the others fill Config
+_MODE_KEYS = {
+    "explicit": {
+        "mode": (lambda v, c: v, True),  # checked before the table is chosen
+        "f": (lambda v, c: _items(v, c, _parse_expr, 3), True),
+        "q": (lambda v, c: _items(v, c, _parse_expr, 3), True),
+        "u_range": (_pair, True),
+        "samples": (_count, True),
+        "normalize_q": (_flag, False),
+        "output": (lambda v, c: _block(v, _OUTPUT, c), False),
+        "tolerances": (lambda v, c: _build(c, Tolerances, **_block(v, _TOLERANCES, c)), False),
+    },
+    "intrinsic": {
+        "mode": (lambda v, c: v, True),
+        "k1": (_parse_expr, True),
+        "k2": (_parse_expr, True),
+        "theta": (_parse_expr, True),
+        "s_range": (_pair, True),
+        "step": (_number, True),
+        "epsilon": (lambda v, c: v, False),  # IntrinsicData checks it
+        "initial_frame": (lambda v, c: _items(v, c, _vector, 3), False),
+        "transversal": (_transversal, False),
+        "output": (lambda v, c: _block(v, _OUTPUT, c), False),
+        "suite": (lambda v, c: _build(c, SuiteConfig, **_block(v, _SUITE, c)), False),
+    },
+}
+
+
 @dataclass
 class Config:
-    """Validated run configuration plus the raw dict for report echoes.
-
-    ``data`` (intrinsic mode) and ``surface`` (explicit mode) are the
-    library's input types; their constructors check every value's range.
-    """
+    """Validated run configuration plus the raw dict for report echoes."""
 
     mode: str
     raw: dict
@@ -159,124 +244,22 @@ def parse_config(path: str) -> Config:
             raw = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, nested too deep or too many digits
         raise ConfigError(f"config {path!r} is not valid JSON: {err}") from err
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    mode = _require(raw, "mode", "config")
+    if "mode" not in raw:
+        raise ConfigError("config: missing required key 'mode'")
+    mode = raw["mode"]
     if mode not in ("explicit", "intrinsic"):
         raise ConfigError(f"config: mode must be 'explicit' or 'intrinsic', got {mode!r}")
-    _reject_unknown(raw, _MODE_KEYS[mode], f"config ({mode} mode)")
-    cfg = Config(mode=mode, raw=raw)
-
-    if mode == "explicit":
-        kwargs = {}
-        for name in ("f", "q"):
-            triple = _require(raw, name, "config")
-            if not isinstance(triple, list) or len(triple) != 3:
-                raise ConfigError(f"config.{name}: expected three expression strings")
-            kwargs[name] = tuple(_parse_expr(t, f"config.{name}[{i}]") for i, t in enumerate(triple))
-        kwargs["u_range"] = _pair(_require(raw, "u_range", "config"), "config.u_range")
-        samples = _require(raw, "samples", "config")
-        if not isinstance(samples, int) or samples < 2:
-            raise ConfigError("config.samples: expected an integer >= 2")
-        cfg.samples = samples
-        normalize_q = raw.get("normalize_q", False)
-        if not isinstance(normalize_q, bool):
-            raise ConfigError("config.normalize_q: expected true or false")
-        cfg.surface = _build("config", ExplicitSurface, normalize_q=normalize_q, **kwargs)
-    else:
-        kwargs = {
-            name: _parse_expr(_require(raw, name, "config"), f"config.{name}")
-            for name in ("k1", "k2", "theta")
-        }
-        kwargs["s_range"] = _pair(_require(raw, "s_range", "config"), "config.s_range")
-        kwargs["step"] = _number(_require(raw, "step", "config"), "config.step")
-        kwargs["epsilon"] = raw.get("epsilon", -1)
-        if "initial_frame" in raw:
-            frame = raw["initial_frame"]
-            if not isinstance(frame, list) or len(frame) != 3 or not all(
-                isinstance(v, list) and len(v) == 3 for v in frame
-            ):
-                raise ConfigError("config.initial_frame: expected three 3-vectors of numbers")
-            kwargs["initial_frame"] = tuple(
-                np.array([_number(x, "config.initial_frame") for x in v]) for v in frame
-            )
-        cfg.data = _build("config", IntrinsicData, **kwargs)
-
-    if "transversal" in raw:
-        block = raw["transversal"]
-        if not isinstance(block, dict):
-            raise ConfigError("config.transversal: expected an object")
-        _reject_unknown(block, _TRANSVERSAL_KEYS, "config.transversal")
-        kind = _require(block, "kind", "config.transversal")
-        if kind not in ("alpha", "beta", "gamma"):
-            raise ConfigError(f"config.transversal.kind: unknown family {kind!r}")
-        angle = _parse_expr(_require(block, "angle", "config.transversal"), "config.transversal.angle")
-        branch = block.get("branch")
-        if branch not in (None, "timelike", "spacelike"):
-            raise ConfigError("config.transversal.branch: expected 'timelike' or 'spacelike'")
-        cfg.transversal_spec = _build(
-            "config.transversal",
-            TransversalSpec,
-            family=Family(kind),
-            angle=angle,
-            branch=None if branch is None else Branch(branch),
-        )
-
-    if "output" in raw:
-        block = raw["output"]
-        if not isinstance(block, dict):
-            raise ConfigError("config.output: expected an object")
-        _reject_unknown(block, _OUTPUT_KEYS, "config.output")
-        for key in ("report_path", "mesh_path"):
-            if key in block:
-                if not isinstance(block[key], str) or not block[key]:
-                    raise ConfigError(f"config.output.{key}: expected a non-empty path string")
-                setattr(cfg, key, block[key])
-        if "v_range" in block:
-            # no library type owns the mesh's v range
-            cfg.v_range = _pair(block["v_range"], "config.output.v_range")
-            if not -math.inf < cfg.v_range[0] < cfg.v_range[1] < math.inf:
-                raise ConfigError("config.output.v_range: range must be finite and increasing")
-        if "v_samples" in block:
-            if not isinstance(block["v_samples"], int) or block["v_samples"] < 2:
-                raise ConfigError("config.output.v_samples: expected an integer >= 2")
-            cfg.v_samples = block["v_samples"]
-
-    if "tolerances" in raw:
-        block = raw["tolerances"]
-        if not isinstance(block, dict):
-            raise ConfigError("config.tolerances: expected an object")
-        _reject_unknown(block, _TOLERANCE_KEYS, "config.tolerances")
-        values = {key: _number(x, f"config.tolerances.{key}") for key, x in block.items()}
-        cfg.tolerances = _build("config.tolerances", Tolerances, **values)
-
-    if "suite" in raw:
-        block = raw["suite"]
-        if not isinstance(block, dict):
-            raise ConfigError("config.suite: expected an object")
-        _reject_unknown(block, _SUITE_KEYS, "config.suite")
-        kwargs = {}
-        for key in ("k1_values", "k2_values", "theta_values", "angle_values"):
-            if key in block:
-                if not isinstance(block[key], list):
-                    raise ConfigError(f"config.suite.{key}: expected a list of numbers")
-                kwargs[key] = tuple(_number(x, f"config.suite.{key}") for x in block[key])
-        if "families" in block:
-            if not isinstance(block["families"], list):
-                raise ConfigError("config.suite.families: expected a list of family names")
-            try:
-                kwargs["families"] = tuple(Family(f) for f in block["families"])
-            except ValueError as err:
-                raise ConfigError(f"config.suite.families: {err}") from err
-        for key in ("tolerance", "step"):
-            if key in block:
-                kwargs[key] = _number(block[key], f"config.suite.{key}")
-        if "s_range" in block:
-            kwargs["s_range"] = _pair(block["s_range"], "config.suite.s_range")
-        cfg.suite = _build("config.suite", SuiteConfig, **kwargs)
-    return cfg
+    values = _block(raw, _MODE_KEYS[mode], "config", f"config ({mode} mode)")
+    owner, name = (ExplicitSurface, "surface") if mode == "explicit" else (IntrinsicData, "data")
+    fields = {key: values.pop(key) for key in owner.__dataclass_fields__ if key in values}
+    values[name] = _build("config", owner, **fields)
+    values["transversal_spec"] = values.pop("transversal", None)
+    values.update(values.pop("output", {}))
+    return Config(raw=raw, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +671,13 @@ def run(command: str, cfg: Config, output_dir: str | None = None, tolerance: flo
     try:
         report, grid = build(cfg)
         # every output is built before any is written, so a run that fails writes no file
-        outputs = [] if report is None else [(export_report, report, cfg.report_path)]
+        outputs = [] if report is None else [(export_report, report, resolve(cfg.report_path))]
         if grid is not None:
-            outputs.append((export_obj, grid, cfg.mesh_path or "mesh.obj"))
+            outputs.append((export_obj, grid, resolve(cfg.mesh_path or "mesh.obj")))
+        if len({os.path.realpath(path) for _, _, path in outputs}) < len(outputs):
+            raise ConfigError("config.output: report_path and mesh_path name the same file")
         for export, value, path in outputs:
-            export(value, resolve(path))
+            export(value, path)
         return 0
     except WorkLimitError as err:  # the input asks for too much work
         raise ConfigError(f"config: {err}") from err

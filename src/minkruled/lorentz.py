@@ -38,22 +38,23 @@ class Tolerances:
     """Numerical thresholds used throughout the library.
 
     causal_eps   threshold on <v,v> (unit scale) below which v counts as null
-    frame_eps    orthonormality residual bound for frame validation
     general_eps  default comparison bound (developability, conoid tests, ...)
 
     Each must lie in (0, inf); ValueError otherwise.
     """
 
     causal_eps: float = 1e-10
-    frame_eps: float = 1e-8
     general_eps: float = 1e-8
 
     def __post_init__(self):
-        if not all(0.0 < x < math.inf for x in (self.causal_eps, self.frame_eps, self.general_eps)):
+        if not all(0.0 < x < math.inf for x in (self.causal_eps, self.general_eps)):
             raise ValueError("tolerances must be positive finite numbers")
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+# bound on frame_check's orthonormality, h = a*q and det = -1 residuals
+FRAME_EPS = 1e-8
 
 
 class CausalCharacter(Enum):
@@ -184,20 +185,14 @@ class FrameReport:
         return float(np.max(list(self.residuals.values())))  # NaN-propagating
 
 
-def frame_check(
-    q: Vec3,
-    h: Vec3,
-    a: Vec3,
-    epsilon: int,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> FrameReport:
+def frame_check(q: Vec3, h: Vec3, a: Vec3, epsilon: int) -> FrameReport:
     """Check signature, orthogonality and orientation of a ruled-surface frame.
 
     Expects <q,q> = epsilon, <h,h> = 1, <a,a> = -epsilon and vanishing mixed
-    products.  The canonical orientation of this library is h = a*q, which
-    forces det(q, h, a) = -1; frames with det = +1 are reported as
-    orthonormal but non-canonical.  A non-finite or overflowing frame is
-    reported as non-canonical, without numpy warnings.
+    products, each within FRAME_EPS.  The canonical orientation of this
+    library is h = a*q, which forces det(q, h, a) = -1; frames with det = +1
+    are reported as orthonormal but non-canonical.  A non-finite or
+    overflowing frame is reported as non-canonical, without numpy warnings.
     """
     if epsilon not in (-1, 1):
         raise ValueError("epsilon must be -1 or +1")
@@ -215,9 +210,9 @@ def frame_check(
         }
         det = float(np.linalg.det(np.stack([q, h, a])))
         cross_residual = float(np.max(np.abs(h - lorentz_cross(a, q))))
-    orthonormal = all(r <= tol.frame_eps for r in residuals.values())
-    h_is_cross = cross_residual <= tol.frame_eps
-    canonical = orthonormal and h_is_cross and abs(det + 1.0) <= tol.frame_eps
+    orthonormal = all(r <= FRAME_EPS for r in residuals.values())
+    h_is_cross = cross_residual <= FRAME_EPS
+    canonical = orthonormal and h_is_cross and abs(det + 1.0) <= FRAME_EPS
     return FrameReport(
         epsilon=epsilon,
         residuals=residuals,

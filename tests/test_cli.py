@@ -1,5 +1,7 @@
 """CLI: config validation, commands, exit codes, report and mesh formats."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -17,6 +19,8 @@ from minkruled import cli, transversal
 from minkruled import expressions as ex
 from minkruled.cli import main, parse_config
 from minkruled.errors import ConfigError, NonTimelikeStrictionError
+from minkruled.lorentz import Tolerances
+from minkruled.verify import SuiteConfig
 
 HERE = os.path.dirname(__file__)
 SCHEMA_PATH = os.path.join(HERE, "..", "docs", "report.schema.json")
@@ -209,6 +213,39 @@ def test_keys_a_mode_does_not_read_exit_2(tmp_path, capsys, payload, key, value,
     assert main([command, "--config", path, "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and repr(named) in err
+    assert os.listdir(tmp_path) == ["c.json"]
+
+
+@pytest.mark.parametrize("owner,table", [(SuiteConfig, "_SUITE"), (Tolerances, "_TOLERANCES")])
+def test_each_block_table_holds_its_owner_fields(owner, table):
+    # a field added to the type must be settable from the config block, and
+    # every key of the block must reach the type's constructor
+    keys = set(getattr(cli, table))
+    assert {field.name for field in dataclasses.fields(owner)} <= keys
+    assert keys <= set(inspect.signature(owner).parameters)
+
+
+@pytest.mark.parametrize(
+    "command,payload",
+    [
+        ("analyze", NON_UNIT_EXPLICIT),
+        ("synthesize", MINIMAL_INTRINSIC),
+        ("transversal", dict(MINIMAL_INTRINSIC, transversal={"kind": "beta", "angle": "pi/4"})),
+    ],
+    ids=["analyze", "synthesize", "transversal"],
+)
+@pytest.mark.parametrize(
+    "report_path,mesh_path",
+    [("out.txt", "./out.txt"), ("sub/../out.txt", "out.txt"), ("{out}/out.txt", "out.txt")],
+    ids=["dot-slash", "dot-dot", "absolute"],
+)
+def test_report_and_mesh_naming_one_file_exit_2(tmp_path, capsys, command, payload, report_path, mesh_path):
+    # the mesh, written second, replaced the report
+    out = tmp_path / "out"
+    output = {"report_path": report_path.format(out=out), "mesh_path": mesh_path}
+    path = write_config(tmp_path, "c.json", dict(payload, output=output))
+    assert main([command, "--config", path, "--output-dir", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["c.json"]
 
 
@@ -776,8 +813,15 @@ def cap_address_space():
 
 
 def run_cli(tmp_path, command, payload, preexec_fn=None):
-    """Run the CLI in a fresh interpreter so stderr holds everything it prints."""
-    config = write_config(tmp_path, "c.json", payload)
+    """Run the CLI in a fresh interpreter so stderr holds everything it prints.
+
+    ``payload`` is the config, or the bytes of its file.
+    """
+    if isinstance(payload, bytes):
+        (tmp_path / "c.json").write_bytes(payload)
+        config = str(tmp_path / "c.json")
+    else:
+        config = write_config(tmp_path, "c.json", payload)
     env = dict(os.environ)
     src = os.path.join(HERE, "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -899,6 +943,25 @@ def test_nesting_past_the_cap_exits_2(tmp_path, k1):
     result = run_cli(tmp_path, "synthesize", dict(load_demo("hyperbolic_synthesize"), k1=k1))
     assert result.returncode == 2
     assert "config.k1: nesting deeper than MAX_NESTING = 100 at offset 100" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"mode": "intrinsic", "k1": "\xff"}',
+        b"[" * 200_000 + b"]" * 200_000,
+        b'{"mode": "intrinsic", "step": ' + b"1" * 5000 + b"}",
+    ],
+    ids=["not-utf-8", "nested-200000-deep", "5000-digit-integer"],
+)
+def test_config_bytes_json_cannot_load_exit_2(tmp_path, text):
+    # each raised out of json.load (UnicodeDecodeError, RecursionError, and
+    # ValueError past Python's 4300-digit limit) and exited 1 with a traceback
+    result = run_cli(tmp_path, "synthesize", text)
+    assert result.returncode == 2
+    assert "config error" in result.stderr and repr(str(tmp_path / "c.json")) in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
 

@@ -171,7 +171,7 @@ OWNER_FIELDS = {
     },
     **{
         f"Tolerances.{name}": lambda x, name=name: Tolerances(**{name: x})
-        for name in ("causal_eps", "frame_eps", "general_eps")
+        for name in ("causal_eps", "general_eps")
     },
     "ExplicitSurface.u_range.lo": lambda x: ExplicitSurface((ONE,) * 3, (ONE,) * 3, (x, 1.0)),
     "ExplicitSurface.u_range.hi": lambda x: ExplicitSurface((ONE,) * 3, (ONE,) * 3, (0.0, x)),
