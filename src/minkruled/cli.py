@@ -120,6 +120,8 @@ def _flag(value, context: str) -> bool:
 def _path(value, context: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{context}: expected a non-empty path string")
+    if "\0" in value:
+        raise ConfigError(f"{context}: a path cannot hold a NUL character")
     return value
 
 

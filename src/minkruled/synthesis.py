@@ -11,11 +11,14 @@ and for epsilon = -1 the striction tangent is
 
     dc/ds = cosh(theta) q + sinh(theta) a,
 
-which is automatically unit timelike.  One fixed-step RK4 kernel integrates
-the frame alone, with a Lorentzian Gram-Schmidt re-projection after every
-step, so orthonormality residuals stay near roundoff over long ranges.
-theta enters only dc/ds, so the striction curve is built afterwards in one
-numpy pass over the stored frames, with the bits of a joint integration.
+which is automatically unit timelike.  The frame ODE is linear, so one
+fixed-step RK4 step is a 3x3 matrix acting on the stacked rows (q, h, a),
+built for every step at once from the curvature tables.  The maps are
+applied in blocks of BLOCK steps: one scalar loop carries the frame from
+block start to block start by each block's product and re-projects it there
+with a Lorentzian Gram-Schmidt, then all blocks step from their starts
+together.  theta enters only dc/ds, and the RK4 increment of c is linear in
+the frame too, so the striction curve is one cumulative sum afterwards.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ import numpy as np
 from . import expressions as ex
 from .errors import FrameDegenerateError, NonTimelikeStrictionError, WorkLimitError
 from .frame import SampledSurface, canonical_frame
-from .lorentz import Vec3, frame_check
+from .lorentz import Vec3, frame_check, lorentz_dot
 
-# a synthesized surface peaks near 0.75 KB of memory per RK4 step, so about
-# 0.75 GB at this many steps
+# a synthesized surface peaks near 0.66 KB of memory per RK4 step (tracemalloc,
+# 10^5 steps), so about 0.66 GB at this many steps
 MAX_STEPS = 1_000_000
 # an OBJ mesh peaks near 90 B of memory and writes about 93 B of file per
 # vertex, so about 0.9 GB of each at this many vertices
@@ -110,173 +113,140 @@ def from_constants(
     )
 
 
-def _rk4_core(n, dt, eps, k1n, k2n, k1h, k2h, frame0):
-    """Unrolled scalar RK4 of the frame with per-step Lorentzian Gram-Schmidt.
+# RK4 steps between two re-projections of the frame
+BLOCK = 32
 
-    Tables are plain lists (node values, length n+1; half-step values,
-    length n).  Scalar float arithmetic keeps the sequential loop an order
-    of magnitude faster than small-array numpy.  Returns the frames as
-    three float arrays (q, h, a) of shape (n+1, 3).
+
+def _coefficients(eps, k1, k2):
+    """The matrices A with (q, h, a)' = A (q, h, a), shape (len(k1), 3, 3)."""
+    a = np.zeros((len(k1), 3, 3))
+    a[:, 0, 1], a[:, 1, 0], a[:, 1, 2], a[:, 2, 1] = k1, -eps * k1, k2, eps * k2
+    return a
+
+
+def _step_maps(dt, eps, k1n, k2n, k1h, k2h):
+    """One RK4 step of the linear frame ODE as a matrix, for every step at once.
+
+    Returns ``(maps, basis)``: ``maps[i]`` takes the stacked frame rows
+    (q, h, a) from node i to node i+1, and ``basis[i]`` holds rows 0 and 2
+    of the stage maps S2 + S3 and S4, which carry node i's frame to the
+    stage frames that the striction tangent cosh(theta) q + sinh(theta) a
+    reads, shape (n, 4, 3).
     """
-    (qx, qy, qz), (hx, hy, hz), (ax, ay, az) = (
-        (float(v[0]), float(v[1]), float(v[2])) for v in frame0
-    )
-    rows_q = [(qx, qy, qz)]
-    rows_h = [(hx, hy, hz)]
-    rows_a = [(ax, ay, az)]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for i in range(n):
-        k1_0, k2_0 = k1n[i], k2n[i]
-        k1_m, k2_m = k1h[i], k2h[i]
-        k1_1, k2_1 = k1n[i + 1], k2n[i + 1]
-
-        m = -eps * k1_0
-        e2 = eps * k2_0
-        dqx1 = k1_0 * hx; dqy1 = k1_0 * hy; dqz1 = k1_0 * hz
-        dhx1 = m * qx + k2_0 * ax; dhy1 = m * qy + k2_0 * ay; dhz1 = m * qz + k2_0 * az
-        dax1 = e2 * hx; day1 = e2 * hy; daz1 = e2 * hz
-
-        qx2 = qx + half * dqx1; qy2 = qy + half * dqy1; qz2 = qz + half * dqz1
-        hx2 = hx + half * dhx1; hy2 = hy + half * dhy1; hz2 = hz + half * dhz1
-        ax2 = ax + half * dax1; ay2 = ay + half * day1; az2 = az + half * daz1
-        m = -eps * k1_m
-        e2 = eps * k2_m
-        dqx2 = k1_m * hx2; dqy2 = k1_m * hy2; dqz2 = k1_m * hz2
-        dhx2 = m * qx2 + k2_m * ax2; dhy2 = m * qy2 + k2_m * ay2; dhz2 = m * qz2 + k2_m * az2
-        dax2 = e2 * hx2; day2 = e2 * hy2; daz2 = e2 * hz2
-
-        qx3 = qx + half * dqx2; qy3 = qy + half * dqy2; qz3 = qz + half * dqz2
-        hx3 = hx + half * dhx2; hy3 = hy + half * dhy2; hz3 = hz + half * dhz2
-        ax3 = ax + half * dax2; ay3 = ay + half * day2; az3 = az + half * daz2
-        dqx3 = k1_m * hx3; dqy3 = k1_m * hy3; dqz3 = k1_m * hz3
-        dhx3 = m * qx3 + k2_m * ax3; dhy3 = m * qy3 + k2_m * ay3; dhz3 = m * qz3 + k2_m * az3
-        dax3 = e2 * hx3; day3 = e2 * hy3; daz3 = e2 * hz3
-
-        qx4 = qx + dt * dqx3; qy4 = qy + dt * dqy3; qz4 = qz + dt * dqz3
-        hx4 = hx + dt * dhx3; hy4 = hy + dt * dhy3; hz4 = hz + dt * dhz3
-        ax4 = ax + dt * dax3; ay4 = ay + dt * day3; az4 = az + dt * daz3
-        m = -eps * k1_1
-        e2 = eps * k2_1
-        dqx4 = k1_1 * hx4; dqy4 = k1_1 * hy4; dqz4 = k1_1 * hz4
-        dhx4 = m * qx4 + k2_1 * ax4; dhy4 = m * qy4 + k2_1 * ay4; dhz4 = m * qz4 + k2_1 * az4
-        dax4 = e2 * hx4; day4 = e2 * hy4; daz4 = e2 * hz4
-
-        qx += sixth * (dqx1 + 2.0 * (dqx2 + dqx3) + dqx4)
-        qy += sixth * (dqy1 + 2.0 * (dqy2 + dqy3) + dqy4)
-        qz += sixth * (dqz1 + 2.0 * (dqz2 + dqz3) + dqz4)
-        hx += sixth * (dhx1 + 2.0 * (dhx2 + dhx3) + dhx4)
-        hy += sixth * (dhy1 + 2.0 * (dhy2 + dhy3) + dhy4)
-        hz += sixth * (dhz1 + 2.0 * (dhz2 + dhz3) + dhz4)
-        ax += sixth * (dax1 + 2.0 * (dax2 + dax3) + dax4)
-        ay += sixth * (day1 + 2.0 * (day2 + day3) + day4)
-        az += sixth * (daz1 + 2.0 * (daz2 + daz3) + daz4)
-
-        # Lorentzian Gram-Schmidt with signatures (eps, +1, -eps)
-        qq = -qx * qx + qy * qy + qz * qz
-        if eps * qq <= 0.0:
-            raise FrameDegenerateError("ruling vector became null during re-projection")
-        inv = 1.0 / math.sqrt(abs(qq))
-        qx *= inv; qy *= inv; qz *= inv
-        coef = (-hx * qx + hy * qy + hz * qz) * eps
-        hx -= coef * qx; hy -= coef * qy; hz -= coef * qz
-        hh = -hx * hx + hy * hy + hz * hz
-        if hh <= 0.0:
-            raise FrameDegenerateError("central normal became null during re-projection")
-        inv = 1.0 / math.sqrt(hh)
-        hx *= inv; hy *= inv; hz *= inv
-        coef = (-ax * qx + ay * qy + az * qz) * eps
-        ax -= coef * qx; ay -= coef * qy; az -= coef * qz
-        coef = -ax * hx + ay * hy + az * hz
-        ax -= coef * hx; ay -= coef * hy; az -= coef * hz
-        aa = -ax * ax + ay * ay + az * az
-        if -eps * aa <= 0.0:
-            raise FrameDegenerateError("central tangent became null during re-projection")
-        inv = 1.0 / math.sqrt(abs(aa))
-        ax *= inv; ay *= inv; az *= inv
-
-        rows_q.append((qx, qy, qz))
-        rows_h.append((hx, hy, hz))
-        rows_a.append((ax, ay, az))
-
-    return np.array(rows_q), np.array(rows_h), np.array(rows_a)
+    eye = np.eye(3)
+    am = _coefficients(eps, k1h, k2h)
+    maps = _coefficients(eps, k1n[:-1], k2n[:-1])  # A0, summed into M below
+    s2 = eye + (0.5 * dt) * maps
+    k = am @ s2
+    maps += 2.0 * k
+    s3 = eye + (0.5 * dt) * k
+    k = am @ s3
+    maps += 2.0 * k
+    s4 = eye + dt * k
+    maps += _coefficients(eps, k1n[1:], k2n[1:]) @ s4
+    maps *= dt / 6.0
+    maps += eye
+    s2 += s3
+    return maps, np.concatenate([s2[:, ::2], s4[:, ::2]], axis=1)
 
 
-def _striction_curve(frames, dt, eps, k1n, k2n, k1h, k2h, thn, thh):
-    """Striction curve with c(s0) = 0 from the stored ``_rk4_core`` frames (q, h, a).
+def _reproject(frame, eps):
+    """Lorentzian Gram-Schmidt of ``(q, h, a)`` with signatures (eps, +1, -eps)."""
+    (qx, qy, qz), (hx, hy, hz), (ax, ay, az) = frame
+    qq = -qx * qx + qy * qy + qz * qz
+    if eps * qq <= 0.0:
+        raise FrameDegenerateError("ruling vector became null during re-projection")
+    inv = 1.0 / math.sqrt(abs(qq))
+    qx *= inv; qy *= inv; qz *= inv
+    coef = (-hx * qx + hy * qy + hz * qz) * eps
+    hx -= coef * qx; hy -= coef * qy; hz -= coef * qz
+    hh = -hx * hx + hy * hy + hz * hz
+    if hh <= 0.0:
+        raise FrameDegenerateError("central normal became null during re-projection")
+    inv = 1.0 / math.sqrt(hh)
+    hx *= inv; hy *= inv; hz *= inv
+    coef = (-ax * qx + ay * qy + az * qz) * eps
+    ax -= coef * qx; ay -= coef * qy; az -= coef * qz
+    coef = -ax * hx + ay * hy + az * hz
+    ax -= coef * hx; ay -= coef * hy; az -= coef * hz
+    aa = -ax * ax + ay * ay + az * az
+    if -eps * aa <= 0.0:
+        raise FrameDegenerateError("central tangent became null during re-projection")
+    inv = 1.0 / math.sqrt(abs(aa))
+    return (qx, qy, qz), (hx, hy, hz), (ax * inv, ay * inv, az * inv)
 
-    The RK4 stages of c for every step are recomputed from the frame at its
-    start node, with the kernel's operations in the kernel's order, and the
-    increments are summed in step order, so c has the bits of integrating it
-    inside the frame loop.  Tables as in ``_integrate_frames``.
+
+def _propagate(maps, frame0, eps):
+    """Frames Y_0, Y_1, ... with Y_{i+1} = maps[i] Y_i, shape (len(maps), 3, 3).
+
+    ``len(maps)`` is a whole number of blocks of BLOCK steps.  The products
+    of each block's maps carry the frame from one block start to the next,
+    where it is re-projected; within all blocks at once, the maps are then
+    applied one step after another from the block starts.
     """
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    k1n, k2n, k1h, k2h = (t[:, None] for t in (k1n, k2n, k1h, k2h))
-    chn, shn, chh, shh = (f(t)[:, None] for t in (thn, thh) for f in (np.cosh, np.sinh))
-
-    def deriv(k1, k2, q, h, a):
-        return k1 * h, (-eps * k1) * q + k2 * a, (eps * k2) * h
-
-    # each stage's (q_j, h_j, a_j) replaces the last one's, so few (n, 3)
-    # temporaries are alive at once
-    q, h, a = (x[:-1] for x in frames)
-    dq, dh, da = deriv(k1n[:-1], k2n[:-1], q, h, a)
-    dc1 = chn[:-1] * q + shn[:-1] * a
-    qj, hj, aj = q + half * dq, h + half * dh, a + half * da
-    dq, dh, da = deriv(k1h, k2h, qj, hj, aj)
-    dc2 = chh * qj + shh * aj
-    qj, hj, aj = q + half * dq, h + half * dh, a + half * da
-    dq, _, da = deriv(k1h, k2h, qj, hj, aj)
-    dc3 = chh * qj + shh * aj
-    dc4 = chn[1:] * (q + dt * dq) + shn[1:] * (a + dt * da)
-    inc = sixth * (dc1 + 2.0 * (dc2 + dc3) + dc4)
-    # a leading zero row makes c[1] = 0.0 + inc[0], as in a running sum
-    return np.cumsum(np.concatenate([np.zeros((1, 3)), inc]), axis=0)
+    maps = maps.reshape(-1, BLOCK, 3, 3)
+    carry = maps[:, 0]
+    for j in range(1, BLOCK):
+        carry = maps[:, j] @ carry
+    y = np.empty_like(maps)
+    y[0, 0] = frame0
+    for b in range(1, len(y)):
+        y[b, 0] = _reproject((carry[b - 1] @ y[b - 1, 0]).tolist(), eps)
+    for j in range(BLOCK - 1):
+        np.matmul(maps[:, j], y[:, j], out=y[:, j + 1])
+    return y.reshape(-1, 3, 3)
 
 
 def _integrate_frames(data: IntrinsicData):
-    """Returns ``(s, s_half, tables, frames)`` for the RK4 grid of ``data``.
+    """Returns ``(s, s_half, (k1, k2), (q, h, a), basis)`` for the RK4 grid of ``data``.
 
-    ``s`` and ``s_half`` are the n+1 node and n half-step arc lengths,
-    ``tables`` the arrays ``(k1n, k2n, k1h, k2h)`` of k1 and k2 on them, and
-    ``frames`` the ``(q, h, a)`` output of ``_rk4_core``.  Raises
+    ``s`` and ``s_half`` are the n+1 node and n half-step arc lengths, ``k1``
+    and ``k2`` the curvatures on the nodes, and ``basis`` the ``_step_maps``
+    rows the striction curve needs.  The tables are padded with zeros to
+    whole blocks; the padded steps reach no returned row.  Raises
     FrameDegenerateError if a frame is not finite (the step is too coarse
-    for the curvatures).
+    for the curvatures) or not of its causal character.
     """
-    n, dt, s0 = data.n_steps, data.actual_step, data.s_range[0]
+    n, dt, eps, s0 = data.n_steps, data.actual_step, data.epsilon, data.s_range[0]
     s = s0 + dt * np.arange(n + 1)
     s_half = s0 + dt * (np.arange(n) + 0.5)
-    tables = tuple(
+    tables = [
         np.asarray(ex.evaluate(expr, grid), dtype=float)
         for expr, grid in ((data.k1, s), (data.k2, s), (data.k1, s_half), (data.k2, s_half))
-    )
-    frames = _rk4_core(n, dt, data.epsilon, *(t.tolist() for t in tables), data.initial_frame)
-    if not all(np.isfinite(x).all() for x in frames):
-        raise FrameDegenerateError("frame integration overflowed to non-finite values")
-    return s, s_half, tables, frames
+    ]
+    pad = BLOCK - n % BLOCK
+    with np.errstate(all="ignore"):
+        maps, basis = _step_maps(dt, eps, *(np.concatenate([t, np.zeros(pad)]) for t in tables))
+        y = _propagate(maps, data.initial_frame, eps)[: n + 1]
+        if not np.isfinite(y).all():
+            raise FrameDegenerateError("frame integration overflowed to non-finite values")
+        q, h, a = (np.ascontiguousarray(y[:, i]) for i in range(3))
+        for name, v, sign in (("ruling vector", q, eps), ("central normal", h, 1), ("central tangent", a, -eps)):
+            if not (sign * lorentz_dot(v, v) > 0.0).all():
+                raise FrameDegenerateError(f"{name} became null during integration")
+    return s, s_half, tuple(tables[:2]), (q, h, a), basis[:n]
 
 
 def integrate_frame(data: IntrinsicData):
     """Integrate the frame equations; returns ``(s, Q, H, A)`` arrays.
 
     ``s`` has shape (n+1,); Q, H, A have shape (n+1, 3).  The frame is
-    re-orthonormalized after every step, so residuals stay below ~1e-12
-    for the ranges used here.
+    re-orthonormalized at the start of every block of BLOCK steps, and RK4
+    drifts off the Lorentz-orthonormal frames by little within a block.
     """
-    s, _, _, (q, h, a) = _integrate_frames(data)
+    s, _, _, (q, h, a), _ = _integrate_frames(data)
     return s, q, h, a
 
 
 def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
     """Integrate the frame, then build the striction curve from it.
 
-    The RK4 kernel integrates the frame alone; ``_striction_curve`` computes
-    c from the stored frames and the theta tables in one array pass.  A
-    caller-owned ``frames`` dict, keyed by every input but theta, shares one
-    integration (arrays included) across theta.  Only epsilon = -1 admits
-    the hyperbolic striction tangent used here; c starts at the origin.
-    Overflowing frames or curves raise FrameDegenerateError.
+    The RK4 increment of c over step i is w_i . (q_i, h_i, a_i), with w_i
+    from the theta tables and the cached stage maps, so c is one cumulative
+    sum.  A caller-owned ``frames`` dict, keyed by every input but theta,
+    shares one integration (arrays included) across theta.  Only epsilon =
+    -1 admits the hyperbolic striction tangent used here; c starts at the
+    origin.  Overflowing frames or curves raise FrameDegenerateError.
     """
     if data.epsilon != -1:
         raise NonTimelikeStrictionError(
@@ -287,16 +257,23 @@ def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
            data.step, np.asarray(data.initial_frame, dtype=float).tobytes())
     if key not in frames:
         frames[key] = _integrate_frames(data)
-    s, s_half, tables, (q, h, a) = frames[key]
+    s, s_half, (k1, k2), (q, h, a), basis = frames[key]
     thn = np.asarray(ex.evaluate(data.theta, s), dtype=float)
     thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
     with np.errstate(all="ignore"):
-        c = _striction_curve((q, h, a), data.actual_step, data.epsilon, *tables, thn, thh)
+        ch, sh = np.cosh(thn), np.sinh(thn)
+        weights = np.stack([2.0 * np.cosh(thh), 2.0 * np.sinh(thh), ch[1:], sh[1:]], axis=-1)
+        w = (weights[:, None, :] @ basis)[:, 0]
+        w[:, 0] += ch[:-1]
+        w[:, 2] += sh[:-1]
+        inc = (data.actual_step / 6.0) * (w[:, :1] * q[:-1] + w[:, 1:2] * h[:-1] + w[:, 2:] * a[:-1])
+        # a leading zero row makes c[1] = 0.0 + inc[0], as in a running sum
+        c = np.cumsum(np.concatenate([np.zeros((1, 3)), inc]), axis=0)
     if not np.isfinite(c).all():
         raise FrameDegenerateError("striction curve overflowed to non-finite values")
     return SampledSurface(
         s=s, c=c, q=q, h=h, a=a,
-        k1=tables[0], k2=tables[1], theta=thn, epsilon=data.epsilon,
+        k1=k1, k2=k2, theta=thn, epsilon=data.epsilon,
     )
 
 

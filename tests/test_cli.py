@@ -133,6 +133,9 @@ BAD_VALUE_CONFIGS = [
     pytest.param(dict(MINIMAL_INTRINSIC, output={"report_path": None}), id="report-path-null"),
     pytest.param(dict(MINIMAL_INTRINSIC, output={"mesh_path": ["a"]}), id="mesh-path-list"),
     pytest.param(dict(MINIMAL_INTRINSIC, output={"report_path": ""}), id="report-path-empty"),
+    # open() refuses a NUL with a ValueError, which exited 1 as a degeneracy
+    pytest.param(dict(MINIMAL_INTRINSIC, output={"report_path": "a\0b.json"}), id="report-path-nul"),
+    pytest.param(dict(MINIMAL_INTRINSIC, output={"mesh_path": "a\0b.obj"}), id="mesh-path-nul"),
 ]
 
 
@@ -165,6 +168,7 @@ NON_UNIT_EXPLICIT = {
         pytest.param(dict(NON_UNIT_EXPLICIT, normalize_q="false"), id="normalize-q-string"),
         pytest.param(dict(NON_UNIT_EXPLICIT, u_range=[False, True]), id="u-range-boolean"),
         pytest.param(dict(NON_UNIT_EXPLICIT, tolerances={"general_eps": True}), id="tolerance-boolean"),
+        pytest.param(dict(NON_UNIT_EXPLICIT, output={"mesh_path": "a\0b.obj"}), id="mesh-path-nul"),
     ],
 )
 def test_bad_explicit_values_exit_2(tmp_path, capsys, command, payload):

@@ -43,6 +43,23 @@ def test_synthesis_matches_exact_surface(k1, k2, theta):
         assert np.max(np.abs(getattr(surf, name) - exact[name])) <= 1e-8, name
 
 
+@pytest.mark.parametrize(
+    "k1,k2,bound",
+    [pytest.param(1.5, 0.2, 5e-10, id="k1=1.5-k2=0.2"), pytest.param(1.0, 0.5, 3e-12, id="k1=1-k2=0.5")],
+)
+def test_synthesis_tracks_the_growing_exact_surface(k1, k2, bound):
+    # sigma > 0: frame entries grow like cosh(sqrt(sigma) s), to about 900
+    # and 40 at s = 5.  A Gram-Schmidt after every step forms <q, q> from
+    # terms of size |q|^2 and loses about |q|^2 ulp a step; it gave 1.2e-9
+    # and 5.4e-12 of the frame here.  Errors are relative to each array's scale.
+    surf = synthesize_surface(from_constants(k1, k2, 0.5, (0.0, 5.0), 1e-3))
+    exact = exact_values(k1, k2, 0.5, surf.s)
+    frame = np.stack([surf.q, surf.h, surf.a])
+    frame_exact = np.stack([exact["q"], exact["h"], exact["a"]])
+    assert np.max(np.abs(frame - frame_exact)) <= bound * np.max(np.abs(frame_exact))
+    assert np.max(np.abs(surf.c - exact["c"])) <= bound * np.max(np.abs(exact["c"]))
+
+
 @pytest.mark.parametrize("k1,k2,theta", CASES)
 def test_explicit_frame_recovers_exact_data(k1, k2, theta):
     triples = exact_surface(k1, k2, theta)

@@ -224,7 +224,7 @@ def test_step_divides_range_evenly():
 
 
 # ---------------------------------------------------------------------------
-# the frame-only kernel plus the array curve pass against one joint RK4
+# the step-map kernel plus the striction cumsum against one joint RK4
 # ---------------------------------------------------------------------------
 
 
@@ -232,8 +232,9 @@ def reference_joint_rk4(data):
     """Frame and striction curve integrated together in one scalar RK4 loop.
 
     This is the combined kernel the library ran before the curve moved into a
-    separate array pass, kept here as the reference: tables are plain lists
-    and every operation is a Python float operation.  Returns
+    separate array pass and the frame into step maps, kept here as the
+    reference: tables are plain lists, every operation is a Python float
+    operation, and the frame is re-projected after every step.  Returns
     ``(frames, curve)`` of shapes (n+1, 3, 3) and (n+1, 3).
     """
     n, dt, eps = data.n_steps, data.actual_step, data.epsilon
@@ -366,6 +367,17 @@ def assert_same_bits(x, y):
     assert x.tobytes() == y.tobytes()  # exact, including the sign of zero
 
 
+def relative_gap(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+# The kernel and the reference run the same RK4 steps in another order and
+# re-project at other steps, so they agree to rounding, not bit for bit.  The
+# reference's per-step Gram-Schmidt loses about |q|^2 ulp a step: with |q|
+# up to 32 ("constant-twisted") and 2000 steps that is ~5e-13 of the frame.
+SPLIT_BOUND = 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_CASES))
 def test_split_kernel_matches_joint_rk4(name):
     case = dict(SPLIT_CASES[name])
@@ -374,10 +386,9 @@ def test_split_kernel_matches_joint_rk4(name):
     )
     frames, curve = reference_joint_rk4(data)
     surf = synthesize_surface(data)
-    assert_same_bits(surf.c, curve)
-    assert_same_bits(surf.q, frames[:, 0, :])
-    assert_same_bits(surf.h, frames[:, 1, :])
-    assert_same_bits(surf.a, frames[:, 2, :])
+    assert relative_gap(surf.c, curve) <= SPLIT_BOUND
+    assert relative_gap(np.stack([surf.q, surf.h, surf.a], axis=1), frames) <= SPLIT_BOUND
+    assert_same_bits(surf.q[0], frames[0, 0])  # the initial frame is returned as given
     s, q, h, a = integrate_frame(data)
     assert_same_bits(s, surf.s)
     for x, y in ((q, surf.q), (h, surf.h), (a, surf.a)):
@@ -422,13 +433,13 @@ SHARED_THETAS = ("0", "1", "-0.5", "0.2 + 0.4*s", "-0.5*sin(s)")
 
 def counted_rk4(monkeypatch):
     calls = []
-    original = synthesis._rk4_core
+    original = synthesis._propagate
 
-    def counted(n, *args):
-        calls.append(n)
-        return original(n, *args)
+    def counted(maps, *args):
+        calls.append(len(maps))
+        return original(maps, *args)
 
-    monkeypatch.setattr(synthesis, "_rk4_core", counted)
+    monkeypatch.setattr(synthesis, "_propagate", counted)
     return calls
 
 

@@ -115,6 +115,29 @@ def test_full_default_suite_zero_failures():
     assert len(combined["warnings"]) >= 1
 
 
+# Records on a wider grid whose verdicts rest on how closely the synthesized
+# frames stay Lorentz-orthonormal where they grow (s up to 3).  Integrating
+# the frame as a product of RK4 step maps with no re-projection turns all
+# seven: the four line-of-curvature records to fail (forward_geometric
+# 1.1e-6 against the 1e-6 tolerance) and the three coincidence records to
+# error (the transversal ruling misses its absolute 1e-8 norm check).  Every
+# kernel that re-projects, every step or every block, passes them.
+EXTENDED_GRID = SuiteConfig(k2_values=(0, 0.5, 1, 2), theta_values=(0, 0.5, 1, 2), s_range=(0, 3))
+FRAME_SENSITIVE = [("striction", "line_of_curvature", dict(k1=2.0, k2=1, theta=t)) for t in (0, 0.5, 1, 2)] + [
+    ("coincidence", "coincidence.alpha", dict(k1=0.5, k2=2, theta=2)),
+    ("coincidence", "coincidence.gamma", dict(k1=2.0, k2=0, theta=2)),
+    ("coincidence", "coincidence.gamma", dict(k1=2.0, k2=0.5, theta=2)),
+]
+
+
+def test_extended_grid_keeps_the_frame_sensitive_verdicts():
+    combined = run_all(EXTENDED_GRID)
+    cases = [case for suite in combined["suites"] for case in suite["cases"]]
+    for suite, check, params in FRAME_SENSITIVE:
+        (case,) = [c for c in cases if (c["suite"], c["check"], c["params"]) == (suite, check, params)]
+        assert case["verdict"] == "pass", (check, params, case["residuals"], case["note"])
+
+
 def test_determinism_byte_identical():
     a = json.dumps(run_all(SMALL), sort_keys=False)
     b = json.dumps(run_all(SMALL), sort_keys=False)
@@ -290,7 +313,7 @@ def test_default_suite_integrates_each_frame_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(synthesis, "_rk4_core", counted("rk4", synthesis._rk4_core))
+    monkeypatch.setattr(synthesis, "_propagate", counted("rk4", synthesis._propagate))
     monkeypatch.setattr(verify, "from_constants", counted("data", verify.from_constants))
     monkeypatch.setattr(verify, "synthesize_surface", counted("surfaces", verify.synthesize_surface))
     run_all(SuiteConfig())
