@@ -145,27 +145,27 @@ CASES = [
         "hyperbolic_synthesize",
         "synthesize",
         demo("hyperbolic_synthesize"),
-        {"synthesis_report.json": "6f21f4428a74f5ae095094ccafea01abdf79e07e30202740458e9c0772d21d69"},
+        {"synthesis_report.json": "88305bd6aed4d4194622f6ea9df26c4ab0fbba17565677e3e5ee70d1b661f485"},
     ),
     (
         "beta_transversal",
         "transversal",
         demo("beta_transversal"),
-        {"beta_report.json": "69de37c966039cb534791cc1374ab45a81264dc88f07f94b3fe63d26bd9c6664"},
+        {"beta_report.json": "1fa199f8ce39d595ac98d69372b5529876f5372236fda204181256cd803cf288"},
     ),
     (
         "hyperbolic_mesh",
         "mesh",
         demo("hyperbolic_mesh"),
-        {"surface.obj": "8d81e9c2512677bb9ff27068bd5153431fd760c89f85b184ba81d7110a493fe9"},
+        {"surface.obj": "9de0356d52243f197775ad965d2e29c0bcc765f20ff3ad792070621b5b0ed443"},
     ),
     (
         "hyperbolic_synthesize_with_mesh",
         "synthesize",
         demo("hyperbolic_mesh"),
         {
-            "report.json": "dc7ed7394843b362e32ad51d4db7b5d7a9a75fead045a8cf21f857aced2b3fcc",
-            "surface.obj": "8d81e9c2512677bb9ff27068bd5153431fd760c89f85b184ba81d7110a493fe9",
+            "report.json": "094e0ce4184f2d9a3ebceb3bcc2680ae6eb9210b972e391464fb6b2f33b5f706",
+            "surface.obj": "9de0356d52243f197775ad965d2e29c0bcc765f20ff3ad792070621b5b0ed443",
         },
     ),
     (
@@ -176,8 +176,8 @@ CASES = [
             output={"report_path": "beta_report.json", "mesh_path": "beta.obj"},
         ),
         {
-            "beta_report.json": "a24910f2dfdaec85eddc46498833e623346dfd1705b47a8c8638936fb6c41108",
-            "beta.obj": "f69ad4ee6a1a5da21ee4a63ba36acdfef8bb828ce12f4715e8a629c69359b5f6",
+            "beta_report.json": "96348c897d1cb09938eb894857de7b577c60648eea39ee7365a7c49ba4d0d570",
+            "beta.obj": "e01b97213076089fd35b82ffcd81986deff9cbb936981a422e08c29a6f08aba7",
         },
     ),
     (
@@ -190,26 +190,26 @@ CASES = [
         "small_verify",
         "verify",
         SMALL_VERIFY,
-        {"verify.json": "f1e55bd602a1a86ac07a1086ab1fc87b24b9b2f2f63eca337dbfc6a7caa05a4b"},
+        {"verify.json": "4b472b15ad29961a52f663284a082dec7d65b20fbc98eaeba8f6c9ddb8a1f982"},
     ),
     (
         # the default suites: every family on the full 27-triple grid
         "verify_default",
         "verify",
         demo("verify_default"),
-        {"verify_report.json": "887b6399c94dd8f41e234db0ce5b4fb94eaf905d0ef49cfd82a4c99d1a7ea5b4"},
+        {"verify_report.json": "4dbeb6226f294caecf1a067c50de0d4a68e9bf9c8a7e89b8ffff811c23a8e334"},
     ),
     (
         "alpha_spacelike_transversal",
         "transversal",
         ALPHA_SPACELIKE_TRANSVERSAL,
-        {"alpha_report.json": "5152d3acd7c4022d1c1dd4d89d82344e44e63b69838c4eb01d0738b031df28c9"},
+        {"alpha_report.json": "4b6cef451fc86859884e20ce7b289d63f4cdfcf5512082198762aa25f5eb2d0b"},
     ),
     (
         "gamma_timelike_transversal",
         "transversal",
         GAMMA_TIMELIKE_TRANSVERSAL,
-        {"gamma_report.json": "aa6f17c45194e9f5ee87d0bfd7cf37f8f9a644873a7af9e7392a82a3a8369b49"},
+        {"gamma_report.json": "a3d720eb5c163633c837d12fa3756b3d1c2a6e219d700df2b9eb820ba4b2af25"},
     ),
     (
         "helicoid_mesh",
@@ -224,7 +224,7 @@ CASES = [
         "zero_k1_synthesize",
         "synthesize",
         ZERO_K1_SYNTHESIZE,
-        {"zero_k1_report.json": "328ff42a5c29435d4351e5b1a64df693b03676d258e367d658e2b80f7f92e48f"},
+        {"zero_k1_report.json": "e051734bb166f569e07928c115851718f84a85f462215089ec0305172ed9422d"},
     ),
     (
         # the exact surface with tanh(theta) = k2/k1, where the k1 > 0 gauge
@@ -238,13 +238,13 @@ CASES = [
         "mixed_verify",
         "verify",
         MIXED_VERIFY,
-        {"mixed_verify.json": "2ab33c5a34b3e9f6e8d78302112b2dc96c6fb8912181623504dd7cd9e7cd106f"},
+        {"mixed_verify.json": "f36970edab5328676677aff8247e75b8a4f22a2fd2afe76418fef18a37630e16"},
     ),
     (
         "coarse_verify",
         "verify",
         COARSE_VERIFY,
-        {"coarse_verify.json": "6b7cadcba68e9134449cf84182aaab029222408bee18876b9088f8e19f15a5c2"},
+        {"coarse_verify.json": "7ec404a793a7c2e2ed857be6fcd2774511daa9bfbea68851f78fd3efa69590a7"},
     ),
 ]
 
