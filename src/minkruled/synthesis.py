@@ -231,8 +231,8 @@ def integrate_frame(data: IntrinsicData):
     """Integrate the frame equations; returns ``(s, Q, H, A)`` arrays.
 
     ``s`` has shape (n+1,); Q, H, A have shape (n+1, 3).  The frame is
-    re-orthonormalized at the start of every block of BLOCK steps, and RK4
-    drifts off the Lorentz-orthonormal frames by little within a block.
+    re-orthonormalized at the start of every block of BLOCK steps; within a
+    block it drifts from orthonormality by RK4's error over those steps.
     """
     s, _, _, (q, h, a), _ = _integrate_frames(data)
     return s, q, h, a

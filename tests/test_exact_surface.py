@@ -51,7 +51,8 @@ def test_synthesis_tracks_the_growing_exact_surface(k1, k2, bound):
     # sigma > 0: frame entries grow like cosh(sqrt(sigma) s), to about 900
     # and 40 at s = 5.  A Gram-Schmidt after every step forms <q, q> from
     # terms of size |q|^2 and loses about |q|^2 ulp a step; it gave 1.2e-9
-    # and 5.4e-12 of the frame here.  Errors are relative to each array's scale.
+    # and 5.4e-12 of the frame here.  Errors are relative to the largest
+    # entry of the frame (q, h, a together) and of c.
     surf = synthesize_surface(from_constants(k1, k2, 0.5, (0.0, 5.0), 1e-3))
     exact = exact_values(k1, k2, 0.5, surf.s)
     frame = np.stack([surf.q, surf.h, surf.a])

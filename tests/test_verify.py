@@ -123,7 +123,9 @@ def test_full_default_suite_zero_failures():
 # error (the transversal ruling misses its absolute 1e-8 norm check).  Every
 # kernel that re-projects, every step or every block, passes them.
 EXTENDED_GRID = SuiteConfig(k2_values=(0, 0.5, 1, 2), theta_values=(0, 0.5, 1, 2), s_range=(0, 3))
-FRAME_SENSITIVE = [("striction", "line_of_curvature", dict(k1=2.0, k2=1, theta=t)) for t in (0, 0.5, 1, 2)] + [
+FRAME_SENSITIVE = [
+    ("striction", "line_of_curvature", dict(k1=2.0, k2=1, theta=t)) for t in (0, 0.5, 1, 2)
+] + [
     ("coincidence", "coincidence.alpha", dict(k1=0.5, k2=2, theta=2)),
     ("coincidence", "coincidence.gamma", dict(k1=2.0, k2=0, theta=2)),
     ("coincidence", "coincidence.gamma", dict(k1=2.0, k2=0.5, theta=2)),
