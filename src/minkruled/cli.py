@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .ruled import (
     striction,
     striction_predicates,
 )
-from .synthesis import IntrinsicData, _ruled_grid, synthesize_surface, to_explicit_grid
+from .synthesis import MAX_MESH_VERTICES, IntrinsicData, _ruled_grid, synthesize_surface, to_explicit_grid
 from .transversal import (
     Branch,
     Family,
@@ -292,13 +293,6 @@ def _atomic_write(path: str, chunks):
         raise
 
 
-def _format_rows(fmt: bytes, rows):
-    """Yield ``fmt % row`` over the rows, OBJ_CHUNK_ROWS rows per bytes block."""
-    for start in range(0, len(rows), OBJ_CHUNK_ROWS):
-        block = rows[start:start + OBJ_CHUNK_ROWS]
-        yield (fmt * len(block)) % tuple(block.reshape(-1).tolist())
-
-
 def _split(a):
     """Veltkamp's split of doubles into 26-bit halves, ``hi + lo == a``."""
     t = a * 134217729.0  # 2**27 + 1
@@ -353,8 +347,8 @@ def _vertex_text(rows, tables):
     """The bytes of ``_VERTEX_LINE % row`` for the rows of an (n, 3) block in range.
 
     Returns ``(text, fallback, ends)``.  ``text`` is a uint8 array holding
-    the lines of the rows whose coordinates all have 1e-4 <= |x| < 1e16,
-    which ``%.17g`` writes in positional notation.  ``fallback`` indexes the
+    the lines of the rows whose coordinates are all ±0 or have 1e-4 <= |x|
+    < 1e16, which ``%.17g`` writes in positional notation.  ``fallback`` indexes the
     other rows, for the caller to format with ``%``, and ``ends[i]`` is the
     length of the lines in ``text`` up to row i (None if there are none).
 
@@ -365,7 +359,8 @@ def _vertex_text(rows, tables):
     10**16 and 10**17.  D never rounds up to 10**17 (where C would take
     X + 1): no double in the range lies within half a unit of the 17th
     digit below a power of ten.  The digits are rendered four at a time
-    from ``quad``, and ``keep`` picks the bytes written.
+    from ``quad``, and ``keep`` picks the bytes written.  A zero is written
+    as 1.0 is, with its 17 digits set to 0: "0", or "-0" after its sign bit.
 
     Compares are on floats and integer arithmetic on int64 through divmod:
     numpy's other loops for them would add about 0.3 MB of resident code.
@@ -373,8 +368,10 @@ def _vertex_text(rows, tables):
     quad, zeros, keep_of, pow10 = tables
     n = len(rows)
     a = np.abs(rows.reshape(-1))
+    zero = a == 0
     inside = (a >= 1e-4) & (a < 1e16)
     a[~inside] = 1.0
+    inside |= zero
     exp = np.floor(np.log10(a)).astype(np.int64)
     p, e = _scaled(a, 16 - exp, pow10)
     low = (p < 1e16) | ((p == 1e16) & (e < 0))
@@ -384,6 +381,7 @@ def _vertex_text(rows, tables):
         exp[wrong] += high[wrong].astype(np.int64) - low[wrong]
         p[wrong], e[wrong] = _scaled(a[wrong], 16 - exp[wrong], pow10)
     digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    digits[zero] = 0
 
     lead, rest = np.divmod(digits, 10**16)
     upper, lower = np.divmod(rest, 10**8)
@@ -421,28 +419,76 @@ def _vertex_lines(vertices):
         yield text[done:]
 
 
-def _face_lines(ns: int, nv: int):
-    """Yield the quad faces of an (ns, nv) vertex grid as OBJ lines, in bytes blocks.
+def _face_tables():
+    """The lookup tables of ``_face_text``, built per mesh in a fraction of a millisecond.
 
-    A generator, so the face table is built only once the vertex lines are written.
+    * ``digits[g]``: the four digits of g < 10**4 as one uint32.
+    * ``lead[g]``: the leading zeros of g written with four digits, so that
+      ``lead[g] >> 2`` is 1 for g = 0 only.
+    * ``keep[z]``: which bytes of an index's 12-byte field (a separator
+      word, then eight digits) are written when the digits have z leading zeros.
     """
+    digits = np.zeros((10, 10, 10, 10, 4), dtype=np.uint8)
+    lead = np.zeros((10, 10, 10, 10), dtype=np.int64)
+    for place in range(4):
+        digits[..., place] = np.arange(ord("0"), ord("0") + 10).reshape((10,) + (1,) * (3 - place))
+        lead[(0,) * (place + 1)] += 1
+    keep = np.arange(12.0) >= np.arange(4.0, 12.0)[:, None]
+    keep[:, 0] = True
+    return digits.reshape(-1).view(np.uint32), lead.reshape(-1), keep
+
+
+def _face_text(faces, tables):
+    """The bytes of ``b"f %d %d %d %d\\n" % row`` for the rows of an (n, 4) block of indices in [1, 10**8).
+
+    Each index is written as eight digits, two words of ``digits``, after a
+    separator word: "f   " for the first, "    " for the others.  ``keep``
+    drops the separator's padding and the leading zeros, counted as
+    ``_vertex_text`` counts trailing ones, and one ``np.compress`` writes the text.
+    """
+    digits, lead, keep = tables
+    hi, lo = np.divmod(faces, 10**4)
+    n = len(faces)
+    text = np.empty((n, 13), dtype=np.uint32)  # (separator, high, low) per index, then the newline
+    text[:] = np.frombuffer(b"f   " + b"    " * 11 + b"\n   ", dtype=np.uint32)
+    np.take(digits, hi, out=text[:, 1:12:3], mode="clip")
+    np.take(digits, lo, out=text[:, 2:12:3], mode="clip")
+    zeros = lead[hi]
+    mask = np.zeros((n, 52), dtype=bool)
+    mask[:, :48] = np.take(keep, zeros + (zeros >> 2) * lead[lo], axis=0).reshape(n, 48)
+    mask[:, 1] = mask[:, 48] = True  # the space after "f", the newline
+    return np.compress(mask.reshape(-1), text.view(np.uint8).reshape(-1))
+
+
+def _face_lines(ns: int, nv: int):
+    """Yield the quad faces of an (ns, nv) vertex grid as OBJ lines, in bytes-like blocks.
+
+    A generator, so the face table is built only once the vertex lines are
+    written.  Indices are 1-based and below ``MAX_MESH_VERTICES`` = 10**7.
+    """
+    tables = _face_tables()
     base = (np.arange(ns - 1)[:, None] * nv + np.arange(1, nv)).reshape(-1)
-    yield from _format_rows(b"f %d %d %d %d\n", base[:, None] + np.array([0, nv, nv + 1, 1]))
+    corners = np.array([0, nv, nv + 1, 1])
+    for start in range(0, len(base), 4 * OBJ_CHUNK_ROWS):
+        yield _face_text(base[start:start + 4 * OBJ_CHUNK_ROWS, None] + corners, tables)
 
 
 def export_obj(grid: np.ndarray, path: str):
     """Write a quad-mesh Wavefront OBJ for a (ns, nv, 3) vertex grid.
 
     Vertex lines are ``v %.17g %.17g %.17g`` byte for byte: ``_vertex_text``
-    writes every row whose coordinates lie in 1e-4 <= |x| < 1e16, and rows
-    holding a zero, a smaller or a larger coordinate are formatted with
-    ``%``.  Face lines are ``f a b c d``, 1-based, one ``%`` per block.
+    writes every row whose coordinates are ±0 or lie in 1e-4 <= |x| < 1e16,
+    and rows holding a smaller or a larger coordinate are formatted with
+    ``%``.  Face lines are ``f %d %d %d %d`` byte for byte, 1-based, rendered
+    by ``_face_lines`` from a four-digit table.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 3 or grid.shape[2] != 3 or grid.shape[0] < 2 or grid.shape[1] < 2:
         raise ValueError("mesh grid must have shape (ns >= 2, nv >= 2, 3)")
     if not np.isfinite(grid).all():
         raise ValueError("mesh grid holds non-finite vertices")
+    if grid.shape[0] * grid.shape[1] > MAX_MESH_VERTICES:
+        raise ValueError(f"mesh grid has more than MAX_MESH_VERTICES = {MAX_MESH_VERTICES} vertices")
     parts = (_vertex_lines(grid.reshape(-1, 3)), _face_lines(*grid.shape[:2]))
     _atomic_write(path, (chunk for part in parts for chunk in part))
 
@@ -465,12 +511,80 @@ def _sanitize(value, warnings: list, context: str):
     return value
 
 
+def _scalar(value) -> str:
+    """The JSON text of a float, str, None, bool or int, as ``json.dumps`` writes it."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _write_json(value, out: list, indent: str, encode):
+    """Append to ``out`` the text of ``value`` that ``json.dumps(indent=2, allow_nan=False)`` writes.
+
+    ``indent`` is the indent of the value's own line.  Dicts and lists are
+    walked here; a list of numbers, bools and nulls is one call of
+    ``encode``, the C encoder, which has no indent: its ``", "`` separators
+    (no string, so none inside a value) become the indented line breaks.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        out.append(_scalar(value))
+        return
+    if not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = indent + "  "
+    sep = "\n" + inner
+    if isinstance(value, dict):
+        out.append("{")
+        for key, item in value.items():  # a non-str key is written as json writes it, quoted
+            head = sep + (encode_basestring_ascii(key) if isinstance(key, str) else f'"{_scalar(key)}"') + ": "
+            if isinstance(item, (dict, list, tuple)):
+                out.append(head)
+                _write_json(item, out, inner, encode)
+            else:
+                out.append(head + _scalar(item))
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+        return
+    if not isinstance(value[0], (str, dict, list, tuple)):
+        text = encode(value)
+        if '"' not in text and text.find("[", 1) < 0:  # no str, no dict but {}, no list
+            out.append("[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + indent + "]")
+            return
+    out.append("[")
+    for item in value:
+        if isinstance(item, (dict, list, tuple)):
+            out.append(sep)
+            _write_json(item, out, inner, encode)
+        else:
+            out.append(sep + _scalar(item))
+        sep = ",\n" + inner
+    out.append("\n" + indent + "]")
+
+
 def export_report(report: dict, path: str):
-    """Serialize a report deterministically (fixed key order, UTF-8, LF)."""
+    """Serialize a report deterministically (fixed key order, UTF-8, LF).
+
+    The bytes are ``json.dumps(body, indent=2, allow_nan=False)`` and a
+    newline, written by ``_write_json`` at the C encoder's speed on number lists.
+    """
     warnings = report.setdefault("warnings", [])
     body = {k: _sanitize(v, warnings, k) for k, v in report.items() if k != "warnings"}
     body["warnings"] = list(warnings)
-    _atomic_write(path, (json.dumps(body, indent=2, allow_nan=False).encode(), b"\n"))
+    out: list = []
+    _write_json(body, out, "", json.JSONEncoder(allow_nan=False).encode)
+    out.append("\n")
+    _atomic_write(path, ("".join(out).encode(),))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def check_stencil_samples(n: int):
+    """Raise ValueError unless ``n`` samples span the 4th-order stencils' five points."""
+    if n < 5:
+        raise ValueError("need at least 5 samples for the 4th-order stencil")
+
+
 def central_diff1(y: np.ndarray, h: float):
     """Fourth-order first derivative on a uniform grid.
 
@@ -20,8 +26,7 @@ def central_diff1(y: np.ndarray, h: float):
     """
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    if n < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
+    check_stencil_samples(n)
     sl = slice(2, n - 2)
     dy = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
     return dy, sl
@@ -31,8 +36,7 @@ def central_diff2(y: np.ndarray, h: float):
     """Fourth-order second derivative on a uniform grid; interior as above."""
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
-    if n < 5:
-        raise ValueError("need at least 5 samples for the 4th-order stencil")
+    check_stencil_samples(n)
     sl = slice(2, n - 2)
     d2 = (
         -y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2] + 16.0 * y[3:-1] - y[4:]

@@ -48,6 +48,7 @@ from .errors import (
     TrivialRulingError,
 )
 from .lorentz import lorentz_dot
+from .numerics import check_stencil_samples
 from .ruled import SampledInvariants, sampled_ruled_invariants, verdicts_agree
 from .synthesis import SampledSurface, _ruled_grid
 
@@ -269,7 +270,12 @@ def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> 
 
 
 def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
-    """Evaluate closed forms on the grid and cross-check with the oracle."""
+    """Evaluate closed forms on the grid and cross-check with the oracle.
+
+    ValueError first where the grid is too short for the oracle's stencil,
+    whatever else the ruling or the closed forms would report.
+    """
+    check_stencil_samples(len(surf.s))
     return _analyze(surf, spec, coefficients(surf, spec))
 
 

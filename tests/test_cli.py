@@ -1,6 +1,7 @@
 """CLI: config validation, commands, exit codes, report and mesh formats."""
 
 import dataclasses
+import enum
 import inspect
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import numpy as np
@@ -650,7 +652,10 @@ def obj_grid(ns, nv, seed):
     [((2, 2), None), ((2, 2), 1), ((101, 81), None), ((64, 64), 4096), ((65, 65), 4096)]
     # a (3, 4) grid has 12 vertex rows and 6 faces: these chunks fall just
     # below, at and just above the length of each table
-    + [((3, 4), chunk) for chunk in (5, 6, 7, 11, 12, 13)],
+    + [((3, 4), chunk) for chunk in (5, 6, 7, 11, 12, 13)]
+    # faces go in blocks of 4 * OBJ_CHUNK_ROWS rows, and a (5, 5) grid has 16
+    # faces: one block of four rows short, exactly one block, four rows over
+    + [((5, 5), chunk) for chunk in (3, 4, 5)],
 )
 def test_export_obj_matches_per_vertex_writer(tmp_path, monkeypatch, shape, chunk):
     # (64, 64) has 4096 vertex rows and (65, 65) 4096 faces
@@ -744,6 +749,39 @@ def test_vertex_kernel_writes_the_percent_format(inside, anywhere, negative):
     assert b"".join(cli._vertex_lines(row)) == b"v %.17g %.17g %.17g\n" % (x, anywhere, -anywhere)
 
 
+@pytest.mark.parametrize("zeros", [(0.0,), (-0.0,), (0.0, -0.0), (-0.0, -0.0, 0.0)])
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_vertex_kernel_writes_signed_zeros(zeros, start):
+    # "0" and "-0" are fixed strings: a row holding them stays off the % fallback
+    row = np.array([1.5, -2.25e-3, 7e15])
+    for k, zero in enumerate(zeros):
+        row[(start + k) % 3] = zero
+    text, fallback, _ = cli._vertex_text(row[None, :], cli._vertex_tables())
+    assert len(fallback) == 0
+    assert bytes(text) == b"v %.17g %.17g %.17g\n" % tuple(row.tolist())
+
+
+def digit_boundaries():
+    """Every index at a change of digit count from 1 to 10**7, and its neighbours."""
+    return sorted({1, 2} | {10**k + d for k in range(1, 8) for d in (-1, 0, 1)})
+
+
+def test_face_text_writes_the_percent_format_at_every_digit_boundary():
+    # indices 1 .. 10**7 + 1 (MAX_MESH_VERTICES = 10**7), each in every corner of a face
+    index = np.array(digit_boundaries())
+    faces = np.stack([np.roll(index, k) for k in (0, 5, 11, 17)], axis=1)
+    expected = b"".join(b"f %d %d %d %d\n" % tuple(row) for row in faces.tolist())
+    assert bytes(cli._face_text(faces, cli._face_tables())) == expected
+    assert bytes(cli._face_text(faces[:1], cli._face_tables())) == expected[: expected.index(b"\n") + 1]
+
+
+def test_export_obj_rejects_more_than_the_face_renderer_can_index(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_MESH_VERTICES", 11)
+    with pytest.raises(ValueError, match="MAX_MESH_VERTICES"):
+        cli.export_obj(obj_grid(3, 4, seed=0), str(tmp_path / "m.obj"))
+    assert not (tmp_path / "m.obj").exists()
+
+
 def with_non_finite(array, index, value):
     out = np.array(array, dtype=float)
     out.reshape(-1)[index] = value
@@ -800,6 +838,74 @@ def test_export_report_of_arrays_matches_lists(tmp_path):
     body["warnings"] = ref_warnings
     expected = json.dumps(body, indent=2, allow_nan=False) + "\n"
     assert (tmp_path / "r.json").read_bytes() == expected.encode("utf-8")
+
+
+class Tag(str, enum.Enum):
+    """A str-subclass enum, as a report's family and branch values are; two hold text the C encoder writes between values."""
+
+    PLAIN = "alpha"
+    SEPARATED = "a, b"
+    BRACKETED = '"[c]", {d}'
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), finite_floats, st.text(), st.sampled_from(list(Tag))
+)
+numbers = st.one_of(finite_floats, st.integers(), st.booleans(), st.none())
+json_values = st.recursive(
+    json_scalars
+    | st.lists(numbers, max_size=6)
+    | st.lists(st.lists(finite_floats, min_size=1, max_size=3), max_size=4)
+    | st.lists(numbers | st.sampled_from(list(Tag)), max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.one_of(st.text(), st.booleans(), st.none(), st.integers(), finite_floats), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def written_report(value):
+    """The bytes ``export_report`` writes for the report ``{"value": value}``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "r.json")
+        cli.export_report({"value": value}, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def dumped_report(value) -> bytes:
+    return (json.dumps({"value": value, "warnings": []}, indent=2, allow_nan=False) + "\n").encode()
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(json_values)
+def test_report_writer_matches_json_dumps(value):
+    # nested containers, empty ones, number lists holding bools and nulls, rows of
+    # numbers, non-ASCII text, enum values, and keys json turns into strings
+    assert written_report(value) == dumped_report(value)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(json_values, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 2))
+def test_report_writer_rejects_non_finite_keys_as_json_dumps_does(value, bad, depth):
+    # a non-finite value is replaced by null with a warning; a non-finite key is not
+    for _ in range(depth):
+        value = [1.0, {"k": value}]
+    value = {bad: value}
+    with pytest.raises(ValueError):
+        dumped_report(value)
+    with pytest.raises(ValueError):
+        written_report(value)
+
+
+def test_report_writer_keys_and_values_json_turns_into_text():
+    value = {True: [1.5, None, False, 2], 1.5: {}, None: [], 7: [0, Tag.SEPARATED], "é\u2028": [[0.1, -0.0], [1e16]]}
+    assert written_report(value) == dumped_report(value)
+    assert written_report(value).splitlines()[2] == b'    "true": ['
+    for bad in ({(1, 2): 0}, [1.0, object()], {"k": [object()]}):
+        with pytest.raises(TypeError):
+            written_report(bad)
 
 
 def test_export_obj_rejects_non_finite(tmp_path):

@@ -71,6 +71,22 @@ def test_striction_base_surface_error_gives_one_error_per_predicate():
         assert case.note == "need at least 7 frames"
 
 
+def test_too_few_frames_for_the_oracle_stencil_name_that_cause():
+    # the same 3-frame surface: RK4 at dt = 0.5 leaves the unprojected rows' norms
+    # off by more than the ruling's 1e-8 check, which ran first and named the wrong cause
+    cfg = SuiteConfig(k1_values=(1.0,), k2_values=(0.5,), theta_values=(0.5,), step=0.4)
+    analysed = [
+        c
+        for report in (run_coincidence_suite(cfg), run_developability_suite(cfg))
+        for c in report.cases
+        if c.check in ("coincidence.gamma", "developability.alpha", "developability.beta", "developability.gamma")
+    ]
+    assert len(analysed) == 4
+    for case in analysed:
+        assert case.verdict == "error"
+        assert case.note == "need at least 5 samples for the 4th-order stencil"
+
+
 def test_striction_stencil_tangent_not_timelike_is_an_error_not_a_pass():
     # at theta = 30 the stencil's <c', c'>, -1 in exact arithmetic, changes sign
     # along the curve; dividing by it read an inf residual as a line-of-curvature pass
