@@ -244,7 +244,7 @@ CASES = [
         "coarse_verify",
         "verify",
         COARSE_VERIFY,
-        {"coarse_verify.json": "7ec404a793a7c2e2ed857be6fcd2774511daa9bfbea68851f78fd3efa69590a7"},
+        {"coarse_verify.json": "6b7cadcba68e9134449cf84182aaab029222408bee18876b9088f8e19f15a5c2"},
     ),
 ]
 
