@@ -649,7 +649,7 @@ def obj_grid(ns, nv, seed):
 
 @pytest.mark.parametrize(
     "shape,chunk",
-    [((2, 2), None), ((2, 2), 1), ((101, 81), None), ((64, 64), 4096), ((65, 65), 4096)]
+    [((2, 2), None), ((2, 2), 1), ((101, 81), None), ((64, 64), 4096), ((65, 65), 1024)]
     # a (3, 4) grid has 12 vertex rows and 6 faces: these chunks fall just
     # below, at and just above the length of each table
     + [((3, 4), chunk) for chunk in (5, 6, 7, 11, 12, 13)]
@@ -658,7 +658,8 @@ def obj_grid(ns, nv, seed):
     + [((5, 5), chunk) for chunk in (3, 4, 5)],
 )
 def test_export_obj_matches_per_vertex_writer(tmp_path, monkeypatch, shape, chunk):
-    # (64, 64) has 4096 vertex rows and (65, 65) 4096 faces
+    # (64, 64) has 4096 vertex rows, one block at chunk 4096, and (65, 65)
+    # 4096 faces, one face block at chunk 1024
     if chunk is not None:
         monkeypatch.setattr(cli, "OBJ_CHUNK_ROWS", chunk)
     grid = obj_grid(*shape, seed=sum(shape) + (chunk or 0))
@@ -721,14 +722,14 @@ def test_export_obj_edge_values_match_per_vertex_writer(tmp_path, name):
 )
 @pytest.mark.parametrize("column", [0, 1, 2])
 def test_export_obj_fallback_rows_keep_their_place(tmp_path, monkeypatch, fallback_rows, column):
-    # a (3, 4) grid in blocks of 4 rows; the fallback rows hold a zero, a tiny or a huge coordinate
+    # a (3, 4) grid in blocks of 4 rows; the fallback rows hold a tiny or a huge coordinate
     monkeypatch.setattr(cli, "OBJ_CHUNK_ROWS", 4)
     grid = obj_grid(3, 4, seed=column)
-    grid[np.abs(grid) < 1e-4] = 0.5
-    grid[np.abs(grid) >= 1e16] = -2.0
+    grid[(np.abs(grid) < 1e-4) | (np.abs(grid) >= 1e16)] = -2.0
     rows = grid.reshape(-1, 3)
     for k, row in enumerate(fallback_rows):
-        rows[row, column] = (0.0, -0.0, 3e-5, -2e17, 5e-324)[k % 5]
+        rows[row, column] = (3e-5, -2e17, 5e-324, -1e16, 9.999999999999999e-05)[k % 5]
+    assert cli._vertex_text(rows, cli._vertex_tables())[1].tolist() == sorted(fallback_rows)
     cli.export_obj(grid, str(tmp_path / "m.obj"))
     assert (tmp_path / "m.obj").read_bytes() == reference_obj_text(grid).encode("utf-8")
 
