@@ -464,7 +464,7 @@ def _face_lines(ns: int, nv: int):
     """Yield the quad faces of an (ns, nv) vertex grid as OBJ lines, in bytes-like blocks.
 
     A generator, so the face table is built only once the vertex lines are
-    written.  Indices are 1-based and below ``MAX_MESH_VERTICES`` = 10**7.
+    written.  Indices are 1-based, at most ``MAX_MESH_VERTICES`` = 10**7.
     """
     tables = _face_tables()
     base = (np.arange(ns - 1)[:, None] * nv + np.arange(1, nv)).reshape(-1)
