@@ -270,10 +270,12 @@ def parse_config(path: str) -> Config:
 # ---------------------------------------------------------------------------
 
 
-# rows per block when streaming an OBJ: a block's text is built and written
-# before the next block is read, so a large mesh is never held as one string,
-# and a block's scratch arrays (about 1.2 kB per vertex row) stay small
-OBJ_CHUNK_ROWS = 256
+# vertex rows per block when streaming an OBJ (faces go twice as many per
+# block): a block's text is built and written before the next block is read,
+# so a large mesh is never held as one string, and a block's scratch arrays
+# (about 1.3 kB per vertex row, 0.5 kB per face) stay under the 1.2 MB that
+# the whole face table of a 3001 x 11 mesh took when faces were formatted by %
+OBJ_CHUNK_ROWS = 512
 
 _VERTEX_LINE = b"v %.17g %.17g %.17g\n"
 
@@ -469,8 +471,8 @@ def _face_lines(ns: int, nv: int):
     tables = _face_tables()
     base = (np.arange(ns - 1)[:, None] * nv + np.arange(1, nv)).reshape(-1)
     corners = np.array([0, nv, nv + 1, 1])
-    for start in range(0, len(base), 4 * OBJ_CHUNK_ROWS):
-        yield _face_text(base[start:start + 4 * OBJ_CHUNK_ROWS, None] + corners, tables)
+    for start in range(0, len(base), 2 * OBJ_CHUNK_ROWS):
+        yield _face_text(base[start:start + 2 * OBJ_CHUNK_ROWS, None] + corners, tables)
 
 
 def export_obj(grid: np.ndarray, path: str):
@@ -584,7 +586,9 @@ def export_report(report: dict, path: str):
     out: list = []
     _write_json(body, out, "", json.JSONEncoder(allow_nan=False).encode)
     out.append("\n")
-    _atomic_write(path, ("".join(out).encode(),))
+    text = "".join(out)
+    del out  # the pieces go before the bytes are made
+    _atomic_write(path, (text.encode(),))
 
 
 # ---------------------------------------------------------------------------

@@ -649,17 +649,18 @@ def obj_grid(ns, nv, seed):
 
 @pytest.mark.parametrize(
     "shape,chunk",
-    [((2, 2), None), ((2, 2), 1), ((101, 81), None), ((64, 64), 4096), ((65, 65), 1024)]
-    # a (3, 4) grid has 12 vertex rows and 6 faces: these chunks fall just
-    # below, at and just above the length of each table
+    [((2, 2), None), ((2, 2), 1), ((101, 81), None), ((64, 64), 4096), ((65, 65), 4096)]
+    # a (3, 4) grid has 12 vertex rows and 6 faces: chunks 11, 12 and 13 fall
+    # just below, at and just above the vertex table's length, 5 to 7 split it
     + [((3, 4), chunk) for chunk in (5, 6, 7, 11, 12, 13)]
-    # faces go in blocks of 4 * OBJ_CHUNK_ROWS rows, and a (5, 5) grid has 16
-    # faces: one block of four rows short, exactly one block, four rows over
-    + [((5, 5), chunk) for chunk in (3, 4, 5)],
+    # faces go in blocks of 2 * OBJ_CHUNK_ROWS rows, and a (5, 5) grid has 16
+    # faces: one block of two rows short, exactly one block, two rows over;
+    # the 4096 faces of (65, 65) fill one block at chunk 2048
+    + [((5, 5), chunk) for chunk in (7, 8, 9)]
+    + [((65, 65), 2048)],
 )
 def test_export_obj_matches_per_vertex_writer(tmp_path, monkeypatch, shape, chunk):
-    # (64, 64) has 4096 vertex rows, one block at chunk 4096, and (65, 65)
-    # 4096 faces, one face block at chunk 1024
+    # (64, 64) has 4096 vertex rows and (65, 65) 4096 faces
     if chunk is not None:
         monkeypatch.setattr(cli, "OBJ_CHUNK_ROWS", chunk)
     grid = obj_grid(*shape, seed=sum(shape) + (chunk or 0))
