@@ -273,8 +273,7 @@ def parse_config(path: str) -> Config:
 # vertex rows per block when streaming an OBJ (faces go twice as many per
 # block): a block's text is built and written before the next block is read,
 # so a large mesh is never held as one string, and a block's scratch arrays
-# (about 1.3 kB per vertex row, 0.5 kB per face) stay under the 1.2 MB that
-# the whole face table of a 3001 x 11 mesh took when faces were formatted by %
+# (about 1.3 kB per vertex row, 0.5 kB per face) stay under a megabyte
 OBJ_CHUNK_ROWS = 512
 
 _VERTEX_LINE = b"v %.17g %.17g %.17g\n"
