@@ -494,24 +494,6 @@ def export_obj(grid: np.ndarray, path: str):
     _atomic_write(path, (chunk for part in parts for chunk in part))
 
 
-def _sanitize(value, warnings: list, context: str):
-    """Replace non-finite numbers with null, recording a warning."""
-    if isinstance(value, dict):
-        return {k: _sanitize(v, warnings, f"{context}.{k}") for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v, warnings, context) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.isfinite(value).all():
-            return value.tolist()
-        return _sanitize(value.tolist(), warnings, context)
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        warnings.append(f"{context}: non-finite value replaced by null")
-        return None
-    return value
-
-
 def _scalar(value) -> str:
     """The JSON text of a float, str, None, bool or int, as ``json.dumps`` writes it."""
     if isinstance(value, float):
@@ -529,15 +511,31 @@ def _scalar(value) -> str:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _write_json(value, out: list, indent: str, encode):
-    """Append to ``out`` the text of ``value`` that ``json.dumps(indent=2, allow_nan=False)`` writes.
+def _write_json(value, out: list, indent: str, path, warnings: list, encode):
+    """Append to ``out`` the text ``json.dumps(indent=2, allow_nan=False)`` writes for ``value``.
 
-    ``indent`` is the indent of the value's own line.  Dicts and lists are
-    walked here; a list of numbers, bools and nulls is one call of
-    ``encode``, the C encoder, which has no indent: its ``", "`` separators
-    (no string, so none inside a value) become the indented line breaks.
+    Numpy arrays and scalars go as ``tolist()`` and ``item()``; a non-finite
+    float goes as null, with ``"<path>: non-finite value replaced by null"``
+    appended to ``warnings`` (``path``: the key path, None above the top keys,
+    shared by a list's items).  ``indent`` is the indent of the value's line.
+    A list of numbers, bools and nulls, or a finite non-empty 2-D array, is one
+    call of ``encode``, the C encoder, which has no indent: its ``", "`` and
+    ``"], ["`` separators (no string, so none inside a value) become the
+    indented line breaks.  A list ``encode`` rejects is walked item by item.
     """
+    if isinstance(value, np.ndarray):
+        if np.isfinite(value).all() and value.ndim == 2 and value.size:  # isfinite rejects non-numbers
+            inner, row = indent + "  ", indent + "    "
+            text = encode(value.tolist())[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{row}")
+            out.append(f"[\n{inner}[\n{row}" + text.replace(", ", ",\n" + row) + f"\n{inner}]\n{indent}]")
+            return
+        value = value.tolist()
+    elif isinstance(value, (np.floating, np.integer)):
+        value = value.item()
     if not isinstance(value, (dict, list, tuple)):
+        if isinstance(value, float) and not math.isfinite(value):
+            warnings.append(f"{path}: non-finite value replaced by null")
+            value = None
         out.append(_scalar(value))
         return
     if not value:
@@ -548,27 +546,23 @@ def _write_json(value, out: list, indent: str, encode):
     if isinstance(value, dict):
         out.append("{")
         for key, item in value.items():  # a non-str key is written as json writes it, quoted
-            head = sep + (encode_basestring_ascii(key) if isinstance(key, str) else f'"{_scalar(key)}"') + ": "
-            if isinstance(item, (dict, list, tuple)):
-                out.append(head)
-                _write_json(item, out, inner, encode)
-            else:
-                out.append(head + _scalar(item))
+            out.append(sep + (encode_basestring_ascii(key) if isinstance(key, str) else f'"{_scalar(key)}"') + ": ")
+            _write_json(item, out, inner, key if path is None else f"{path}.{key}", warnings, encode)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
         return
-    if not isinstance(value[0], (str, dict, list, tuple)):
-        text = encode(value)
+    if not isinstance(value[0], (str, dict, list, tuple, np.ndarray)):
+        try:
+            text = encode(value)
+        except (TypeError, ValueError):  # a non-finite float or a numpy scalar
+            text = '"'  # walked below
         if '"' not in text and text.find("[", 1) < 0:  # no str, no dict but {}, no list
             out.append("[\n" + inner + text[1:-1].replace(", ", ",\n" + inner) + "\n" + indent + "]")
             return
     out.append("[")
     for item in value:
-        if isinstance(item, (dict, list, tuple)):
-            out.append(sep)
-            _write_json(item, out, inner, encode)
-        else:
-            out.append(sep + _scalar(item))
+        out.append(sep)
+        _write_json(item, out, inner, path, warnings, encode)
         sep = ",\n" + inner
     out.append("\n" + indent + "]")
 
@@ -576,14 +570,15 @@ def _write_json(value, out: list, indent: str, encode):
 def export_report(report: dict, path: str):
     """Serialize a report deterministically (fixed key order, UTF-8, LF).
 
-    The bytes are ``json.dumps(body, indent=2, allow_nan=False)`` and a
-    newline, written by ``_write_json`` at the C encoder's speed on number lists.
+    The bytes are ``json.dumps(body, indent=2, allow_nan=False)`` and a newline,
+    ``body`` being the report with numpy values as lists and numbers, non-finite
+    floats nulled and ``warnings`` last: ``_write_json`` adds each null's
+    warning to ``report["warnings"]`` in its one walk, before it reaches that key.
     """
     warnings = report.setdefault("warnings", [])
-    body = {k: _sanitize(v, warnings, k) for k, v in report.items() if k != "warnings"}
-    body["warnings"] = list(warnings)
+    body = {k: v for k, v in report.items() if k != "warnings"} | {"warnings": warnings}
     out: list = []
-    _write_json(body, out, "", json.JSONEncoder(allow_nan=False).encode)
+    _write_json(body, out, "", None, warnings, json.JSONEncoder(allow_nan=False).encode)
     out.append("\n")
     text = "".join(out)
     del out  # the pieces go before the bytes are made

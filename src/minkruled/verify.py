@@ -417,7 +417,10 @@ def _tuned_developable(cfg, family, k1, k2, th):
         return None, "k1 = 0 leaves no tuning angle"
     if family is Family.ALPHA:
         # constant angle; theta solves the drall numerator
-        value = -math.sinh(angle0) ** 2 * k2 / k1
+        try:
+            value = -math.sinh(angle0) ** 2 * k2 / k1
+        except OverflowError:  # sinh(angle0) ** 2 past the float range
+            value = math.inf
         if abs(value) >= 1.0:
             return None, "tuning angle outside tanh range"
         return (math.atanh(value), TransversalSpec(family, ex.const(angle0), Branch.TIMELIKE)), ""

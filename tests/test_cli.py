@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from minkruled import cli, transversal
 from minkruled import expressions as ex
@@ -491,6 +492,18 @@ def test_verify_zero_k1_reports(tmp_path, schema, capsys):
     validate_report(tmp_path / "verify.json", schema)
 
 
+@pytest.mark.parametrize("angle", [355.0, 356.0])
+def test_verify_skips_a_tuning_angle_whose_sinh_squared_overflows(tmp_path, schema, angle):
+    # sinh(356) ** 2 is past the float range: the alpha tuning skips as at 355
+    suite = {"k1_values": [1.0], "k2_values": [0.5], "theta_values": [0.0], "angle_values": [angle]}
+    result = run_cli(tmp_path, "verify", dict(MINIMAL_INTRINSIC, suite=suite, output={"report_path": "v.json"}))
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    report = validate_report(tmp_path / "out" / "v.json", schema)
+    alpha = [case for suite in report["suites"] for case in suite["cases"] if case["check"] == "developability.alpha"]
+    assert [case["note"].split("; ")[0] for case in alpha] == ["forward skipped: tuning angle outside tanh range"]
+
+
 @pytest.mark.parametrize("samples", [2, 3, 6])
 def test_analyze_too_few_samples_skips_predicates(tmp_path, schema, samples):
     payload = {
@@ -810,14 +823,19 @@ SANITIZE_CASES = {
 }
 
 
+def reference_report(value, name="value"):
+    """The bytes and warnings of the report ``{name: value}`` as the list-walking reference and json write it."""
+    warnings = []
+    body = {name: reference_sanitize(value, warnings, name), "warnings": warnings}
+    return (json.dumps(body, indent=2, allow_nan=False) + "\n").encode(), warnings
+
+
 @pytest.mark.parametrize("name", sorted(SANITIZE_CASES))
-def test_sanitize_matches_list_walk(name):
-    value = SANITIZE_CASES[name]
-    got_warnings, ref_warnings = [], []
-    got = cli._sanitize(value, got_warnings, name)
-    ref = reference_sanitize(value, ref_warnings, name)
-    assert json.dumps(got, indent=2, allow_nan=False) == json.dumps(ref, indent=2, allow_nan=False)
-    assert got_warnings == ref_warnings
+def test_sanitize_matches_list_walk(name, tmp_path):
+    # export_report nulls each non-finite value with the reference's warning, in its order
+    report = {name: SANITIZE_CASES[name]}
+    cli.export_report(report, str(tmp_path / "r.json"))
+    assert ((tmp_path / "r.json").read_bytes(), report["warnings"]) == reference_report(SANITIZE_CASES[name], name)
 
 
 def test_export_report_of_arrays_matches_lists(tmp_path):
@@ -899,6 +917,29 @@ def test_report_writer_rejects_non_finite_keys_as_json_dumps_does(value, bad, de
         dumped_report(value)
     with pytest.raises(ValueError):
         written_report(value)
+
+
+array_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5)
+any_floats = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+numpy_values = st.recursive(
+    hnp.arrays(float, array_shapes, elements=finite_floats)
+    | hnp.arrays(float, array_shapes, elements=any_floats)
+    | hnp.arrays(bool, array_shapes)
+    | hnp.arrays(np.int64, array_shapes)
+    | any_floats.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(numpy_values)
+def test_report_writer_matches_json_dumps_on_numpy_values(value):
+    # arrays of floats with NaN and inf, bools and ints, empty and (n, 0) arrays and
+    # numpy scalars, nested in dicts and lists: the reference's bytes, warnings included
+    assert written_report(value) == reference_report(value)[0]
 
 
 def test_report_writer_keys_and_values_json_turns_into_text():
