@@ -547,7 +547,7 @@ def _write_json(value, out: list, indent: str, path, warnings: list, encode):
         out.append("{")
         for key, item in value.items():  # a non-str key is written as json writes it, quoted
             out.append(sep + (encode_basestring_ascii(key) if isinstance(key, str) else f'"{_scalar(key)}"') + ": ")
-            _write_json(item, out, inner, key if path is None else f"{path}.{key}", warnings, encode)
+            _write_json(item, out, inner, f"{key}" if path is None else f"{path}.{key}", warnings, encode)
             sep = ",\n" + inner
         out.append("\n" + indent + "}")
         return
