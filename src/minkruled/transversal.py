@@ -127,8 +127,9 @@ def _ruling(surf: SampledSurface, spec: TransversalSpec, angle: np.ndarray):
     """``(mu, eta, q_t)`` of the angle evaluated on ``surf.s``.
 
     TrivialRulingError where mu or eta vanishes; ValueError where
-    <q_T, q_T> misses the branch's norm ``_ell(spec)`` or is not finite
-    (an angle too large for cosh), with numpy's warnings silenced.
+    <q_T, q_T> misses the branch's norm ``_ell(spec)`` by more than 1e-8
+    of mu^2 + eta^2 (the scale of its rounding error, 1 for beta) or is not
+    finite (an angle too large for cosh), with numpy's warnings silenced.
     """
     if spec.family is Family.BETA:
         first, second = surf.h, surf.a
@@ -138,10 +139,11 @@ def _ruling(surf: SampledSurface, spec: TransversalSpec, angle: np.ndarray):
         mu, eta = _mu_eta(spec, angle)
         q_t = mu[:, None] * first + eta[:, None] * second
         norm = lorentz_dot(q_t, q_t)
+        matches = np.isfinite(norm) & (np.abs(norm - _ell(spec)) <= 1e-8 * (mu**2 + eta**2))
     if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
         what = "beta angle hits a multiple of pi/2" if spec.family is Family.BETA else "mu or eta vanishes"
         raise TrivialRulingError(f"{what} on the range")
-    if not np.all(np.abs(norm - _ell(spec)) <= 1e-8):
+    if not np.all(matches):
         raise ValueError("ruling norm does not match its causal branch label")
     return mu, eta, q_t
 

@@ -158,15 +158,29 @@ class SuiteReport:
         }
 
 
-def _surface(cfg: SuiteConfig, surfaces: dict, k1, k2, theta, s_range=None) -> SampledSurface:
-    """The surface kept in ``surfaces`` under the raw (k1, k2, theta, s_range),
-    synthesized on first request; its "frames" entry shares frames across theta."""
-    s_range = s_range or cfg.s_range
-    key = (k1, k2, theta, tuple(s_range))
+def _once(surfaces: dict, key, make):
+    """``surfaces[key]``, kept from ``make()`` on first request; a ``make``
+    that raises keeps nothing, so each request meets the error anew."""
     if key not in surfaces:
-        data = from_constants(k1, k2, theta, s_range=s_range, step=cfg.step)
-        surfaces[key] = synthesize_surface(data, surfaces.setdefault("frames", {}))
+        surfaces[key] = make()
     return surfaces[key]
+
+
+def _key(cfg: SuiteConfig, k1, k2, theta, s_range=None) -> tuple:
+    """The raw (k1, k2, theta, s_range) a surface and its reports are kept under."""
+    return (k1, k2, theta, tuple(s_range or cfg.s_range))
+
+
+def _surface(cfg: SuiteConfig, surfaces: dict, k1, k2, theta, s_range=None) -> SampledSurface:
+    """The surface kept in ``surfaces`` under its ``_key``, synthesized on
+    first request; its "frames" entry shares frames across theta."""
+    key = _key(cfg, k1, k2, theta, s_range)
+
+    def make():
+        data = from_constants(k1, k2, theta, s_range=key[3], step=cfg.step)
+        return synthesize_surface(data, surfaces.setdefault("frames", {}))
+
+    return _once(surfaces, key, make)
 
 
 def _capped_range(cfg: SuiteConfig, angle0: float, slope: float, lo: float, hi: float):
@@ -232,17 +246,21 @@ _PREDICATES = ("asymptotic", "geodesic", "line_of_curvature")
 
 
 def _predicates(cfg, surfaces, k1, k2, theta):
-    return striction_predicates(_surface(cfg, surfaces, k1, k2, theta).frames(), cfg.tolerance)
+    """The surface's PredicateReport, computed once per block: the three rows
+    of a grid triple share it, and the theta rows of a (k1, k2) block share
+    the tuned and violated asymptotic and curvature instances."""
+
+    def make():
+        return striction_predicates(_surface(cfg, surfaces, k1, k2, theta).frames(), cfg.tolerance)
+
+    return _once(surfaces, ("predicates", _key(cfg, k1, k2, theta)), make)
 
 
 def _striction_case(cfg, surfaces, name, k1, k2, th, residuals, notes):
     """The grid surface's two characterizations of ``name`` must agree; then
     a tuned instance must have the property and a violated one must not."""
     tol = cfg.tolerance
-    key = ("predicates", k1, k2, th)  # the triple's three rows share one report
-    if key not in surfaces:
-        surfaces[key] = _predicates(cfg, surfaces, k1, k2, th)
-    result = getattr(surfaces[key], name)
+    result = getattr(_predicates(cfg, surfaces, k1, k2, th), name)
     residuals["grid_geometric"] = result.geometric_residual
     residuals["grid_curvature"] = result.curvature_residual
     if not result.satisfiable:
@@ -440,6 +458,19 @@ def _tuned_developable(cfg, family, k1, k2, th):
     return (th, TransversalSpec(family, ex.const(th), Branch.TIMELIKE)), ""
 
 
+def _developability(cfg, surfaces, k1, k2, theta, spec: TransversalSpec):
+    """The developability report of ``spec`` on the surface, computed once per
+    block: the tuned theta does not depend on the row's theta, so the theta
+    rows of an alpha or beta (k1, k2) block share their two instances.  Only
+    the report is kept, never the analysis behind it."""
+    key = ("developability", _key(cfg, k1, k2, theta), spec.family, spec.branch, ex.structure(spec.angle))
+
+    def make():
+        return developability_condition(analyze(_surface(cfg, surfaces, k1, k2, theta), spec), cfg.tolerance)
+
+    return _once(surfaces, key, make)
+
+
 def _developability_case(cfg, surfaces, family, k1, k2, th, residuals, notes):
     """Tuned and theta-shifted instances, then the theta = 0 corollaries."""
     tol = cfg.tolerance
@@ -449,8 +480,7 @@ def _developability_case(cfg, surfaces, family, k1, k2, th, residuals, notes):
         notes.append(f"forward skipped: {reason}")
     else:
         theta_t, spec = tuned
-        surf = _surface(cfg, surfaces, k1, k2, theta_t)
-        cond = developability_condition(analyze(surf, spec), tol)
+        cond = _developability(cfg, surfaces, k1, k2, theta_t, spec)
         residuals["forward_numerator"] = cond.residuals["numerator"]
         residuals["forward_oracle"] = cond.residuals["oracle_drall"]
         residuals["forward_stated"] = cond.residuals["stated_condition"]
@@ -458,8 +488,7 @@ def _developability_case(cfg, surfaces, family, k1, k2, th, residuals, notes):
         if cond.notes:
             notes.append(_DISCREPANCY)
         # backward: shift theta off the tuned value
-        surf_b = _surface(cfg, surfaces, k1, k2, theta_t + ANGLE_MARGIN)
-        cond_b = developability_condition(analyze(surf_b, spec), tol)
+        cond_b = _developability(cfg, surfaces, k1, k2, theta_t + ANGLE_MARGIN, spec)
         residuals["backward_numerator"] = cond_b.residuals["numerator"]
         residuals["backward_oracle"] = cond_b.residuals["oracle_drall"]
         ok = ok and residuals["backward_numerator"] >= 10.0 * tol
