@@ -18,7 +18,13 @@ configuration produce identical reports.
 Every surface a suite builds has the constant k1 and k2 of one grid pair,
 so ``run_all`` runs the suites one (k1, k2) block at a time and drops the
 block's surfaces when it ends: each distinct surface is synthesized once
-per run, and only one block's surfaces are held at a time.
+per run, and only one block's surfaces are held at a time.  The block's
+dict also keeps each distinct striction-predicate report and each distinct
+developability report, never the analyses behind them: the tuned theta of
+an asymptotic, line-of-curvature, alpha or beta row does not depend on the
+row's theta, so the theta rows of a block share those instances.  On the
+default suite, 144 surfaces take 50 frame integrations, 65 predicate
+reports (96 requests), 66 developability reports (126) and 210 analyses.
 """
 
 from __future__ import annotations

@@ -348,7 +348,7 @@ def test_default_suite_computes_each_report_once(monkeypatch):
     # the theta rows of a (k1, k2) block share the tuned and violated
     # instances whose theta does not depend on the row's: 65 distinct
     # predicate reports (96 requests) and 66 developability reports (126);
-    # the 144 coincidence and corollary analyses are not kept
+    # the 144 coincidence analyses are not kept
     names = ("striction_predicates", "developability_condition", "analyze")
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -396,7 +396,7 @@ def test_developability_reports_are_kept_per_branch_and_angle():
 
 def test_default_suite_traced_peak_stays_under_3_mb():
     # a block keeps its surfaces and small reports, never a TransversalAnalysis:
-    # 2.48 MB traced at the peak, where keeping the analyses reads 5.31 MB
+    # 2.48 MB traced at the peak, where keeping the analyses reads over 5 MB
     run_all(SuiteConfig())  # lazy imports and tables are not counted
     tracemalloc.start()
     try:
