@@ -187,7 +187,7 @@ _SUITE = {
     "k1_values": (lambda v, c: _items(v, c, _number), False),
     "k2_values": (lambda v, c: _items(v, c, _number), False),
     "theta_values": (lambda v, c: _items(v, c, _number), False),
-    "angle_values": (lambda v, c: _items(v, c, _number), False),
+    "angle": (_number, False),
     "families": (lambda v, c: _items(v, c, _member), False),
     "tolerance": (_number, False),
     "step": (_number, False),
@@ -594,9 +594,9 @@ def _envelope(command: str, cfg: Config) -> dict:
     return {"version": __version__, "command": command, "config": cfg.raw}
 
 
-def _explicit_grid(cfg: Config, u: np.ndarray) -> np.ndarray:
-    """Vertex grid f(u_i) + v_j q(u_i) of the explicit surface on the samples ``u``."""
-    f, q = cfg.surface._d.fields(u, "f", "q")
+def _explicit_grid(cfg: Config) -> np.ndarray:
+    """Vertex grid f(u_i) + v_j q(u_i) of the explicit surface, u evenly spaced."""
+    f, q = cfg.surface._d.fields(sample_grid(cfg.surface, cfg.samples), "f", "q")
     return _ruled_grid(f, q, cfg.v_range, cfg.v_samples)
 
 
@@ -614,14 +614,12 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, np.ndarray | None]:
         "cylindrical": cls.cylindrical,
         "max_abs_drall": cls.max_abs_drall,
     }
-    u = sample_grid(surface, cfg.samples)
-    drall = distribution_parameter(surface, u, cfg.tolerances)
-    v0 = striction(surface, u, cfg.tolerances)[0]
+    # every row at one arc-length node
     track = sample_frames(surface, cfg.samples, cfg.tolerances)
     report["samples"] = {
-        "u": u,
-        "drall": drall,
-        "strictional_distance": v0,
+        "u": track.u,
+        "drall": distribution_parameter(surface, track.u, cfg.tolerances),
+        "strictional_distance": striction(surface, track.u, cfg.tolerances)[0],
         "arc_length": track.s,
         "k1": track.k1,
         "k2": track.k2,
@@ -645,7 +643,7 @@ def _cmd_analyze(cfg: Config) -> tuple[dict, np.ndarray | None]:
                 for r in predicates.results()
             }
     report["warnings"] = warnings
-    return report, None if cfg.mesh_path is None else _explicit_grid(cfg, u)
+    return report, None if cfg.mesh_path is None else _explicit_grid(cfg)
 
 
 def _cmd_synthesize(cfg: Config) -> tuple[dict, np.ndarray | None]:
@@ -741,7 +739,7 @@ def _cmd_verify(cfg: Config) -> tuple[dict, None]:
 def _cmd_mesh(cfg: Config) -> tuple[None, np.ndarray]:
     """No report, only the mesh; a transversal ruling comes from its angle alone."""
     if cfg.mode == "explicit":
-        return None, _explicit_grid(cfg, sample_grid(cfg.surface, cfg.samples))
+        return None, _explicit_grid(cfg)
     surf = synthesize_surface(cfg.data)
     if cfg.transversal_spec is None:
         return None, to_explicit_grid(surf, cfg.v_range, cfg.v_samples)

@@ -18,7 +18,8 @@ class SampledSurface:
     (``q``, ``h``, ``a``), the curvatures ``k1`` and ``k2`` and the hyperbolic
     angle ``theta`` between striction tangent and ruling.  ``theta`` is NaN
     where the striction tangent is not timelike.  ``c2`` and ``hprime``
-    optionally carry d2c/ds2 and dh/ds computed symbolically by the producer.
+    optionally carry d2c/ds2 and dh/ds computed symbolically by the producer,
+    and ``u`` the surface parameter of each row where the producer has one.
 
     ``track[i]`` is the single-point view: the same class holding row i.
     """
@@ -34,6 +35,7 @@ class SampledSurface:
     epsilon: int
     c2: np.ndarray | None = None
     hprime: np.ndarray | None = None
+    u: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.s.shape[0]
@@ -44,7 +46,7 @@ class SampledSurface:
 
         return SampledSurface(
             self.s[i], self.c[i], self.q[i], self.h[i], self.a[i], self.k1[i], self.k2[i],
-            self.theta[i], self.epsilon, row(self.c2), row(self.hprime),
+            self.theta[i], self.epsilon, row(self.c2), row(self.hprime), row(self.u),
         )
 
     @property

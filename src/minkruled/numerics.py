@@ -1,10 +1,10 @@
-"""Small numerical kernels in numpy: stencils, quadrature, monotone interpolation.
+"""Small numerical kernels in numpy: stencils, quadrature, arc-length nodes.
 
 The quadrature works on arrays: integrands take an array of points and
 return an array of values, and ``adaptive_simpson`` integrates a whole
 array of intervals with one integrand call per recursion level.
-``pchip_interpolate`` is the Fritsch-Carlson monotone cubic that inverts
-the arc length in ``uniform_arclength_nodes``.
+``uniform_arclength_nodes`` inverts the arc length with that quadrature,
+a linear start and Newton steps.
 """
 
 from __future__ import annotations
@@ -101,64 +101,16 @@ def adaptive_simpson(fn, a, b, tol: float = 1e-10, max_depth: int = 40):
     return float(out) if out.ndim == 0 else out
 
 
-def pchip_interpolate(x, y, s):
-    """Monotone piecewise cubic Hermite interpolant of (x, y), evaluated at s.
-
-    Fritsch & Carlson (SIAM J. Numer. Anal. 17(2), 1980), computed operation
-    for operation as SciPy's ``PchipInterpolator`` does, so the values have
-    the same bits: interior node slopes are the weighted harmonic mean of the
-    two secants (weights ``2h[k] + h[k-1]`` and ``h[k] + 2h[k-1]``), or 0
-    where the secants change sign or vanish; end slopes are the one-sided
-    three-point estimate, clamped to keep the data's shape; two nodes give the
-    line.  Each interval ``[x[i], x[i+1])`` holds ``y[i] + d0 z + c1 z**2 +
-    c0 z**3`` with ``z = s - x[i]``; points outside ``x`` extrapolate from
-    the end intervals.  ``x`` must be strictly increasing; non-finite data
-    raise ``ValueError``.
-    """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise ValueError("interpolation data must be finite")
-    h = x[1:] - x[:-1]
-    m = (y[1:] - y[:-1]) / h
-
-    def edge(h0, h1, m0, m1):
-        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(d) != np.sign(m0):
-            return 0.0
-        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-            return 3.0 * m0
-        return d
-
-    if x.size == 2:
-        d = np.array([m[0], m[0]])
-    else:
-        sm = np.sign(m)
-        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        d = np.zeros_like(y)
-        d[1:-1][~flat] = 1.0 / whmean[~flat]
-        d[0], d[-1] = edge(h[0], h[1], m[0], m[1]), edge(h[-1], h[-2], m[-1], m[-2])
-    if not np.isfinite(d).all():
-        raise ValueError("interpolation slopes must be finite")
-    t = (d[:-1] + d[1:] - 2 * m) / h
-    c0, c1 = t / h, (m - d[:-1]) / h - t
-    i = np.clip(np.searchsorted(x, s, "right") - 1, 0, x.size - 2)
-    z = np.asarray(s, dtype=float) - x[i]
-    z2 = z * z
-    # the power-sum order of SciPy's PPoly evaluation
-    return 0.0 + y[:-1][i] + d[:-1][i] * z + c1[i] * z2 + c0[i] * (z2 * z)
-
-
 def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: float = 1e-10):
     """Place ``n`` parameter values equally spaced in arc length.
 
     ``speed_fn`` maps an array of u to ds/du > 0.  Integrates every dense
-    segment in one batched adaptive Simpson call, inverts with the monotone
-    cubic ``pchip_interpolate``, and polishes all interior nodes at once
-    with two Newton steps (ds/du is exact).  Returns ``(u_nodes, s_nodes)`` with
-    ``s_nodes`` uniform from 0 to the total arc length.
+    segment in one batched adaptive Simpson call, starts each node from the
+    piecewise-linear inverse of that table (``np.interp``), and polishes all
+    interior nodes at once with two Newton steps (ds/du is exact).  Returns
+    ``(u_nodes, s_nodes)`` with ``s_nodes`` uniform from 0 to the total arc
+    length.  ValueError where the arc length is not finite or not strictly
+    increasing.
     """
     if n < 2:
         raise ValueError("need at least two nodes")
@@ -168,10 +120,13 @@ def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: fl
     seg[0] = 0.0
     seg[1:] = adaptive_simpson(speed_fn, u_dense[:-1], u_dense[1:], quad_tol)
     s_dense = np.cumsum(seg)
+    # the segments are finite, so only their running sum can overflow
+    if not np.isfinite(s_dense[-1]):
+        raise ValueError("arc length is not finite on the range")
     if np.any(np.diff(s_dense) <= 0.0):
         raise ValueError("arc length is not strictly increasing on the range")
     s_nodes = np.linspace(0.0, s_dense[-1], n)
-    u_nodes = pchip_interpolate(s_dense, u_dense, s_nodes)
+    u_nodes = np.interp(s_nodes, s_dense, u_dense)
     u_nodes[0], u_nodes[-1] = u0, u1
     # Newton on the interior nodes; s(u) from the nearest dense node keeps
     # each correction local

@@ -370,6 +370,7 @@ def _frames_at(surface: ExplicitSurface, u, s_labels, tol: Tolerances) -> Sample
         epsilon=epsilon,
         c2=tdot / speed[..., None],
         hprime=hdot / speed[..., None],
+        u=u,
     )
 
 
@@ -397,8 +398,8 @@ def frame_consistency(surface: ExplicitSurface, u: float, tol: Tolerances = DEFA
 def sample_frames(
     surface: ExplicitSurface, n: int, tol: Tolerances = DEFAULT_TOLERANCES
 ) -> SampledSurface:
-    """Frames at n points equally spaced in striction arc length; WorkLimitError
-    past MAX_SAMPLES."""
+    """Frames at n points equally spaced in striction arc length, with the u of
+    each point in ``u``; WorkLimitError past MAX_SAMPLES."""
     _check_samples(n)
     u_nodes, s_nodes = uniform_arclength_nodes(
         lambda x: next(surface._d.fields(x, "speed")), surface.u_range[0], surface.u_range[1], n

@@ -139,12 +139,15 @@ def _ruling(surf: SampledSurface, spec: TransversalSpec, angle: np.ndarray):
         mu, eta = _mu_eta(spec, angle)
         q_t = mu[:, None] * first + eta[:, None] * second
         norm = lorentz_dot(q_t, q_t)
-        matches = np.isfinite(norm) & (np.abs(norm - _ell(spec)) <= 1e-8 * (mu**2 + eta**2))
+        matches = np.abs(norm - _ell(spec)) <= 1e-8 * (mu**2 + eta**2)
     if np.any(np.abs(mu) <= TRIVIAL_EPS) or np.any(np.abs(eta) <= TRIVIAL_EPS):
         what = "beta angle hits a multiple of pi/2" if spec.family is Family.BETA else "mu or eta vanishes"
         raise TrivialRulingError(f"{what} on the range")
+    mismatch = "ruling norm does not match its causal branch label"
+    if not np.all(np.isfinite(norm)):
+        raise ValueError(f"{mismatch}: norm is not finite (angle too large for cosh)")
     if not np.all(matches):
-        raise ValueError("ruling norm does not match its causal branch label")
+        raise ValueError(mismatch)
     return mu, eta, q_t
 
 

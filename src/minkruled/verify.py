@@ -59,25 +59,28 @@ class SuiteConfig:
     """Grids and tolerances for the verification suites.
 
     ValueError unless every value grid is a non-empty tuple of finite
-    numbers, ``families`` holds at least one ``Family`` and none twice,
-    ``tolerance`` lies in (0, inf) and ``step`` and ``s_range`` pass
-    ``IntrinsicData``'s rules: step in (0, inf), range finite and
+    numbers, ``angle`` (the constant transversal angle of the cases that
+    do not tune one) is finite, ``families`` holds at least one ``Family`` and
+    none twice, ``tolerance`` lies in (0, inf) and ``step`` and ``s_range``
+    pass ``IntrinsicData``'s rules: step in (0, inf), range finite and
     increasing.
     """
 
     k1_values: tuple = (0.5, 1.0, 2.0)
     k2_values: tuple = (0.0, 0.5, 1.0)
     theta_values: tuple = (0.0, 0.5, 1.0)
-    angle_values: tuple = (0.5, 1.0)
+    angle: float = 0.5
     families: tuple = (Family.ALPHA, Family.BETA, Family.GAMMA)
     tolerance: float = 1e-6
     s_range: tuple = (0.0, 1.0)
     step: float = 1e-3
 
     def __post_init__(self):
-        grids = (self.k1_values, self.k2_values, self.theta_values, self.angle_values)
+        grids = (self.k1_values, self.k2_values, self.theta_values)
         if not all(grid and all(map(math.isfinite, grid)) for grid in grids):
             raise ValueError("value grids must be non-empty and finite")
+        if not math.isfinite(self.angle):
+            raise ValueError("angle must be finite")
         families = self.families
         if not (families and all(isinstance(f, Family) for f in families) and len(set(families)) == len(families)):
             raise ValueError("families must name at least one family, each once")
@@ -104,7 +107,7 @@ class SuiteConfig:
             "k1_values": list(self.k1_values),
             "k2_values": list(self.k2_values),
             "theta_values": list(self.theta_values),
-            "angle_values": list(self.angle_values),
+            "angle": self.angle,
             "families": [f.value for f in self.families],
             "tolerance": self.tolerance,
             "s_range": list(self.s_range),
@@ -333,7 +336,7 @@ def _coincidence_instance(cfg, family, k1, k2, th, surfaces, margin=0.0):
     elif family is Family.BETA:
         angle0, rng = _BETA_ANGLE0, _capped_range(cfg, _BETA_ANGLE0, slope, *_BETA_BOUNDS)
     else:  # every constant angle coincides; a violated one starts off theta
-        angle0, rng = (th + 0.2 if margin else cfg.angle_values[0]), cfg.s_range
+        angle0, rng = (th + 0.2 if margin else cfg.angle), cfg.s_range
     branch = None if family is Family.BETA else Branch.TIMELIKE
     spec = TransversalSpec(family, linear_angle(angle0, slope), branch)
     return (_surface(cfg, surfaces, k1, k2, th, s_range=rng), spec), ""
@@ -436,7 +439,7 @@ _DISCREPANCY = "stated-condition discrepancy (documented)"
 
 def _tuned_developable(cfg, family, k1, k2, th):
     """(theta, spec) making the transversal drall vanish, or None + reason."""
-    angle0 = cfg.angle_values[0]
+    angle0 = cfg.angle
     if family in (Family.ALPHA, Family.BETA) and k1 == 0.0:
         return None, "k1 = 0 leaves no tuning angle"
     if family is Family.ALPHA:
@@ -542,7 +545,7 @@ def _corollary_case(cfg, family, k1, k2, residuals, notes, surfaces) -> bool:
             ok = holds(key, surf, TransversalSpec(family, linear_angle(_BETA_ANGLE0, slope))) and ok
         return ok
     surf = _surface(cfg, surfaces, k1, k2, 0.0)
-    constant = TransversalSpec(family, ex.const(cfg.angle_values[0]), Branch.TIMELIKE)
+    constant = TransversalSpec(family, ex.const(cfg.angle), Branch.TIMELIKE)
     if family is Family.ALPHA:
         return holds("corollary_forward" if k2 == 0.0 else "corollary_backward", surf, constant)
     ok = True

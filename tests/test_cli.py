@@ -23,6 +23,7 @@ from minkruled import expressions as ex
 from minkruled.cli import main, parse_config
 from minkruled.errors import ConfigError, NonTimelikeStrictionError
 from minkruled.lorentz import Tolerances
+from minkruled.ruled import arc_length, distribution_parameter, striction
 from minkruled.verify import SuiteConfig
 
 HERE = os.path.dirname(__file__)
@@ -104,6 +105,10 @@ BAD_VALUE_CONFIGS = [
     pytest.param(dict(MINIMAL_INTRINSIC, suite={"families": []}), id="suite-families-empty"),
     pytest.param(dict(MINIMAL_INTRINSIC, suite={"families": ["alpha", "alpha"]}), id="suite-families-repeated"),
     pytest.param(dict(MINIMAL_INTRINSIC, suite={"tolerance": "big"}), id="suite-tolerance-not-number"),
+    # the suite has one constant angle; a list of them was read only at index 0
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"angle_values": [0.5]}), id="suite-angle-values-unknown"),
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"angle": [0.5]}), id="suite-angle-list"),
+    pytest.param(dict(MINIMAL_INTRINSIC, suite={"angle": math.inf}), id="suite-angle-infinite"),
     pytest.param(
         dict(MINIMAL_INTRINSIC, initial_frame=[[1, 0, 0], [0, "x", 0], [0, 0, -1]]),
         id="initial-frame-not-number",
@@ -302,6 +307,31 @@ def test_analyze_evaluates_each_field_node_once_per_grid(tmp_path, monkeypatch):
     assert 0 < sum(nodes) <= 900
 
 
+# the benchmark's T1 base: its striction speed is not constant, so nodes
+# equally spaced in striction arc length are not equally spaced in u
+T1_ANALYZE = {
+    "mode": "explicit",
+    "f": ["0.94*s", "0", "0.78*s"],
+    "q": ["cosh(0.76*s)", "sinh(0.76*s)", "0"],
+    "u_range": [0.0, 1.0],
+    "samples": 101,
+    "output": {"report_path": "report.json"},
+}
+
+
+def test_analyze_rows_sit_at_one_arc_length_node(tmp_path, schema):
+    config = write_config(tmp_path, "t1.json", T1_ANALYZE)
+    assert main(["analyze", "--config", config, "--output-dir", str(tmp_path)]) == 0
+    samples = validate_report(tmp_path / "report.json", schema)["samples"]
+    surface = parse_config(config).surface
+    u = samples["u"]
+    gaps = [abs(arc_length(surface, x) - s) for x, s in zip(u, samples["arc_length"])]
+    assert max(gaps) <= 1e-9
+    assert samples["drall"] == [distribution_parameter(surface, x) for x in u]
+    assert samples["strictional_distance"] == [striction(surface, x)[0] for x in u]
+    assert np.ptp(np.diff(u)) > 1e-3  # the nodes are not evenly spaced in u
+
+
 def test_analyze_skips_predicates_where_the_stencil_tangent_is_not_timelike(tmp_path, schema, monkeypatch):
     def not_timelike(track, tol):
         raise NonTimelikeStrictionError("stencil striction tangent is not timelike on the interior")
@@ -495,7 +525,7 @@ def test_verify_zero_k1_reports(tmp_path, schema, capsys):
 @pytest.mark.parametrize("angle", [355.0, 356.0])
 def test_verify_skips_a_tuning_angle_whose_sinh_squared_overflows(tmp_path, schema, angle):
     # sinh(356) ** 2 is past the float range: the alpha tuning skips as at 355
-    suite = {"k1_values": [1.0], "k2_values": [0.5], "theta_values": [0.0], "angle_values": [angle]}
+    suite = {"k1_values": [1.0], "k2_values": [0.5], "theta_values": [0.0], "angle": angle}
     result = run_cli(tmp_path, "verify", dict(MINIMAL_INTRINSIC, suite=suite, output={"report_path": "v.json"}))
     assert result.returncode == 0
     assert "Traceback" not in result.stderr

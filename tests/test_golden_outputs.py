@@ -133,6 +133,17 @@ COARSE_VERIFY = {
     "output": {"report_path": "coarse_verify.json"},
 }
 
+# the benchmark's T1 base, whose striction speed is not constant: each samples
+# row sits at one arc-length node, and the mesh stays evenly spaced in u
+T1_ANALYZE = {
+    "mode": "explicit",
+    "f": ["0.94*s", "0", "0.78*s"],
+    "q": ["cosh(0.76*s)", "sinh(0.76*s)", "0"],
+    "u_range": [0.0, 1.0],
+    "samples": 101,
+    "output": {"report_path": "t1_report.json", "mesh_path": "t1.obj", "v_range": [-1.0, 1.0], "v_samples": 11},
+}
+
 # (case id, command, config, {output file: sha256})
 CASES = [
     (
@@ -245,6 +256,15 @@ CASES = [
         "verify",
         COARSE_VERIFY,
         {"coarse_verify.json": "6b7cadcba68e9134449cf84182aaab029222408bee18876b9088f8e19f15a5c2"},
+    ),
+    (
+        "t1_analyze_with_mesh",
+        "analyze",
+        T1_ANALYZE,
+        {
+            "t1.obj": "86afb8d5cccf72725a09fb2e38a9c7f862bd8bd6c1bcb6c148849a8d8d8f3254",
+            "t1_report.json": "0906dc694fcb004ee0164a88ffc8456e5fb9ddc41110f3b73f264085165081ff",
+        },
     ),
 ]
 

@@ -15,7 +15,6 @@ from minkruled.numerics import (
     adaptive_simpson,
     central_diff1,
     central_diff2,
-    pchip_interpolate,
     uniform_arclength_nodes,
 )
 
@@ -155,85 +154,6 @@ def test_uniform_arclength_nodes_batches_speed_calls():
     assert 0 < len(calls) <= 100
     u, s = uniform_arclength_nodes(speed, 0.0, 2.0, 2)  # no interior node to polish
     assert u.tolist() == [0.0, 2.0] and s[0] == 0.0
-
-
-@pytest.fixture(scope="module")
-def scipy_pchip():
-    return pytest.importorskip("scipy.interpolate").PchipInterpolator
-
-
-def assert_pchip_matches_scipy(scipy_pchip, x, y, s):
-    """Exact equality, sign of zero included, with SciPy's PchipInterpolator."""
-    ours = pchip_interpolate(x, y, s)
-    theirs = scipy_pchip(x, y)(s)
-    assert ours.tolist() == theirs.tolist()
-    assert np.signbit(ours).tolist() == np.signbit(theirs).tolist()
-
-
-def with_ends_and_knots(x, inner):
-    # outside both ends, on both ends and on every knot
-    return np.concatenate([[x[0] - 0.5, x[0], x[-1], x[-1] + 0.5], x, inner])
-
-
-def test_pchip_bit_exact_on_random_data(scipy_pchip):
-    rng = np.random.default_rng(20260)
-    for trial in range(300):
-        n = int(rng.integers(2, 400))
-        x = np.cumsum(rng.uniform(1e-3, 2.0, n)) + rng.normal()
-        if trial % 3 == 0:
-            y = np.cumsum(rng.uniform(0.0, 1.0, n))  # monotone
-        elif trial % 3 == 1:
-            y = rng.normal(size=n)  # sign changes everywhere
-        else:
-            y = np.round(rng.normal(size=n), 1)  # repeated values: flat secants
-        s = with_ends_and_knots(x, rng.uniform(x[0], x[-1], 50))
-        assert_pchip_matches_scipy(scipy_pchip, x, y, s)
-
-
-@pytest.mark.parametrize(
-    "x, y",
-    [
-        ([0.0, 1.0], [2.0, -1.0]),  # two nodes: the line
-        ([0.0, 1.0], [-0.0, -0.0]),
-        ([0.0, 0.1, 3.0], [0.0, 5.0, -1.0]),  # edge slope clamped to 0
-        ([0.0, 2.0, 2.5], [0.0, 1.0, 0.0]),  # edge slope clamped to 3 m0
-        ([0.0, 1.0, 3.0], [1.0, 2.0, 4.0]),
-        ([-1.0, 0.0, 1.0], [-0.0, 0.0, -0.0]),
-    ],
-)
-def test_pchip_bit_exact_on_two_and_three_nodes(scipy_pchip, x, y):
-    x = np.array(x)
-    s = with_ends_and_knots(x, np.linspace(x[0], x[-1], 37))
-    assert_pchip_matches_scipy(scipy_pchip, x, y, s)
-
-
-@pytest.mark.parametrize("name", sorted(SPEED_SURFACES))
-def test_pchip_bit_exact_on_arclength_grids(scipy_pchip, name):
-    from minkruled.ruled import ExplicitSurface
-
-    f, q, (u0, u1) = SPEED_SURFACES[name]
-    speed = ExplicitSurface.from_strings(f, q, (u0, u1))._d.speed
-    # the dense grid uniform_arclength_nodes inverts
-    u_dense = np.linspace(u0, u1, 801)
-    seg = adaptive_simpson(lambda x: ex.evaluate(speed, x), u_dense[:-1], u_dense[1:])
-    s_dense = np.concatenate([[0.0], np.cumsum(seg)])
-    s_nodes = np.linspace(0.0, s_dense[-1], 101)
-    s = with_ends_and_knots(s_dense, s_nodes)
-    assert_pchip_matches_scipy(scipy_pchip, s_dense, u_dense, s)
-
-
-@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-def test_pchip_rejects_non_finite_data(bad):
-    x, y = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 3.0])
-    for data in ((np.array([0.0, bad, 2.0]), y), (x, np.array([0.0, bad, 3.0]))):
-        with pytest.raises(ValueError):
-            pchip_interpolate(*data, [0.5])
-
-
-def test_pchip_rejects_overflowing_slopes():
-    # finite data whose secant overflows: SciPy rejects the slopes too
-    with pytest.raises(ValueError, match="slopes"), np.errstate(over="ignore"):
-        pchip_interpolate([0.0, 1e-300, 1.0], [0.0, 1e10, 2e10], [0.5])
 
 
 def test_uniform_arclength_nodes_overflowing_arc_length_raises():

@@ -90,6 +90,14 @@ def test_ruling_samples_trivial():
         ruling_samples(surf, spec_for("beta", "0"))
 
 
+@pytest.mark.parametrize("family, branch", [("alpha", "timelike"), ("gamma", "spacelike")])
+def test_ruling_whose_norm_overflows_names_the_angle(family, branch):
+    # cosh(800) is past the float range, so <q_T, q_T> is not finite
+    surf = surf_const(1.0, 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"norm is not finite \(angle too large for cosh\)"):
+        ruling_samples(surf, spec_for(family, "800", branch))
+
+
 def test_ruling_plane_containment_and_norm():
     surf = surf_const(1.2, 0.4, 0.6)
     cases = [

@@ -211,8 +211,9 @@ OWNER_FIELDS = {
     "SuiteConfig.tolerance": lambda x: SuiteConfig(tolerance=x),
     **{
         f"SuiteConfig.{grid}": lambda x, grid=grid: SuiteConfig(**{grid: (0.5, x)})
-        for grid in ("k1_values", "k2_values", "theta_values", "angle_values")
+        for grid in ("k1_values", "k2_values", "theta_values")
     },
+    "SuiteConfig.angle": lambda x: SuiteConfig(angle=x),
     **{
         f"Tolerances.{name}": lambda x, name=name: Tolerances(**{name: x})
         for name in ("causal_eps", "general_eps")
@@ -411,8 +412,22 @@ def test_large_constant_angles_pass_the_ruling_norm_check():
     # |<q_T, q_T> + 1| grows with the frame's rounding times cosh^2(angle):
     # 3.2e-8 at angle 8 on this suite's surface, past an absolute 1e-8 but
     # inside 1e-8 (mu^2 + eta^2)
-    cfg = SuiteConfig(k1_values=(1.0,), k2_values=(0.5,), theta_values=(0.0,), angle_values=(8.0,))
+    cfg = SuiteConfig(k1_values=(1.0,), k2_values=(0.5,), theta_values=(0.0,), angle=8.0)
     combined = run_all(cfg)
     notes = [case["note"] for suite in combined["suites"] for case in suite["cases"]]
     assert not any("ruling norm does not match" in note for note in notes)
     assert combined["summary"]["error"] == 0
+
+
+def test_overflowing_constant_angle_names_the_overflow():
+    # at theta = 0 the alpha corollary rules with the constant angle 355,
+    # whose cosh^2 is near 1e308, so <q_T, q_T> is not finite
+    cfg = SuiteConfig(k1_values=(1.0,), k2_values=(0.5,), theta_values=(0.0,), angle=355.0)
+    suites = run_all(cfg)["suites"]
+    assert all(suite["config"]["angle"] == 355.0 for suite in suites)
+    cases = [case for suite in suites for case in suite["cases"]]
+    [alpha] = [case for case in cases if case["check"] == "developability.alpha"]
+    assert alpha["verdict"] == "error"
+    assert alpha["note"].endswith(
+        "ruling norm does not match its causal branch label: norm is not finite (angle too large for cosh)"
+    )
