@@ -201,14 +201,14 @@ CASES = [
         "small_verify",
         "verify",
         SMALL_VERIFY,
-        {"verify.json": "4b472b15ad29961a52f663284a082dec7d65b20fbc98eaeba8f6c9ddb8a1f982"},
+        {"verify.json": "e8c2df237b91a55dc53a9b148d1a61c2319c56d1c1c3abbfbb4a45e29325329f"},
     ),
     (
         # the default suites: every family on the full 27-triple grid
         "verify_default",
         "verify",
         demo("verify_default"),
-        {"verify_report.json": "4dbeb6226f294caecf1a067c50de0d4a68e9bf9c8a7e89b8ffff811c23a8e334"},
+        {"verify_report.json": "6bbf225757eb5c6d7c3f863269383e97d23b5d2e42cf8d94f1c58bed74e38e48"},
     ),
     (
         "alpha_spacelike_transversal",
@@ -249,13 +249,13 @@ CASES = [
         "mixed_verify",
         "verify",
         MIXED_VERIFY,
-        {"mixed_verify.json": "f36970edab5328676677aff8247e75b8a4f22a2fd2afe76418fef18a37630e16"},
+        {"mixed_verify.json": "f4c1883b7a208e6727d69c8203803fc037aea5c694c58482f50de745a893e252"},
     ),
     (
         "coarse_verify",
         "verify",
         COARSE_VERIFY,
-        {"coarse_verify.json": "6b7cadcba68e9134449cf84182aaab029222408bee18876b9088f8e19f15a5c2"},
+        {"coarse_verify.json": "48fd5087da27e431760b47a82a64b1929060da1e9f559090e411919aa43ac443"},
     ),
     (
         "t1_analyze_with_mesh",
