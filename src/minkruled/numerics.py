@@ -121,10 +121,8 @@ def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: fl
     seg[1:] = adaptive_simpson(speed_fn, u_dense[:-1], u_dense[1:], quad_tol)
     s_dense = np.cumsum(seg)
     # the segments are finite, so only their running sum can overflow
-    if not np.isfinite(s_dense[-1]):
-        raise ValueError("arc length is not finite on the range")
-    if np.any(np.diff(s_dense) <= 0.0):
-        raise ValueError("arc length is not strictly increasing on the range")
+    if not (np.isfinite(s_dense[-1]) and np.all(np.diff(s_dense) > 0.0)):
+        raise ValueError("arc length is not finite and strictly increasing on the range")
     s_nodes = np.linspace(0.0, s_dense[-1], n)
     u_nodes = np.interp(s_nodes, s_dense, u_dense)
     u_nodes[0], u_nodes[-1] = u0, u1

@@ -32,6 +32,7 @@ from . import expressions as ex
 from .errors import (
     CylindricalRulingError,
     DegenerateNormalError,
+    EvalDomainError,
     NonTimelikeStrictionError,
     NullDerivativeError,
     WorkLimitError,
@@ -401,9 +402,15 @@ def sample_frames(
     """Frames at n points equally spaced in striction arc length, with the u of
     each point in ``u``; WorkLimitError past MAX_SAMPLES."""
     _check_samples(n)
-    u_nodes, s_nodes = uniform_arclength_nodes(
-        lambda x: next(surface._d.fields(x, "speed")), surface.u_range[0], surface.u_range[1], n
-    )
+
+    def speed(u):
+        try:
+            return next(surface._d.fields(u, "speed"))
+        except EvalDomainError:  # the speed divides by <q', q'>: name a q' degeneracy as such
+            _ruling_derivative_checked(next(surface._d.fields(u, "qdot")), u, tol)
+            raise
+
+    u_nodes, s_nodes = uniform_arclength_nodes(speed, surface.u_range[0], surface.u_range[1], n)
     return _frames_at(surface, u_nodes, s_nodes, tol)
 
 

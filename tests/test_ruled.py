@@ -116,6 +116,19 @@ def test_array_drall_raises_at_first_degenerate_sample():
             striction(null, u)
 
 
+def test_sample_frames_names_a_degenerate_ruling_derivative():
+    # the striction speed divides by <q', q'>, so the arc-length quadrature meets
+    # the degeneracy first; it is named as distribution_parameter names it
+    pinched = ExplicitSurface.from_strings(
+        ("0", "0", "s"), ("cosh((s-0.3)^2)", "sinh((s-0.3)^2)", "0"), (0.0, 1.0)
+    )
+    with pytest.raises(CylindricalRulingError, match="u = 0.3"):
+        sample_frames(pinched, 21)
+    null = ExplicitSurface.from_strings(("0", "0", "s"), ("s", "s", "1"), (0.0, 1.0))
+    with pytest.raises(NullDerivativeError, match="u = 0.0"):
+        sample_frames(null, 21)
+
+
 def test_small_spacelike_ruling_derivative_is_not_null():
     # q' = 1e-6 (sinh, cosh, 0) is spacelike at unit scale though <q', q'> = 1e-12;
     # the frame, the conoid test and the drall apply the same unit-scale rule
