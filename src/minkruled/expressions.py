@@ -442,8 +442,16 @@ def _finish(out, arr):
     if not np.isfinite(out).all():
         raise EvalDomainError("expression evaluated to a non-finite value")
     if out.shape != arr.shape:
-        return np.broadcast_to(out, arr.shape).copy()
+        return np.full(arr.shape, out)
     return arr.copy() if out is arr else out  # the bare variable: never the caller's array
+
+
+def _point(s) -> np.ndarray:
+    """``s`` as a float array; EvalDomainError unless every value is finite."""
+    arr = np.asarray(s, dtype=float)
+    if not np.isfinite(arr).all():
+        raise EvalDomainError("evaluation point must be finite")
+    return arr
 
 
 def run(program, s):
@@ -451,15 +459,16 @@ def run(program, s):
     array of ``s``'s shape.  A root's steps run when it is asked for, and EvalDomainError is
     raised at the first domain violation or non-finite root, as evaluating the roots one by
     one would raise it."""
-    arr = np.asarray(s, dtype=float)
-    if not np.isfinite(arr).all():
-        raise EvalDomainError("evaluation point must be finite")
-    return _run(program, _apply, _finish, arr)
+    return _run(program, _apply, _finish, _point(s))
 
 
 def evaluate(e: Expr, s):
-    """A one-root ``run`` at a scalar or array argument, a float for a scalar; never NaN/inf."""
-    out = next(run(compile([e]), s))
+    """A one-root ``run`` at a scalar or array argument, a float for a scalar; never NaN/inf.
+    A constant root takes the same two checks, in the same order, without a program."""
+    if isinstance(e, Num):
+        out = _finish(e.value, _point(s))
+    else:
+        out = next(run(compile([e]), s))
     return float(out) if out.ndim == 0 else out
 
 

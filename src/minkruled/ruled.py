@@ -23,7 +23,7 @@ used to cross-check every closed form in the rest of the library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -196,6 +196,13 @@ def surface_point(surface: ExplicitSurface, u: float, v: float) -> Vec3:
     return f + v * q
 
 
+def _square_sum(v: np.ndarray) -> np.ndarray:
+    """``np.sum(v * v, axis=-1)`` of (..., 3) rows, added column by column in the same
+    order, so with the same bits: numpy reduces a length-3 axis about 4x slower."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return x * x + y * y + z * z
+
+
 def _unit_square(v: np.ndarray):
     """Euclidean norm of each row of ``v`` and <v, v> at unit Euclidean scale (NaN at 0)."""
     scale = np.linalg.norm(v, axis=-1)
@@ -303,11 +310,21 @@ def striction(surface: ExplicitSurface, u, tol: Tolerances = DEFAULT_TOLERANCES)
     return v0, point
 
 
-def arc_length(surface: ExplicitSurface, u: float, tol_quad: float = 1e-10) -> float:
+def _speed(surface: ExplicitSurface, u: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Striction speed |c'| at 1-d ``u``.  The speed divides by <q', q'>, so where q'
+    vanishes or is null the error names that degeneracy, not the division."""
+    try:
+        return next(surface._d.fields(u, "speed"))
+    except EvalDomainError:
+        _ruling_derivative_checked(next(surface._d.fields(u, "qdot")), u, tol)
+        raise
+
+
+def arc_length(
+    surface: ExplicitSurface, u: float, tol_quad: float = 1e-10, tol: Tolerances = DEFAULT_TOLERANCES
+) -> float:
     """Striction-curve arc length from the start of the range to u."""
-    return adaptive_simpson(
-        lambda x: next(surface._d.fields(x, "speed")), surface.u_range[0], u, tol_quad
-    )
+    return adaptive_simpson(lambda x: _speed(surface, x, tol), surface.u_range[0], u, tol_quad)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +401,7 @@ def frenet_frame_at(
     hyperbolic angle of the frame decomposition does not exist); all other
     fields are still filled.
     """
-    s = arc_length(surface, u)
+    s = arc_length(surface, u, tol=tol)
     return _frames_at(surface, [u], [s], tol)[0]
 
 
@@ -402,15 +419,9 @@ def sample_frames(
     """Frames at n points equally spaced in striction arc length, with the u of
     each point in ``u``; WorkLimitError past MAX_SAMPLES."""
     _check_samples(n)
-
-    def speed(u):
-        try:
-            return next(surface._d.fields(u, "speed"))
-        except EvalDomainError:  # the speed divides by <q', q'>: name a q' degeneracy as such
-            _ruling_derivative_checked(next(surface._d.fields(u, "qdot")), u, tol)
-            raise
-
-    u_nodes, s_nodes = uniform_arclength_nodes(speed, surface.u_range[0], surface.u_range[1], n)
+    u_nodes, s_nodes = uniform_arclength_nodes(
+        lambda u: _speed(surface, u, tol), surface.u_range[0], surface.u_range[1], n
+    )
     return _frames_at(surface, u_nodes, s_nodes, tol)
 
 
@@ -548,9 +559,9 @@ def striction_predicates(frames: SampledSurface, tol: float = 1e-6) -> Predicate
 
     geo_asym = float(np.max(np.abs(lorentz_dot(h_i, c2))))
     proj = lorentz_dot(c2, h_i)[..., None] * h_i
-    geo_geod = float(np.max(np.linalg.norm(c2 - proj, axis=-1)))
+    geo_geod = float(np.max(np.sqrt(_square_sum(c2 - proj))))
     coeff = lorentz_dot(hprime, cprime) / cc
-    geo_locus = float(np.max(np.linalg.norm(hprime - coeff[..., None] * cprime, axis=-1)))
+    geo_locus = float(np.max(np.sqrt(_square_sum(hprime - coeff[..., None] * cprime))))
 
     def curvature_side(num, den):
         if np.min(np.abs(den)) <= 1e-300 or np.max(np.abs(num / den)) >= 1.0:
@@ -597,12 +608,30 @@ class SampledInvariants:
     Values live on the interior slice ``sl`` of the input grid.  Samples
     where the ruling derivative degenerates (cylindrical or null) are
     masked out in ``valid`` and carry NaN; consumers must check the mask.
+    ``valid`` and ``sl`` are computed at construction; ``v0`` and ``drall``
+    are computed on first read from the differenced curves kept here, so a
+    reader of one half (verify's coincidence cases read only ``v0``, its
+    developability and corollary cases only ``drall``) never pays for the
+    other.
     """
 
-    v0: np.ndarray
-    drall: np.ndarray
     valid: np.ndarray
     sl: slice
+    _fdot: np.ndarray = field(repr=False)
+    _q: np.ndarray = field(repr=False)
+    _qdot: np.ndarray = field(repr=False)
+    _qdqd: np.ndarray = field(repr=False)
+
+    @cached_property
+    def v0(self) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return np.where(self.valid, -lorentz_dot(self._qdot, self._fdot) / self._qdqd, np.nan)
+
+    @cached_property
+    def drall(self) -> np.ndarray:
+        det = np.einsum("ij,ij->i", self._fdot, np.cross(self._q, self._qdot))
+        with np.errstate(all="ignore"):
+            return np.where(self.valid, det / self._qdqd, np.nan)
 
 
 def sampled_ruled_invariants(base: np.ndarray, ruling: np.ndarray, step: float) -> SampledInvariants:
@@ -615,15 +644,11 @@ def sampled_ruled_invariants(base: np.ndarray, ruling: np.ndarray, step: float) 
     qdot, _ = central_diff1(ruling, step)
     q = np.asarray(ruling, dtype=float)[sl]
     qdqd = lorentz_dot(qdot, qdot)
-    euclid = np.sum(qdot * qdot, axis=-1)
+    euclid = _square_sum(qdot)
     valid = (np.sqrt(euclid) > CYLINDRICAL_EPS) & (
         np.abs(qdqd) > 1e-10 * np.maximum(1.0, euclid)
     )
-    det = np.einsum("ij,ij->i", fdot, np.cross(q, qdot))
-    with np.errstate(all="ignore"):
-        v0 = np.where(valid, -lorentz_dot(qdot, fdot) / qdqd, np.nan)
-        drall = np.where(valid, det / qdqd, np.nan)
-    return SampledInvariants(v0=v0, drall=drall, valid=valid, sl=sl)
+    return SampledInvariants(valid, sl, fdot, q, qdot, qdqd)
 
 
 def recover_frame_data(s: np.ndarray, striction_curve: np.ndarray, ruling: np.ndarray) -> SampledSurface:

@@ -14,7 +14,7 @@ gamma) or angle away from multiples of pi/2 (beta).
 
 For each family the strictional distance and drall of the transversal
 surface have closed forms in (k1, k2, theta, angle, angle').  ``analyze``
-evaluates them on the whole sample grid:
+gives them on the whole sample grid, each computed on first read:
 
   * ``v_closed``, ``d_closed``  derived here from v0 = -<c', q_T'>/<q_T', q_T'>
                                 and d = det(c', q_T, q_T')/<q_T', q_T'> using
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -238,6 +239,13 @@ class TransversalAnalysis:
     strictional distance matches the oracle only after a sign change.
     ``coefficients`` holds the pointwise data the closed forms were built
     from and ``factors`` their ``_closed_factors``.
+
+    ``analyze`` builds the fields up to ``oracle`` and raises every error.
+    ``v_closed``, ``d_closed``, ``v_printed``, ``d_via_base``, ``rel_v``,
+    ``rel_d``, ``suspect`` and ``printed_sign_flip`` are computed on first
+    read, as are the oracle's ``v0`` and ``drall``: verify reads only
+    ``v_closed`` and ``v0`` (coincidence) or ``d_closed`` and ``drall``
+    (developability, corollaries); the transversal report reads every field.
     """
 
     spec: TransversalSpec
@@ -246,19 +254,53 @@ class TransversalAnalysis:
     s: np.ndarray
     q_t: np.ndarray
     ell: int
-    v_closed: np.ndarray
-    v_printed: np.ndarray
-    d_closed: np.ndarray
-    d_via_base: np.ndarray
     oracle: SampledInvariants
-    rel_v: float
-    rel_d: float
-    suspect: bool
-    printed_sign_flip: bool
 
     @property
     def sl(self) -> slice:
         return self.oracle.sl
+
+    @cached_property
+    def v_closed(self) -> np.ndarray:
+        pre, lead, lag, _, den, _ = self.factors
+        with np.errstate(all="ignore"):
+            return pre * (lead - lag) / den
+
+    @cached_property
+    def d_closed(self) -> np.ndarray:
+        numerator, den = self.factors[3:5]
+        with np.errstate(all="ignore"):
+            return numerator / den
+
+    @cached_property
+    def v_printed(self) -> np.ndarray:
+        """v_closed for alpha; the printed beta and gamma forms subtract the same two terms the other way."""
+        if self.spec.family is Family.ALPHA:
+            return self.v_closed
+        pre, lead, lag, _, den, _ = self.factors
+        with np.errstate(all="ignore"):
+            return pre * (lag - lead) / den
+
+    @cached_property
+    def d_via_base(self) -> np.ndarray:
+        return _via_base_values(self.spec, self.coefficients, self.factors[4])
+
+    @cached_property
+    def rel_v(self) -> float:
+        return _relative_gap(self.v_closed[self.sl], self.oracle.v0, self.oracle.valid)
+
+    @cached_property
+    def rel_d(self) -> float:
+        return _relative_gap(self.d_closed[self.sl], self.oracle.drall, self.oracle.valid)
+
+    @cached_property
+    def suspect(self) -> bool:
+        return bool(max(self.rel_v, self.rel_d) > 1e-4)
+
+    @cached_property
+    def printed_sign_flip(self) -> bool:
+        rel_v_printed = _relative_gap(self.v_printed[self.sl], self.oracle.v0, self.oracle.valid)
+        return bool(rel_v_printed > 1e-4 and self.rel_v <= 1e-4)
 
 
 def _oracle_abs(values: np.ndarray, valid: np.ndarray, reduce=np.max, empty=math.nan) -> float:
@@ -275,7 +317,8 @@ def _relative_gap(closed: np.ndarray, oracle: np.ndarray, valid: np.ndarray) -> 
 
 
 def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
-    """Evaluate closed forms on the grid and cross-check with the oracle.
+    """Check the closed forms' denominator and build the oracle; the closed
+    forms and their agreement with the oracle are computed on first read.
 
     ValueError first where the grid is too short for the oracle's stencil,
     whatever else the ruling or the closed forms would report.
@@ -286,37 +329,12 @@ def analyze(surf: SampledSurface, spec: TransversalSpec) -> TransversalAnalysis:
 
 def _analyze(surf: SampledSurface, spec: TransversalSpec, co: Coefficients) -> TransversalAnalysis:
     """``analyze`` from the ``coefficients(surf, spec)`` the caller already holds."""
-    pre, lead, lag, numerator, den, scale = factors = _closed_factors(spec, co)
+    factors = _closed_factors(spec, co)
+    den, scale = factors[4:]
     if np.any(np.abs(den) <= DENOM_EPS * np.maximum(1.0, scale)):
         raise DegenerateDenominatorError("closed-form denominator vanishes on the range")
-    with np.errstate(all="ignore"):
-        v, d = pre * (lead - lag) / den, numerator / den
-        # the printed beta and gamma forms subtract the same two terms the other way
-        v_printed = v if spec.family is Family.ALPHA else pre * (lag - lead) / den
     oracle = sampled_ruled_invariants(surf.c, co.q_t, surf.step)
-    sl = oracle.sl
-    rel_v = _relative_gap(v[sl], oracle.v0, oracle.valid)
-    rel_d = _relative_gap(d[sl], oracle.drall, oracle.valid)
-    rel_v_printed = _relative_gap(v_printed[sl], oracle.v0, oracle.valid)
-    suspect = bool(max(rel_v, rel_d) > 1e-4)
-    printed_sign_flip = bool(rel_v_printed > 1e-4 and rel_v <= 1e-4)
-    return TransversalAnalysis(
-        spec=spec,
-        coefficients=co,
-        factors=factors,
-        s=surf.s,
-        q_t=co.q_t,
-        ell=co.ell,
-        v_closed=v,
-        v_printed=v_printed,
-        d_closed=d,
-        d_via_base=_via_base_values(spec, co, den),
-        oracle=oracle,
-        rel_v=rel_v,
-        rel_d=rel_d,
-        suspect=suspect,
-        printed_sign_flip=printed_sign_flip,
-    )
+    return TransversalAnalysis(spec, co, factors, surf.s, co.q_t, co.ell, oracle)
 
 
 def to_explicit(surf: SampledSurface, q_t: np.ndarray, v_range: tuple[float, float], nv: int) -> np.ndarray:

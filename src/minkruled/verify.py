@@ -25,6 +25,9 @@ an asymptotic, line-of-curvature, alpha or beta row does not depend on the
 row's theta, so the theta rows of a block share those instances.  On the
 default suite, 144 surfaces take 50 frame integrations, 65 predicate
 reports (96 requests), 66 developability reports (126) and 210 analyses.
+An analysis computes its fields on first read, and the suites read only
+``v_closed`` and the oracle's ``v0`` (coincidence) or ``d_closed`` and
+``drall`` (developability, corollaries).
 """
 
 from __future__ import annotations

@@ -304,3 +304,41 @@ def test_program_raises_the_first_error_of_root_by_root_evaluation(text):
         with pytest.raises(EvalDomainError) as got:
             list(run(compile(roots), grid))
         assert str(got.value) == str(expected.value)
+
+
+def compiled(e, s):
+    """``evaluate`` through a one-root program, as every root was evaluated before
+    constants skipped the program."""
+    out = next(run(compile([e]), s))
+    return float(out) if out.ndim == 0 else out
+
+
+POINTS = [0.3, 2, np.float64(-1.5), np.array(0.3), np.linspace(-1.0, 1.0, 5), np.ones((2, 3)),
+          np.empty(0)]
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, 2.5, -1e300])
+@pytest.mark.parametrize("s", POINTS, ids=["float", "int", "np-float", "0-d", "1-d", "2-d", "empty"])
+def test_constant_root_matches_the_compiled_path(value, s):
+    got, want = evaluate(Num(value), s), compiled(Num(value), s)
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got.base is None  # a fresh array the caller owns
+
+
+@pytest.mark.parametrize(
+    "value,s,message",
+    [
+        (math.inf, math.nan, "evaluation point must be finite"),
+        (1.0, np.array([0.0, math.inf]), "evaluation point must be finite"),
+        (math.nan, 0.5, "expression evaluated to a non-finite value"),
+        (-math.inf, np.zeros(3), "expression evaluated to a non-finite value"),
+    ],
+)
+def test_constant_root_raises_in_the_compiled_order(value, s, message):
+    for path in (evaluate, compiled):
+        with pytest.raises(EvalDomainError, match=f"^{message}$"):
+            path(Num(value), s)

@@ -24,6 +24,7 @@ from minkruled.ruled import (
     MAX_SAMPLES,
     ExplicitSurface,
     SurfaceClassification,
+    arc_length,
     asymptotic_normal,
     classify,
     distribution_parameter,
@@ -127,6 +128,21 @@ def test_sample_frames_names_a_degenerate_ruling_derivative():
     null = ExplicitSurface.from_strings(("0", "0", "s"), ("s", "s", "1"), (0.0, 1.0))
     with pytest.raises(NullDerivativeError, match="u = 0.0"):
         sample_frames(null, 21)
+
+
+def test_arc_length_and_frenet_frame_name_a_degenerate_ruling_derivative():
+    # both integrate the striction speed, which divides by <q', q'>: the quadrature
+    # meets q' = 0 at u = 0.3 (and the null q' at u = 0) before any q' check would
+    pinched = ExplicitSurface.from_strings(
+        ("0", "0", "s"), ("cosh((s-0.3)^2)", "sinh((s-0.3)^2)", "0"), (0.0, 1.0)
+    )
+    for call in (lambda: frenet_frame_at(pinched, 0.3), lambda: arc_length(pinched, 0.6)):
+        with pytest.raises(CylindricalRulingError, match=r"^ruling derivative vanishes at u = 0\.3$"):
+            call()
+    null = ExplicitSurface.from_strings(("0", "0", "s"), ("s", "s", "1"), (0.0, 1.0))
+    for call in (lambda: frenet_frame_at(null, 0.5), lambda: arc_length(null, 0.5)):
+        with pytest.raises(NullDerivativeError, match=r"^ruling derivative is null at u = 0\.0$"):
+            call()
 
 
 def test_small_spacelike_ruling_derivative_is_not_null():

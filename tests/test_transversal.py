@@ -1,6 +1,7 @@
 """Transversal families: rulings, closed forms vs sampled oracle, conditions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from minkruled.errors import (
     TrivialRulingError,
 )
 from minkruled.lorentz import lorentz_dot
-from minkruled.synthesis import from_constants, synthesize_surface
+from minkruled.numerics import central_diff1
+from minkruled.ruled import CYLINDRICAL_EPS, sampled_ruled_invariants
+from minkruled.synthesis import IntrinsicData, from_constants, synthesize_surface
 from minkruled.transversal import (
     Branch,
     Family,
@@ -236,6 +239,106 @@ def test_degenerate_denominator():
     spec = spec_for("alpha", linear_angle(2.0, -1.0), "timelike")
     with pytest.raises(DegenerateDenominatorError):
         analyze(surf, spec)
+
+
+# ---------------------------------------------------------------------------
+# fields computed on first read
+# ---------------------------------------------------------------------------
+
+EVERY_BRANCH = [("alpha", "timelike"), ("alpha", "spacelike"), ("beta", None), ("gamma", "timelike"),
+                ("gamma", "spacelike")]
+LAZY_FIELDS = ("v_closed", "d_closed", "v_printed", "d_via_base", "rel_v", "rel_d", "suspect",
+               "printed_sign_flip")
+
+
+@pytest.fixture(scope="module")
+def varying_surface():
+    k1, k2, theta = (ex.parse(text) for text in ("1 + 0.3*sin(2*s)", "0.5*cos(s)", "0.2 + 0.4*s"))
+    return synthesize_surface(IntrinsicData(k1, k2, theta))
+
+
+def eager_fields(surf, spec):
+    """Every lazy field of ``analyze(surf, spec)`` and its oracle by the formulas the
+    analysis computed eagerly before its fields were read on demand, in their order."""
+    co = transversal.coefficients(surf, spec)
+    pre, lead, lag, numerator, den, _ = transversal._closed_factors(spec, co)
+    with np.errstate(all="ignore"):
+        v, d = pre * (lead - lag) / den, numerator / den
+        v_printed = v if spec.family is Family.ALPHA else pre * (lag - lead) / den
+    fdot, sl = central_diff1(surf.c, surf.step)
+    qdot, _ = central_diff1(co.q_t, surf.step)
+    q = co.q_t[sl]
+    qdqd = lorentz_dot(qdot, qdot)
+    euclid = np.sum(qdot * qdot, axis=-1)
+    valid = (np.sqrt(euclid) > CYLINDRICAL_EPS) & (np.abs(qdqd) > 1e-10 * np.maximum(1.0, euclid))
+    det = np.einsum("ij,ij->i", fdot, np.cross(q, qdot))
+    with np.errstate(all="ignore"):
+        v0 = np.where(valid, -lorentz_dot(qdot, fdot) / qdqd, np.nan)
+        drall = np.where(valid, det / qdqd, np.nan)
+
+    def gap(closed, oracle):
+        scale = 1.0 + np.maximum(np.abs(closed), np.abs(oracle))[valid]
+        return float(np.max(np.abs(closed - oracle)[valid] / scale))
+
+    rel_v, rel_d = gap(v[sl], v0), gap(d[sl], drall)
+    return {
+        "v_closed": v,
+        "d_closed": d,
+        "v_printed": v_printed,
+        "d_via_base": transversal._via_base_values(spec, co, den),
+        "rel_v": rel_v,
+        "rel_d": rel_d,
+        "suspect": bool(max(rel_v, rel_d) > 1e-4),
+        "printed_sign_flip": bool(gap(v_printed[sl], v0) > 1e-4 and rel_v <= 1e-4),
+        "oracle.valid": valid,
+        "oracle.sl": sl,
+        "oracle.v0": v0,
+        "oracle.drall": drall,
+    }
+
+
+def same_bits(x, y) -> bool:
+    if isinstance(y, (bool, slice)):
+        return type(x) is type(y) and x == y
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("family,branch", EVERY_BRANCH)
+def test_lazy_fields_equal_the_eager_formulas_bit_for_bit(varying_surface, family, branch):
+    spec = spec_for(family, "0.7 + 0.1*s", branch)
+    expected = eager_fields(varying_surface, spec)
+    analysis = analyze(varying_surface, spec)
+    for name in expected:
+        owner, _, attr = name.rpartition(".")
+        value = getattr(analysis.oracle if owner else analysis, attr)
+        assert same_bits(value, expected[name]), name
+    assert analysis.printed_sign_flip is (family != "alpha")  # the surface tells the forms apart
+
+
+def test_analyze_raises_every_error_before_a_field_is_read():
+    surf = surf_const(1.0, 0.0, 0.5)
+    with pytest.raises(DegenerateDenominatorError, match="denominator vanishes"):
+        analyze(surf, spec_for("alpha", linear_angle(2.0, -1.0), "timelike"))
+    with pytest.raises(ValueError, match="at least 5 samples"):
+        analyze(surf_const(1.0, 0.5, 0.5, s_range=(0.0, 0.003)), spec_for("beta", "0.6"))
+    with pytest.raises(ValueError, match="ruling norm does not match its causal branch label"):
+        analyze(surf, spec_for("gamma", "800", "spacelike"))
+
+
+@pytest.mark.parametrize("family,branch", EVERY_BRANCH)
+def test_reading_lazy_fields_warns_nothing(varying_surface, family, branch):
+    analysis = analyze(varying_surface, spec_for(family, "0.7 + 0.1*s", branch))
+    # a constant ruling: every oracle sample is masked, so both halves divide 0 by 0
+    cylinder = sampled_ruled_invariants(varying_surface.c, np.tile([1.0, 0.0, 0.0], (len(varying_surface), 1)),
+                                        varying_surface.step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in LAZY_FIELDS:
+            getattr(analysis, name)
+        for oracle in (analysis.oracle, cylinder):
+            oracle.v0, oracle.drall
+    assert not cylinder.valid.any() and np.isnan(cylinder.v0).all() and np.isnan(cylinder.drall).all()
 
 
 # ---------------------------------------------------------------------------

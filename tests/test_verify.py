@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from minkruled import expressions as ex
-from minkruled import synthesis, verify
+from minkruled import synthesis, transversal, verify
 from minkruled.cli import export_report
 from minkruled.lorentz import Tolerances
 from minkruled.ruled import ExplicitSurface
@@ -356,6 +356,18 @@ def test_default_suite_computes_each_report_once(monkeypatch):
         monkeypatch.setattr(verify, name, _counting(calls, name, getattr(verify, name)))
     run_all(SuiteConfig())
     assert calls == {"striction_predicates": 65, "developability_condition": 66, "analyze": 210}
+
+
+def test_default_suite_computes_only_what_its_records_read(monkeypatch):
+    # the records read v_closed and the oracle's v0, or d_closed and its drall:
+    # never a relative gap or the base-drall form (738 and 246 calls when every
+    # analysis field was eager), and the 811 constant roots of the 1,024
+    # evaluate calls compile no program
+    calls = {"_relative_gap": 0, "_via_base_values": 0, "compile": 0}
+    for module, name in ((transversal, "_relative_gap"), (transversal, "_via_base_values"), (ex, "compile")):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+    run_all(SuiteConfig())
+    assert calls == {"_relative_gap": 0, "_via_base_values": 0, "compile": 213}
 
 
 # The default suite; a (1, 2, 3) verify-grid shape of bench/workloads.py;
