@@ -101,7 +101,7 @@ def adaptive_simpson(fn, a, b, tol: float = 1e-10, max_depth: int = 40):
     return float(out) if out.ndim == 0 else out
 
 
-def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: float = 1e-10):
+def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int):
     """Place ``n`` parameter values equally spaced in arc length.
 
     ``speed_fn`` maps an array of u to ds/du > 0.  Integrates every dense
@@ -118,7 +118,7 @@ def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: fl
     u_dense = np.linspace(u0, u1, dense)
     seg = np.empty(dense)
     seg[0] = 0.0
-    seg[1:] = adaptive_simpson(speed_fn, u_dense[:-1], u_dense[1:], quad_tol)
+    seg[1:] = adaptive_simpson(speed_fn, u_dense[:-1], u_dense[1:])
     s_dense = np.cumsum(seg)
     # the segments are finite, so only their running sum can overflow
     if not (np.isfinite(s_dense[-1]) and np.all(np.diff(s_dense) > 0.0)):
@@ -131,7 +131,7 @@ def uniform_arclength_nodes(speed_fn, u0: float, u1: float, n: int, quad_tol: fl
     u = u_nodes[1:-1]
     j = np.clip(np.searchsorted(u_dense, u) - 1, 0, dense - 2)
     for _ in range(2):
-        s_here = s_dense[j] + adaptive_simpson(speed_fn, u_dense[j], u, quad_tol)
+        s_here = s_dense[j] + adaptive_simpson(speed_fn, u_dense[j], u)
         u = u - (s_here - s_nodes[1:-1]) / speed_fn(u)
     u_nodes[1:-1] = u
     return u_nodes, s_nodes

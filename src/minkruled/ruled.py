@@ -320,11 +320,9 @@ def _speed(surface: ExplicitSurface, u: np.ndarray, tol: Tolerances) -> np.ndarr
         raise
 
 
-def arc_length(
-    surface: ExplicitSurface, u: float, tol_quad: float = 1e-10, tol: Tolerances = DEFAULT_TOLERANCES
-) -> float:
+def arc_length(surface: ExplicitSurface, u: float, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     """Striction-curve arc length from the start of the range to u."""
-    return adaptive_simpson(lambda x: _speed(surface, x, tol), surface.u_range[0], u, tol_quad)
+    return adaptive_simpson(lambda x: _speed(surface, x, tol), surface.u_range[0], u)
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,24 @@ and for epsilon = -1 the striction tangent is
 
     dc/ds = cosh(theta) q + sinh(theta) a,
 
-which is automatically unit timelike.  The frame ODE is linear, so one
-fixed-step RK4 step is a 3x3 matrix acting on the stacked rows (q, h, a),
-built for every step at once from the curvature tables.  The maps are
-applied in blocks of BLOCK steps: one scalar loop carries the frame from
-block start to block start by each block's product and re-projects it there
-with a Lorentzian Gram-Schmidt, then all blocks step from their starts
-together.  theta enters only dc/ds, and the RK4 increment of c is linear in
-the frame too, so the striction curve is one cumulative sum afterwards.
+which is automatically unit timelike.  The frame ODE is linear, so one step
+of the 2-stage Gauss-Legendre method (the implicit 4th-order Runge-Kutta
+method with stages at s_n + (1/2 -+ sqrt(3)/6) dt) is a 3x3 matrix acting
+on the stacked rows (q, h, a), built for every step at once from the
+curvature tables.  The method keeps every quadratic invariant of an ODE
+(Cooper, IMA J. Numer. Anal. 7, 1987), the frame's Lorentz Gram matrix
+among them, so the frame needs no re-projection.  The maps are applied in
+blocks of BLOCK steps: one loop carries the frame from block start to block
+start by each block's product, then all blocks step from their starts
+together.  theta enters only dc/ds, and the Gauss-Legendre increment of c is
+linear in the frame too, so the striction curve is one cumulative sum
+afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,12 +37,17 @@ from .errors import FrameDegenerateError, NonTimelikeStrictionError, WorkLimitEr
 from .frame import SampledSurface, canonical_frame
 from .lorentz import Vec3, frame_check, lorentz_dot
 
-# a synthesized surface peaks near 0.66 KB of memory per RK4 step (tracemalloc,
-# 10^5 steps), so about 0.66 GB at this many steps
+# a synthesized surface peaks near 0.86 KB of memory per step (tracemalloc,
+# 10^5 steps), so about 0.86 GB at this many steps
 MAX_STEPS = 1_000_000
 # an OBJ mesh peaks near 90 B of memory and writes about 93 B of file per
 # vertex, so about 0.9 GB of each at this many vertices
 MAX_MESH_VERTICES = 10_000_000
+# the default initial frame, shared read-only: canonical_frame() is canonical
+# for epsilon = -1, so IntrinsicData checks it only for epsilon = +1
+_DEFAULT_FRAME = canonical_frame()
+for _v in _DEFAULT_FRAME:
+    _v.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -48,9 +57,10 @@ class IntrinsicData:
     ``step`` is a target; the actual step divides the range evenly.
     ValueError unless ``epsilon`` is -1 or 1 (not a bool), ``step`` lies in
     (0, inf), ``s_range`` is finite and increasing, and the initial frame
-    (the default one included) is orthonormal for the chosen signature
-    with h = a*q and det(q, h, a) = -1; WorkLimitError, a ValueError, where
-    the range over the step exceeds MAX_STEPS.
+    is orthonormal for the chosen signature with h = a*q and det(q, h, a) =
+    -1 (checked unless it is the default frame with epsilon = -1);
+    WorkLimitError, a ValueError, where the range over the step exceeds
+    MAX_STEPS.
     """
 
     k1: ex.Expr
@@ -59,7 +69,7 @@ class IntrinsicData:
     epsilon: int = -1
     s_range: tuple[float, float] = (0.0, 1.0)
     step: float = 1e-3
-    initial_frame: tuple[Vec3, Vec3, Vec3] = field(default_factory=canonical_frame)
+    initial_frame: tuple[Vec3, Vec3, Vec3] = _DEFAULT_FRAME
 
     def __post_init__(self):
         if isinstance(self.epsilon, bool) or self.epsilon not in (-1, 1):
@@ -71,9 +81,11 @@ class IntrinsicData:
             raise ValueError("s_range must be finite and increasing")
         if (s1 - s0) / self.step > MAX_STEPS:
             raise WorkLimitError(
-                f"s_range over step asks for {(s1 - s0) / self.step:.3g} RK4 steps, "
+                f"s_range over step asks for {(s1 - s0) / self.step:.3g} steps, "
                 f"more than MAX_STEPS = {MAX_STEPS}"
             )
+        if self.initial_frame is _DEFAULT_FRAME and self.epsilon == -1:
+            return
         q0, h0, a0 = self.initial_frame
         report = frame_check(q0, h0, a0, self.epsilon)
         if not report.canonical:
@@ -94,27 +106,25 @@ class IntrinsicData:
 
 
 def from_constants(
-    k1: float,
-    k2: float,
-    theta,
-    s_range: tuple[float, float] = (0.0, 1.0),
-    step: float = 1e-3,
-    epsilon: int = -1,
+    k1: float, k2: float, theta, s_range: tuple[float, float] = (0.0, 1.0), step: float = 1e-3
 ) -> IntrinsicData:
-    """Convenience constructor; ``theta`` may be a float or an expression."""
-    theta_expr = theta if isinstance(theta, ex.Expr) else ex.const(theta)
-    return IntrinsicData(
-        k1=ex.const(k1),
-        k2=ex.const(k2),
-        theta=theta_expr,
-        epsilon=epsilon,
-        s_range=s_range,
-        step=step,
-    )
+    """Convenience constructor for epsilon = -1; ``theta`` may be a float or an expression."""
+    theta = theta if isinstance(theta, ex.Expr) else ex.const(theta)
+    return IntrinsicData(ex.const(k1), ex.const(k2), theta, s_range=s_range, step=step)
 
 
-# RK4 steps between two re-projections of the frame
+# steps per block of _propagate; a speed constant only
 BLOCK = 32
+# the 2-stage Gauss-Legendre method: its nodes as fractions of a step, and the
+# off-diagonal entries of its Butcher matrix, whose diagonal entries are 1/4
+_R = math.sqrt(3.0) / 6.0
+GAUSS_NODES = (0.5 - _R, 0.5 + _R)
+A12, A21 = 0.25 - _R, 0.25 + _R
+# the largest max(|k1|, |k2|) * dt a step may take.  Gauss-Legendre maps stay
+# bounded at any step (the method is A-stable), so a step too coarse for the
+# curvatures would return a finite, wrong frame; at the bound one step's
+# growth or turn is still within 0.5% of the exact flow's.
+STEP_BOUND = 1.25
 
 
 def _coefficients(eps, k1, k2):
@@ -124,129 +134,123 @@ def _coefficients(eps, k1, k2):
     return a
 
 
-def _step_maps(dt, eps, k1n, k2n, k1h, k2h):
-    """One RK4 step of the linear frame ODE as a matrix, for every step at once.
+def _inverse(m):
+    """Inverses of a stack of 3x3 matrices: the adjugate, whose columns are
+    cross products of rows, over the determinant."""
+    r0, r1, r2 = m[:, 0], m[:, 1], m[:, 2]
+    adj = np.stack([np.cross(r1, r2), np.cross(r2, r0), np.cross(r0, r1)], axis=-1)
+    return adj / (r0 * adj[:, :, 0]).sum(axis=-1)[:, None, None]
 
-    Returns ``(maps, basis)``: ``maps[i]`` takes the stacked frame rows
-    (q, h, a) from node i to node i+1, and ``basis[i]`` holds rows 0 and 2
-    of the stage maps S2 + S3 and S4, which carry node i's frame to the
-    stage frames that the striction tangent cosh(theta) q + sinh(theta) a
-    reads, shape (n, 4, 3).
+
+def _step_maps(dt, eps, k1a, k2a, k1b, k2b):
+    """One Gauss-Legendre step of the linear frame ODE as a matrix, for every step at once.
+
+    ``k1a``, ``k2a`` and ``k1b``, ``k2b`` are the curvatures at each step's
+    first and second Gauss point, where the frame-ODE matrices are A1 and
+    A2.  The stage maps Z1 and Z2 carry the frame Y at a step's start to its
+    stage frames Z_i Y and solve Z_i = I + dt sum_j a_ij A_j Z_j; the step map
+    is M = I + dt/2 (A1 Z1 + A2 Z2).  The 6x6 stage system, written in K_i =
+    dt A_i Z_i, is solved by block elimination through two ``_inverse`` calls.
+    Returns ``(maps, basis)``: ``maps[i]`` takes the stacked frame rows (q, h,
+    a) from node i to node i+1, and ``basis[i]`` holds rows 0 and 2 of Z1 and
+    Z2, which carry node i's frame to the stage frames that the striction
+    tangent cosh(theta) q + sinh(theta) a reads, shape (n, 4, 3).
     """
     eye = np.eye(3)
-    am = _coefficients(eps, k1h, k2h)
-    maps = _coefficients(eps, k1n[:-1], k2n[:-1])  # A0, summed into M below
-    s2 = eye + (0.5 * dt) * maps
-    k = am @ s2
-    maps += 2.0 * k
-    s3 = eye + (0.5 * dt) * k
-    k = am @ s3
-    maps += 2.0 * k
-    s4 = eye + dt * k
-    maps += _coefficients(eps, k1n[1:], k2n[1:]) @ s4
-    maps *= dt / 6.0
-    maps += eye
-    s2 += s3
-    return maps, np.concatenate([s2[:, ::2], s4[:, ::2]], axis=1)
+    b1, b2 = _coefficients(eps, dt * k1a, dt * k2a), _coefficients(eps, dt * k1b, dt * k2b)
+    # with B_i = dt A_i and G = (I - B1/4)^-1 B1: K1 = G (I + a12 K2), and
+    # (I - B2/4 - a12 a21 B2 G) K2 = B2 (I + a21 G)
+    g = _inverse(eye - 0.25 * b1) @ b1
+    b2g = b2 @ g
+    k2 = _inverse(eye - 0.25 * b2 - (A12 * A21) * b2g) @ (b2 + A21 * b2g)
+    k1 = g + A12 * (g @ k2)
+    z1, z2 = eye + 0.25 * k1 + A12 * k2, eye + A21 * k1 + 0.25 * k2
+    return eye + 0.5 * (k1 + k2), np.concatenate([z1[:, ::2], z2[:, ::2]], axis=1)
 
 
-def _reproject(frame, eps):
-    """Lorentzian Gram-Schmidt of ``(q, h, a)`` with signatures (eps, +1, -eps)."""
-    (qx, qy, qz), (hx, hy, hz), (ax, ay, az) = frame
-    qq = -qx * qx + qy * qy + qz * qz
-    if eps * qq <= 0.0:
-        raise FrameDegenerateError("ruling vector became null during re-projection")
-    inv = 1.0 / math.sqrt(abs(qq))
-    qx *= inv; qy *= inv; qz *= inv
-    coef = (-hx * qx + hy * qy + hz * qz) * eps
-    hx -= coef * qx; hy -= coef * qy; hz -= coef * qz
-    hh = -hx * hx + hy * hy + hz * hz
-    if hh <= 0.0:
-        raise FrameDegenerateError("central normal became null during re-projection")
-    inv = 1.0 / math.sqrt(hh)
-    hx *= inv; hy *= inv; hz *= inv
-    coef = (-ax * qx + ay * qy + az * qz) * eps
-    ax -= coef * qx; ay -= coef * qy; az -= coef * qz
-    coef = -ax * hx + ay * hy + az * hz
-    ax -= coef * hx; ay -= coef * hy; az -= coef * hz
-    aa = -ax * ax + ay * ay + az * az
-    if -eps * aa <= 0.0:
-        raise FrameDegenerateError("central tangent became null during re-projection")
-    inv = 1.0 / math.sqrt(abs(aa))
-    return (qx, qy, qz), (hx, hy, hz), (ax * inv, ay * inv, az * inv)
-
-
-def _propagate(maps, frame0, eps):
+def _propagate(maps, frame0):
     """Frames Y_0, Y_1, ... with Y_{i+1} = maps[i] Y_i, shape (len(maps), 3, 3).
 
     ``len(maps)`` is a whole number of blocks of BLOCK steps.  The products
-    of each block's maps carry the frame from one block start to the next,
-    where it is re-projected; within all blocks at once, the maps are then
-    applied one step after another from the block starts.
+    of each block's maps carry the frame from one block start to the next;
+    within all blocks at once, the maps are then applied one step after
+    another from the block starts.
     """
     maps = maps.reshape(-1, BLOCK, 3, 3)
     carry = maps[:, 0]
     for j in range(1, BLOCK):
         carry = maps[:, j] @ carry
-    y = np.empty_like(maps)
+    y = np.empty(maps.shape)
     y[0, 0] = frame0
     for b in range(1, len(y)):
-        y[b, 0] = _reproject((carry[b - 1] @ y[b - 1, 0]).tolist(), eps)
+        y[b, 0] = carry[b - 1] @ y[b - 1, 0]
     for j in range(BLOCK - 1):
         np.matmul(maps[:, j], y[:, j], out=y[:, j + 1])
     return y.reshape(-1, 3, 3)
 
 
 def _integrate_frames(data: IntrinsicData):
-    """Returns ``(s, s_half, (k1, k2), (q, h, a), basis)`` for the RK4 grid of ``data``.
+    """Returns ``(grid, (k1, k2), (q, h, a), basis)`` for the Gauss-Legendre grid of ``data``.
 
-    ``s`` and ``s_half`` are the n+1 node and n half-step arc lengths, ``k1``
-    and ``k2`` the curvatures on the nodes, and ``basis`` the ``_step_maps``
-    rows the striction curve needs.  The tables are padded with zeros to
-    whole blocks; the padded steps reach no returned row.  Raises
-    FrameDegenerateError if a frame is not finite (the step is too coarse
-    for the curvatures) or not of its causal character.
+    ``grid`` joins the n+1 nodes, the n first and the n second Gauss points,
+    in that order; ``k1`` and ``k2`` are the curvatures on the nodes, and
+    ``basis`` the ``_step_maps`` rows the striction curve needs.  Constant
+    curvatures give every step the same map, built once and broadcast; else
+    the tables are padded with zeros to whole blocks, and the padded steps
+    reach no returned row.  Raises FrameDegenerateError if a frame is not
+    finite, if max(|k1|, |k2|) * dt exceeds STEP_BOUND (the step is too
+    coarse for the curvatures), or if a frame vector is not of its causal
+    character.
     """
     n, dt, eps, s0 = data.n_steps, data.actual_step, data.epsilon, data.s_range[0]
-    s = s0 + dt * np.arange(n + 1)
-    s_half = s0 + dt * (np.arange(n) + 0.5)
-    tables = [
-        np.asarray(ex.evaluate(expr, grid), dtype=float)
-        for expr, grid in ((data.k1, s), (data.k2, s), (data.k1, s_half), (data.k2, s_half))
-    ]
-    pad = BLOCK - n % BLOCK
+    steps = np.arange(n)
+    grid = s0 + dt * np.concatenate([np.arange(n + 1), steps + GAUSS_NODES[0], steps + GAUSS_NODES[1]])
+    k1, k2 = (np.asarray(ex.evaluate(e, grid), dtype=float) for e in (data.k1, data.k2))
+    size = (n // BLOCK + 1) * BLOCK
+    if isinstance(data.k1, ex.Num) and isinstance(data.k2, ex.Num):
+        tables = [t[i : i + 1] for i in (n + 1, 2 * n + 1) for t in (k1, k2)]
+    else:
+        tables = [np.concatenate([t[i : i + n], np.zeros(size - n)]) for i in (n + 1, 2 * n + 1) for t in (k1, k2)]
     with np.errstate(all="ignore"):
-        maps, basis = _step_maps(dt, eps, *(np.concatenate([t, np.zeros(pad)]) for t in tables))
-        y = _propagate(maps, data.initial_frame, eps)[: n + 1]
+        maps, basis = _step_maps(dt, eps, *tables)
+        y = _propagate(np.broadcast_to(maps, (size, 3, 3)), data.initial_frame)[: n + 1]
         if not np.isfinite(y).all():
             raise FrameDegenerateError("frame integration overflowed to non-finite values")
+        kdt = dt * max(np.max(np.abs(k1)), np.max(np.abs(k2)))
+        if kdt > STEP_BOUND:
+            raise FrameDegenerateError(
+                f"step {dt:.3g} is too coarse for the curvatures: max(|k1|, |k2|) * step = {kdt:.3g} "
+                f"exceeds {STEP_BOUND}"
+            )
         q, h, a = (np.ascontiguousarray(y[:, i]) for i in range(3))
         for name, v, sign in (("ruling vector", q, eps), ("central normal", h, 1), ("central tangent", a, -eps)):
             if not (sign * lorentz_dot(v, v) > 0.0).all():
                 raise FrameDegenerateError(f"{name} became null during integration")
-    return s, s_half, tuple(tables[:2]), (q, h, a), basis[:n]
+    return grid, (k1[: n + 1], k2[: n + 1]), (q, h, a), np.broadcast_to(basis, (size, 4, 3))[:n]
 
 
 def integrate_frame(data: IntrinsicData):
     """Integrate the frame equations; returns ``(s, Q, H, A)`` arrays.
 
-    ``s`` has shape (n+1,); Q, H, A have shape (n+1, 3).  The frame is
-    re-orthonormalized at the start of every block of BLOCK steps; within a
-    block it drifts from orthonormality by RK4's error over those steps.
+    ``s`` has shape (n+1,); Q, H, A have shape (n+1, 3).  The Gauss-Legendre
+    steps keep the frame's Lorentz Gram matrix exactly, so it drifts from
+    orthonormality by rounding alone, with no re-projection.
     """
-    s, _, _, (q, h, a), _ = _integrate_frames(data)
-    return s, q, h, a
+    grid, _, (q, h, a), _ = _integrate_frames(data)
+    return grid[: len(q)], q, h, a
 
 
 def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
     """Integrate the frame, then build the striction curve from it.
 
-    The RK4 increment of c over step i is w_i . (q_i, h_i, a_i), with w_i
-    from the theta tables and the cached stage maps, so c is one cumulative
-    sum.  A caller-owned ``frames`` dict, keyed by every input but theta,
-    shares one integration (arrays included) across theta.  Only epsilon =
-    -1 admits the hyperbolic striction tangent used here; c starts at the
-    origin.  Overflowing frames or curves raise FrameDegenerateError.
+    The Gauss-Legendre increment of c over step i is dt/2 times the striction
+    tangent summed over the two stage frames, w_i . (q_i, h_i, a_i), with w_i
+    from theta at the Gauss points and the cached stage-map rows, so c is one
+    cumulative sum.  A caller-owned ``frames`` dict, keyed by every input but
+    theta, shares one integration (arrays included) across theta.  Only
+    epsilon = -1 admits the hyperbolic striction tangent used here; c starts
+    at the origin.  Overflowing frames or curves, and a step too coarse for
+    the curvatures, raise FrameDegenerateError.
     """
     if data.epsilon != -1:
         raise NonTimelikeStrictionError(
@@ -257,23 +261,20 @@ def synthesize_surface(data: IntrinsicData, frames=None) -> SampledSurface:
            data.step, np.asarray(data.initial_frame, dtype=float).tobytes())
     if key not in frames:
         frames[key] = _integrate_frames(data)
-    s, s_half, (k1, k2), (q, h, a), basis = frames[key]
-    thn = np.asarray(ex.evaluate(data.theta, s), dtype=float)
-    thh = np.asarray(ex.evaluate(data.theta, s_half), dtype=float)
+    grid, (k1, k2), (q, h, a), basis = frames[key]
+    n = len(q) - 1
+    theta = np.asarray(ex.evaluate(data.theta, grid), dtype=float)
     with np.errstate(all="ignore"):
-        ch, sh = np.cosh(thn), np.sinh(thn)
-        weights = np.stack([2.0 * np.cosh(thh), 2.0 * np.sinh(thh), ch[1:], sh[1:]], axis=-1)
-        w = (weights[:, None, :] @ basis)[:, 0]
-        w[:, 0] += ch[:-1]
-        w[:, 2] += sh[:-1]
-        inc = (data.actual_step / 6.0) * (w[:, :1] * q[:-1] + w[:, 1:2] * h[:-1] + w[:, 2:] * a[:-1])
+        ch, sh = np.cosh(theta[n + 1 :]), np.sinh(theta[n + 1 :])
+        w = (np.stack([ch[:n], sh[:n], ch[n:], sh[n:]], axis=-1)[:, None, :] @ basis)[:, 0]
+        inc = (0.5 * data.actual_step) * (w[:, :1] * q[:-1] + w[:, 1:2] * h[:-1] + w[:, 2:] * a[:-1])
         # a leading zero row makes c[1] = 0.0 + inc[0], as in a running sum
         c = np.cumsum(np.concatenate([np.zeros((1, 3)), inc]), axis=0)
     if not np.isfinite(c).all():
         raise FrameDegenerateError("striction curve overflowed to non-finite values")
     return SampledSurface(
-        s=s, c=c, q=q, h=h, a=a,
-        k1=k1, k2=k2, theta=thn, epsilon=data.epsilon,
+        s=grid[: n + 1], c=c, q=q, h=h, a=a,
+        k1=k1, k2=k2, theta=theta[: n + 1], epsilon=data.epsilon,
     )
 
 

@@ -1088,6 +1088,22 @@ def test_non_finite_results_exit_1(tmp_path, command, payload, message):
 
 
 @pytest.mark.parametrize(
+    "curvatures,step",
+    [(dict(k2="500"), 0.01), (dict(k1="50"), 0.1)],
+    ids=["k2-500-step-0.01", "k1-50-step-0.1"],
+)
+def test_steps_too_coarse_for_the_curvatures_exit_1(tmp_path, curvatures, step):
+    # max(|k1|, |k2|) * step = 5: Gauss-Legendre maps stay bounded there and
+    # would return a finite, wrong frame, so the step bound names the step
+    payload = dict(MINIMAL_INTRINSIC, step=step, output={"report_path": "r.json"}, **curvatures)
+    result = run_cli(tmp_path, "synthesize", payload)
+    assert result.returncode == 1
+    assert f"step {step:.3g} is too coarse for the curvatures" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command,payload,message",
     [
         ("synthesize", dict(load_demo("hyperbolic_synthesize"), step=1e-15), "MAX_STEPS"),

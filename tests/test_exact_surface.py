@@ -61,6 +61,17 @@ def test_synthesis_tracks_the_growing_exact_surface(k1, k2, bound):
     assert np.max(np.abs(surf.c - exact["c"])) <= bound * np.max(np.abs(exact["c"]))
 
 
+def test_synthesis_holds_the_exact_surface_at_k1_2_k2_0():
+    # sigma = 4: frame entries grow like cosh(2 s), to about 1.1e4 at s = 5,
+    # so a re-projection's |q|^2 ulp rounding would show here (4.2e-8 with
+    # one every 32 steps).  Each array's error is relative to its own largest
+    # entry.
+    surf = synthesize_surface(from_constants(2.0, 0.0, 0.5, (0.0, 5.0), 1e-3))
+    exact = exact_values(2.0, 0.0, 0.5, surf.s)
+    for name in ("c", "q", "h", "a"):
+        assert np.max(np.abs(getattr(surf, name) - exact[name])) <= 1e-10 * np.max(np.abs(exact[name])), name
+
+
 @pytest.mark.parametrize("k1,k2,theta", CASES)
 def test_explicit_frame_recovers_exact_data(k1, k2, theta):
     triples = exact_surface(k1, k2, theta)

@@ -224,18 +224,19 @@ def test_step_divides_range_evenly():
 
 
 # ---------------------------------------------------------------------------
-# the step-map kernel plus the striction cumsum against one joint RK4
+# the Gauss-Legendre kernel plus the striction cumsum against one joint RK4
 # ---------------------------------------------------------------------------
 
 
 def reference_joint_rk4(data):
     """Frame and striction curve integrated together in one scalar RK4 loop.
 
-    This is the combined kernel the library ran before the curve moved into a
-    separate array pass and the frame into step maps, kept here as the
-    reference: tables are plain lists, every operation is a Python float
-    operation, and the frame is re-projected after every step.  Returns
-    ``(frames, curve)`` of shapes (n+1, 3, 3) and (n+1, 3).
+    This is the combined RK4 kernel the library ran before the curve moved
+    into a separate array pass and the frame into Gauss-Legendre step maps,
+    kept here as an independent 4th-order reference: tables are plain lists,
+    every operation is a Python float operation, and the frame is
+    re-projected after every step.  Returns ``(frames, curve)`` of shapes
+    (n+1, 3, 3) and (n+1, 3).
     """
     n, dt, eps = data.n_steps, data.actual_step, data.epsilon
     s0 = data.s_range[0]
@@ -371,11 +372,12 @@ def relative_gap(x, ref):
     return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
-# The kernel and the reference run the same RK4 steps in another order and
-# re-project at other steps, so they agree to rounding, not bit for bit.  The
+# The kernel (2-stage Gauss-Legendre, no projection) and the reference (RK4,
+# re-projected every step) are two 4th-order methods, so at step 1e-3 they
+# agree to their truncation errors and rounding, not bit for bit.  The
 # reference's per-step Gram-Schmidt rounds off about |q|^2 ulp a step, and
-# |q| reaches 21 in "constant-twisted": the two differ there by 5e-13 of the
-# frame, and by at most 1e-13 in the other cases.
+# |q| reaches 21 in "constant-twisted", where the two differ by 2e-13 of the
+# frame and of c; elsewhere by at most 1.2e-13.
 SPLIT_BOUND = 1e-12
 
 
@@ -425,6 +427,50 @@ def test_overflow_raises_frame_degenerate(k1, theta, stage):
                 integrate_frame(data)
         else:
             assert np.isfinite(integrate_frame(data)[1]).all()
+
+
+# k1 and k2 of a surface whose max(|k1|, |k2|) is k on s_range (0.9, 1.0)
+AT_THE_BOUND = {
+    "k1": lambda k: (ex.const(k), ex.const(0.0)),
+    "k2": lambda k: (ex.const(0.0), ex.const(k)),
+    "negative-k2": lambda k: (ex.const(0.5), ex.const(-k)),
+    "varying-k2": lambda k: (ex.const(0.0), ex.mul(ex.const(k), ex.parse("s"))),  # largest at s = 1
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_THE_BOUND))
+def test_step_bound_on_the_curvatures(name):
+    zero = ex.const(0.0)
+    dt = IntrinsicData(zero, zero, zero, s_range=(0.9, 1.0), step=0.01).actual_step
+    for side in (-1, 1):
+        k1, k2 = AT_THE_BOUND[name](synthesis.STEP_BOUND / dt * (1.0 + side * 1e-9))
+        data = IntrinsicData(k1, k2, ex.const(0.5), s_range=(0.9, 1.0), step=0.01)
+        if side < 0:
+            assert np.isfinite(synthesize_surface(data).c).all()
+        else:
+            for call in (synthesize_surface, integrate_frame):
+                with pytest.raises(FrameDegenerateError, match=r"step 0\.01 is too coarse for the curvatures"):
+                    call(data)
+
+
+@pytest.mark.parametrize("k1,k2", [(2.0, 1.0), (0.5, 2.0)], ids=["growing", "rotating"])
+def test_constant_curvatures_broadcast_one_map(monkeypatch, k1, k2):
+    # constant k1 and k2 build one step map for all steps; "s - s + k"
+    # evaluates to the same constants but builds a map for every step
+    sizes = []
+    original = synthesis._step_maps
+
+    def counted(dt, eps, *tables):
+        sizes.append(len(tables[0]))
+        return original(dt, eps, *tables)
+
+    monkeypatch.setattr(synthesis, "_step_maps", counted)
+    setup = dict(theta=ex.parse("0.2 + 0.4*s"), s_range=(0.0, 2.0), step=1e-3)
+    one = synthesize_surface(IntrinsicData(ex.const(k1), ex.const(k2), **setup))
+    per_step = synthesize_surface(IntrinsicData(ex.parse(f"s - s + {k1}"), ex.parse(f"s - s + {k2}"), **setup))
+    assert sizes == [1, 2016]  # 2000 steps padded to 63 blocks of 32
+    for field in SURFACE_FIELDS:
+        assert_same_bits(getattr(one, field), getattr(per_step, field))
 
 
 SURFACE_FIELDS = ("s", "c", "q", "h", "a", "k1", "k2", "theta")

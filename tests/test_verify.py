@@ -134,13 +134,13 @@ def test_full_default_suite_zero_failures():
 
 
 # Records on a wider grid whose verdicts rest on how closely the synthesized
-# frames stay Lorentz-orthonormal where they grow (s up to 3).  Integrating
-# the frame as a product of RK4 step maps with no re-projection turns the
-# four line-of-curvature records to fail (forward_geometric 1.1e-6 against
-# the 1e-6 tolerance); the three coincidence records errored there while the
-# transversal ruling's norm check was an absolute 1e-8 rather than relative
-# to mu^2 + eta^2.  Every kernel that re-projects, every step or every
-# block, passes them.
+# frames stay Lorentz-orthonormal where they grow (s up to 3).  A product of
+# RK4 step maps with no re-projection turns the four line-of-curvature
+# records to fail (forward_geometric 1.1e-6 against the 1e-6 tolerance); the
+# three coincidence records errored there while the transversal ruling's
+# norm check was an absolute 1e-8 rather than relative to mu^2 + eta^2.  The
+# Gauss-Legendre kernel keeps the frame's Gram matrix up to rounding and
+# passes them (forward_geometric 6.8e-7), as RK4 with a re-projection did.
 EXTENDED_GRID = SuiteConfig(k2_values=(0, 0.5, 1, 2), theta_values=(0, 0.5, 1, 2), s_range=(0, 3))
 FRAME_SENSITIVE = [
     ("striction", "line_of_curvature", dict(k1=2.0, k2=1, theta=t)) for t in (0, 0.5, 1, 2)
@@ -361,13 +361,29 @@ def test_default_suite_computes_each_report_once(monkeypatch):
 def test_default_suite_computes_only_what_its_records_read(monkeypatch):
     # the records read v_closed and the oracle's v0, or d_closed and its drall:
     # never a relative gap or the base-drall form (738 and 246 calls when every
-    # analysis field was eager), and the 811 constant roots of the 1,024
+    # analysis field was eager), and the 594 constant roots of the 780
     # evaluate calls compile no program
     calls = {"_relative_gap": 0, "_via_base_values": 0, "compile": 0}
     for module, name in ((transversal, "_relative_gap"), (transversal, "_via_base_values"), (ex, "compile")):
         monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
     run_all(SuiteConfig())
-    assert calls == {"_relative_gap": 0, "_via_base_values": 0, "compile": 213}
+    assert calls == {"_relative_gap": 0, "_via_base_values": 0, "compile": 186}
+
+
+def test_default_suite_checks_no_default_frame(monkeypatch):
+    # every suite surface starts from the default frame with epsilon = -1,
+    # which is canonical, so none of the 154 IntrinsicData a suite builds
+    # needs a frame_check
+    calls = {"frame_check": 0}
+    monkeypatch.setattr(synthesis, "frame_check", _counting(calls, "frame_check", synthesis.frame_check))
+    run_all(SuiteConfig())
+    assert calls == {"frame_check": 0}
+    # a frame passed in, or the default one under epsilon = +1, is checked
+    zero = ex.const(0.0)
+    IntrinsicData(zero, zero, zero, initial_frame=synthesis.canonical_frame())
+    with pytest.raises(ValueError, match="initial frame"):
+        IntrinsicData(zero, zero, zero, epsilon=1)
+    assert calls == {"frame_check": 2}
 
 
 # The default suite; a (1, 2, 3) verify-grid shape of bench/workloads.py;
