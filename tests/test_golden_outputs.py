@@ -156,27 +156,27 @@ CASES = [
         "hyperbolic_synthesize",
         "synthesize",
         demo("hyperbolic_synthesize"),
-        {"synthesis_report.json": "88305bd6aed4d4194622f6ea9df26c4ab0fbba17565677e3e5ee70d1b661f485"},
+        {"synthesis_report.json": "4a400265bced06583fc72b4c6d3458ca16aa05296fac96ca4f8b2eb3d8e20535"},
     ),
     (
         "beta_transversal",
         "transversal",
         demo("beta_transversal"),
-        {"beta_report.json": "1fa199f8ce39d595ac98d69372b5529876f5372236fda204181256cd803cf288"},
+        {"beta_report.json": "db84094c39c4f622862018611f4769b427bd3b7e899b9bbb39521ce318323046"},
     ),
     (
         "hyperbolic_mesh",
         "mesh",
         demo("hyperbolic_mesh"),
-        {"surface.obj": "9de0356d52243f197775ad965d2e29c0bcc765f20ff3ad792070621b5b0ed443"},
+        {"surface.obj": "1fa047e58cf58eac67e4437d54e7919ba653aa12b6df48608494a7c053a0f3ec"},
     ),
     (
         "hyperbolic_synthesize_with_mesh",
         "synthesize",
         demo("hyperbolic_mesh"),
         {
-            "report.json": "094e0ce4184f2d9a3ebceb3bcc2680ae6eb9210b972e391464fb6b2f33b5f706",
-            "surface.obj": "9de0356d52243f197775ad965d2e29c0bcc765f20ff3ad792070621b5b0ed443",
+            "report.json": "3593f48f0497e3df07027273194137380934117677bffd2e322e58ee273d4c75",
+            "surface.obj": "1fa047e58cf58eac67e4437d54e7919ba653aa12b6df48608494a7c053a0f3ec",
         },
     ),
     (
@@ -187,8 +187,8 @@ CASES = [
             output={"report_path": "beta_report.json", "mesh_path": "beta.obj"},
         ),
         {
-            "beta_report.json": "96348c897d1cb09938eb894857de7b577c60648eea39ee7365a7c49ba4d0d570",
-            "beta.obj": "e01b97213076089fd35b82ffcd81986deff9cbb936981a422e08c29a6f08aba7",
+            "beta_report.json": "f88695ba6b2a356c2ddabee4f57364b60fb0f7e21278923739e1e821e7980fab",
+            "beta.obj": "9f0960a207b94df8e23c06550705d578fd13736bc4a9e00170c430acdd414bbb",
         },
     ),
     (
@@ -201,26 +201,26 @@ CASES = [
         "small_verify",
         "verify",
         SMALL_VERIFY,
-        {"verify.json": "e8c2df237b91a55dc53a9b148d1a61c2319c56d1c1c3abbfbb4a45e29325329f"},
+        {"verify.json": "6e35d7f01679d9459feab70f9d1cef34a48eea0c99b9390083fbf4a4fe8cc422"},
     ),
     (
         # the default suites: every family on the full 27-triple grid
         "verify_default",
         "verify",
         demo("verify_default"),
-        {"verify_report.json": "6bbf225757eb5c6d7c3f863269383e97d23b5d2e42cf8d94f1c58bed74e38e48"},
+        {"verify_report.json": "3af295796c6b5a6ca3afe873272f13d26ddce2b3eb8d9d42479f2c4cd10171c3"},
     ),
     (
         "alpha_spacelike_transversal",
         "transversal",
         ALPHA_SPACELIKE_TRANSVERSAL,
-        {"alpha_report.json": "4b6cef451fc86859884e20ce7b289d63f4cdfcf5512082198762aa25f5eb2d0b"},
+        {"alpha_report.json": "36de9ecfd93fef81abc8eec4ce3a779b5dcb0f6f17b5499c6b422196fbd711c7"},
     ),
     (
         "gamma_timelike_transversal",
         "transversal",
         GAMMA_TIMELIKE_TRANSVERSAL,
-        {"gamma_report.json": "a3d720eb5c163633c837d12fa3756b3d1c2a6e219d700df2b9eb820ba4b2af25"},
+        {"gamma_report.json": "4b627d404fc02d24855339c5b2617b304a622888e0179be9fa0dce7b4ca8f079"},
     ),
     (
         "helicoid_mesh",
@@ -235,7 +235,7 @@ CASES = [
         "zero_k1_synthesize",
         "synthesize",
         ZERO_K1_SYNTHESIZE,
-        {"zero_k1_report.json": "e051734bb166f569e07928c115851718f84a85f462215089ec0305172ed9422d"},
+        {"zero_k1_report.json": "c16791b995b19bc1776f11fd000694a1657e182c7f099ac480ed58976daf7e49"},
     ),
     (
         # the exact surface with tanh(theta) = k2/k1, where the k1 > 0 gauge
@@ -249,7 +249,7 @@ CASES = [
         "mixed_verify",
         "verify",
         MIXED_VERIFY,
-        {"mixed_verify.json": "f4c1883b7a208e6727d69c8203803fc037aea5c694c58482f50de745a893e252"},
+        {"mixed_verify.json": "336905660dd9df640df629c9b6bd9a7f068707455d4ff18809c6cb87e3ddf7a7"},
     ),
     (
         "coarse_verify",
